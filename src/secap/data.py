@@ -7,12 +7,11 @@ operate on the collapsed aerial/ground pair via a view map.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy.spatial.distance import cdist

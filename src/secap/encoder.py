@@ -9,7 +9,7 @@ shrinks to [Cls, patches...] and no decoupling happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -6,12 +6,12 @@ many bits in float32 to separate real bugs from roundoff.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ContractError
-from .tensor import Parameter, Tensor, backward, no_grad, tape
+from .tensor import Parameter, Tensor, backward, no_grad
 
 
 def _relative_error(analytic: float, numeric: float) -> float:

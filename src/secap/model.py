@@ -26,7 +26,7 @@ from .losses import (
 )
 from .nn import expand_rows
 from .prm import PRM, PromptBank, init_prompts
-from .tensor import Parameter, Tensor, concat, no_grad, reshape
+from .tensor import Parameter, Tensor, no_grad, reshape
 
 ABLATIONS = ("none", "no-prm", "no-vdt", "no-lfrm", "baseline")
 

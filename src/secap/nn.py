@@ -11,11 +11,11 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from .errors import ConfigurationError, DimensionError
 from .tensor import (
-    Parameter, Tensor, add, concat, gelu, layer_norm, matmul, mul, reshape,
+    Parameter, Tensor, gelu, layer_norm, linear, matmul, mul, reshape,
     softmax_lastdim, swapaxes, transpose,
 )
 
@@ -23,8 +23,8 @@ INIT_STD = 0.02
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.ndarray:
-    """Normal(0, std) truncated to two standard deviations."""
-    return stats.truncnorm.rvs(-2.0, 2.0, scale=std, size=shape, random_state=rng)
+    """Normal(0, std) truncated to two standard deviations, by inverse-CDF sampling."""
+    return std * ndtri(rng.uniform(ndtr(-2.0), ndtr(2.0), size=shape))
 
 
 def expand_rows(token: Tensor, batch: int) -> Tensor:
@@ -46,8 +46,7 @@ class Linear:
         self.bias = Parameter(f"{name}.bias", np.zeros(d_out), dtype=dtype) if with_bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = matmul(x, self.weight.tensor)
-        return add(out, self.bias.tensor) if self.bias is not None else out
+        return linear(x, self.weight.tensor, None if self.bias is None else self.bias.tensor)
 
     def zero_(self) -> None:
         self.weight.data = np.zeros_like(self.weight.data)

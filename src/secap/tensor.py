@@ -5,13 +5,19 @@ float64 for gradient checking). Every differentiable op appends one entry
 to a process-global tape; backward() walks the tape once in reverse and
 consumes it. The tape is rebuilt on every forward pass; there are no
 retained graphs.
+
+Backward does only the work the loss needs: a rule returns None for an input
+that does not require a gradient (images, constants), each entry is popped as
+the walk reaches it, and an op output's gradient is dropped once its entry
+has run. Gradients therefore land on leaves only, the tensors no recorded op
+produced (parameters and checked inputs); intermediates never get .grad.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -21,7 +27,7 @@ from .errors import ContractError, DimensionError, NumericError
 
 __all__ = [
     "Tensor", "Parameter", "Tape", "tape", "no_grad", "backward",
-    "add", "sub", "mul", "div", "neg", "matmul", "transpose", "swapaxes",
+    "add", "sub", "mul", "div", "neg", "matmul", "linear", "transpose", "swapaxes",
     "reshape", "concat", "narrow", "split", "tsum", "tmean", "softmax_lastdim",
     "log_softmax_lastdim", "layer_norm", "gelu", "texp", "tlog", "tsqrt",
     "tabs", "clamp_min", "softplus", "take_pairs",
@@ -234,7 +240,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = _broadcast_binary(a, b, np.add, "add")
 
     def rule(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _make(data, (a, b), rule)
 
@@ -243,7 +250,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     data = _broadcast_binary(a, b, np.subtract, "sub")
 
     def rule(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _make(data, (a, b), rule)
 
@@ -252,7 +260,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = _broadcast_binary(a, b, np.multiply, "mul")
 
     def rule(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _make(data, (a, b), rule)
 
@@ -261,8 +270,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     data = _broadcast_binary(a, b, np.divide, "div")
 
     def rule(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None
         return ga, gb
 
     return _make(data, (a, b), rule)
@@ -287,11 +296,37 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: batch dimensions of {a.shape} and {b.shape} do not broadcast") from exc
 
     def rule(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape) if b.requires_grad else None
         return ga, gb
 
     return _make(data, (a, b), rule)
+
+
+def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """x @ w (+ b) over the last axis of x, as one GEMM on x flattened to rows."""
+    if x.ndim < 2 or w.ndim != 2:
+        raise DimensionError(f"linear needs a rank >= 2 input and a matrix, got {x.shape} and {w.shape}")
+    d_in, d_out = w.shape
+    if x.shape[-1] != d_in:
+        raise DimensionError(f"linear: inner dimensions disagree for {x.shape} and {w.shape}")
+    if b is not None and b.shape != (d_out,):
+        raise DimensionError(f"linear: bias shape {b.shape} does not match output dim {d_out}")
+    x2 = x.data.reshape(-1, d_in)
+    out = x2 @ w.data
+    if b is not None:
+        out += b.data
+
+    def rule(g):
+        g2 = g.reshape(-1, d_out)
+        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        gw = x2.T @ g2 if w.requires_grad else None
+        if b is None:
+            return gx, gw
+        return gx, gw, (g2.sum(axis=0) if b.requires_grad else None)
+
+    inputs = (x, w) if b is None else (x, w, b)
+    return _make(out.reshape(*x.shape[:-1], d_out), inputs, rule)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -327,10 +362,10 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
     def rule(g):
         grads = []
-        for i in range(len(tensors)):
+        for i, t in enumerate(tensors):
             idx = [slice(None)] * ndim
             idx[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-            grads.append(g[tuple(idx)])
+            grads.append(g[tuple(idx)] if t.requires_grad else None)
         return tuple(grads)
 
     return _make(data, tuple(tensors), rule)
@@ -429,11 +464,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match feature dim {d}")
-    mu = tmean(x, axis=-1, keepdims=True)
-    xc = sub(x, mu)
-    var = tmean(mul(xc, xc), axis=-1, keepdims=True)
-    inv_std = div(_coerce(1.0, x), tsqrt(add(var, _coerce(eps, x))))
-    return add(mul(mul(xc, inv_std), gamma), beta)
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv_std
+
+    def rule(g):
+        gx = None
+        if x.requires_grad:
+            gh = g * gamma.data
+            gx = inv_std * (gh - gh.mean(axis=-1, keepdims=True)
+                            - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+        g_gamma = (g * xhat).reshape(-1, d).sum(axis=0) if gamma.requires_grad else None
+        g_beta = g.reshape(-1, d).sum(axis=0) if beta.requires_grad else None
+        return gx, g_gamma, g_beta
+
+    return _make(xhat * gamma.data + beta.data, (x, gamma, beta), rule)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -505,37 +550,40 @@ def take_pairs(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every requires_grad tensor reachable from `loss`.
+    """Accumulate d loss / d leaf into .grad of every leaf reachable from `loss`.
 
-    Consumes the tape: a second call without newly recorded ops raises.
+    A leaf is a tensor that requires a gradient and that no recorded op
+    produced. Op outputs never get .grad: each entry is popped as the walk
+    reaches it, and its output's gradient is dropped once the rule has run, so
+    activations and intermediate gradients are freed during the walk. Consumes
+    the tape, also when a rule raises: a second call without newly recorded
+    ops raises.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if not _TAPE.entries:
+    entries = _TAPE.entries
+    if not entries:
         raise ContractError("tape is empty: already consumed or nothing was recorded")
 
-    acc: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
+    # id -> (tensor, gradient so far); entries come in topological order, so
+    # an output's gradient is complete when the walk reaches its entry
+    acc: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones_like(loss.data))}
+    try:
+        while entries:
+            entry = entries.pop()
+            held = acc.pop(id(entry.output), None)
+            if held is None:
+                continue  # not reachable from the loss
+            for inp, g in zip(entry.inputs, entry.backward_rule(held[1])):
+                if g is None:
+                    continue
+                prev = acc.get(id(inp))
+                acc[id(inp)] = (inp, g if prev is None else prev[1] + g)
+    finally:
+        _TAPE.clear()
 
-    entries = _TAPE.entries
-    for entry in reversed(entries):
-        g_out = acc.get(id(entry.output))
-        if g_out is None:
-            continue  # not reachable from the loss
-        grads = entry.backward_rule(g_out)
-        for inp, g in zip(entry.inputs, grads):
-            if g is None:
-                continue
-            key = id(inp)
-            if key in acc:
-                acc[key] = acc[key] + g
-            else:
-                acc[key] = g
-                holders[key] = inp
-
-    for key, tensor_ in holders.items():
+    # what is left was produced by no recorded op: the leaves
+    for tensor_, g in acc.values():
         if tensor_.requires_grad:
-            g = acc[key].astype(tensor_.data.dtype, copy=False)
+            g = g.astype(tensor_.data.dtype, copy=False)
             tensor_.grad = g if tensor_.grad is None else tensor_.grad + g
-
-    _TAPE.clear()

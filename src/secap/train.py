@@ -21,11 +21,11 @@ from .data import (
 )
 from .encoder import EncoderConfig
 from .errors import ConfigurationError, ContractError, NumericError
-from .losses import LossWeights, total_loss
+from .losses import LossWeights
 from .model import ModelConfig, SeCapModel
 from .optim import SGD, cosine_lr
 from .storage import load_checkpoint, load_image, load_into, save_checkpoint
-from .tensor import backward
+from .tensor import backward, tape
 
 CHECKPOINT_VERSION_TAG = "secap-checkpoint"
 
@@ -206,10 +206,14 @@ def train(
             )
             id_labels = [label_map[r.identity] for r in batch]
             view_labels = [_view_label(r.view) for r in batch]
-            total, parts = model.compute_losses(images, id_labels, view_labels, cfg.weights)
-            value = total.data.item()
-            if not np.isfinite(value):
-                raise NumericError(f"non-finite loss {value} at epoch {epoch} step {s}")
+            try:
+                total, parts = model.compute_losses(images, id_labels, view_labels, cfg.weights)
+                value = total.data.item()
+                if not np.isfinite(value):
+                    raise NumericError(f"non-finite loss {value} at epoch {epoch} step {s}")
+            except BaseException:
+                tape().clear()  # an aborted step must not leave its ops for the next backward
+                raise
             backward(total)
             lr = cosine_lr(step, total_steps, cfg.lr_max, cfg.lr_min, cfg.warmup_steps)
             opt.lr = lr

@@ -8,8 +8,8 @@ from secap.gradcheck import check_parameter_gradients, finite_diff_check
 from secap.optim import SGD, cosine_lr
 from secap.runtime import set_debug_checks
 from secap.tensor import (
-    Parameter, Tensor, backward, clamp_min, concat, gelu, layer_norm,
-    log_softmax_lastdim, matmul, narrow, neg, no_grad, reshape, softmax_lastdim,
+    Parameter, Tensor, backward, clamp_min, concat, gelu, layer_norm, linear,
+    log_softmax_lastdim, matmul, mul, narrow, neg, no_grad, reshape, softmax_lastdim,
     softplus, split, swapaxes, tabs, take_pairs, tape, texp, tlog, tmean,
     transpose, tsqrt, tsum,
 )
@@ -83,6 +83,57 @@ class TestMatmul:
     def test_rank_one_operand_rejected(self):
         with pytest.raises(DimensionError):
             matmul(Tensor([1.0, 2.0]), Tensor(np.zeros((2, 2))))
+
+    def test_batched_gradients_unbroadcast_to_each_operand(self, rng):
+        a = t64(rng.standard_normal((4, 1, 2, 3)), requires_grad=True)
+        b = t64(rng.standard_normal((5, 3, 2)), requires_grad=True)
+        r = rng.standard_normal((4, 5, 2, 2))
+        out = matmul(a, b)
+        assert out.shape == (4, 5, 2, 2)
+        backward(tsum(out * Tensor(r)))
+        np.testing.assert_allclose(a.grad, np.einsum("abij,bkj->aik", r, b.data)[:, None], rtol=1e-12)
+        np.testing.assert_allclose(b.grad, np.einsum("aik,abij->bkj", a.data[:, 0], r), rtol=1e-12)
+
+
+class TestLinear:
+    TOL = 1e-6
+
+    @pytest.mark.parametrize("lead", [(5,), (2, 5), (2, 3, 5)], ids=["rank2", "rank3", "rank4"])
+    @pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "nobias"])
+    def test_matches_central_differences(self, rng, lead, with_bias):
+        x0 = rng.standard_normal((*lead, 4))
+        w0 = rng.standard_normal((4, 3))
+        b0 = rng.standard_normal(3)
+        readout = Tensor(rng.standard_normal((*lead, 3)))
+
+        def loss(x, w, b=None):
+            return tsum(linear(x, w, b if with_bias else None) * readout)
+
+        out = linear(t64(x0), t64(w0), t64(b0) if with_bias else None)
+        np.testing.assert_allclose(out.data, x0 @ w0 + (b0 if with_bias else 0.0), rtol=1e-12)
+        assert finite_diff_check(lambda t: loss(t, t64(w0), t64(b0)), t64(x0)) < self.TOL
+        # x is a constant here, as images are
+        assert finite_diff_check(lambda t: loss(t64(x0), t, t64(b0)), t64(w0)) < self.TOL
+        if with_bias:
+            assert finite_diff_check(lambda t: loss(t64(x0), t64(w0), t), t64(b0)) < self.TOL
+
+    def test_one_tape_entry_and_no_gradient_for_a_constant_input(self, rng):
+        x = t64(rng.standard_normal((2, 3, 4)))
+        w = t64(rng.standard_normal((4, 3)), requires_grad=True)
+        b = t64(rng.standard_normal(3), requires_grad=True)
+        out = linear(x, w, b)
+        assert len(tape().entries) == 1
+        gx, gw, gb = tape().entries[0].backward_rule(np.ones(out.shape))
+        assert gx is None and gw.shape == (4, 3) and gb.shape == (3,)
+
+    def test_shape_errors(self):
+        w = Tensor(np.zeros((4, 3)))
+        with pytest.raises(DimensionError):
+            linear(Tensor(np.zeros(4)), w)
+        with pytest.raises(DimensionError, match=r"\(2, 5\)"):
+            linear(Tensor(np.zeros((2, 5))), w)
+        with pytest.raises(DimensionError, match="bias"):
+            linear(Tensor(np.zeros((2, 4))), w, Tensor(np.zeros(4)))
 
 
 class TestShapeOps:
@@ -181,6 +232,37 @@ class TestLayerNorm:
         np.testing.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-7)
         np.testing.assert_allclose(y.var(axis=-1), 1.0, atol=1e-4)
 
+    @staticmethod
+    def composite(x, gamma, beta, eps=1e-5):
+        """The formula as separate tape ops: the oracle for the fused op."""
+        mu = tmean(x, axis=-1, keepdims=True)
+        xc = x - mu
+        var = tmean(xc * xc, axis=-1, keepdims=True)
+        inv_std = 1.0 / tsqrt(var + eps)
+        return xc * inv_std * gamma + beta
+
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-10), (np.float32, 1e-4)])
+    def test_fused_matches_composite_values_and_gradients(self, rng, dtype, rtol):
+        x0 = (rng.standard_normal((2, 3, 8)) * 2.0 + 1.0).astype(dtype)
+        g0 = (1.0 + 0.3 * rng.standard_normal(8)).astype(dtype)
+        b0 = rng.standard_normal(8).astype(dtype)
+        readout = Tensor(rng.standard_normal((2, 3, 8)).astype(dtype))
+        results = []
+        for fn in (layer_norm, self.composite):
+            x, g, b = (Tensor(a, requires_grad=True) for a in (x0, g0, b0))
+            y = fn(x, g, b)
+            backward(tsum(y * readout))
+            results.append((y.data, x.grad, g.grad, b.grad))
+        for fused, oracle in zip(*results):
+            assert fused.dtype == dtype
+            np.testing.assert_allclose(fused, oracle, rtol=rtol, atol=rtol)
+
+    def test_one_tape_entry(self, rng):
+        x = t64(rng.standard_normal((3, 4)), requires_grad=True)
+        gamma, beta = self.gamma_beta(4)
+        layer_norm(x, gamma, beta)
+        assert len(tape().entries) == 1
+
 
 class TestGelu:
     def test_zero(self):
@@ -221,6 +303,55 @@ class TestBackward:
         x = t64([3.0], requires_grad=True)
         backward(tsum(x * x + x))  # d/dx (x^2 + x) = 2x + 1
         np.testing.assert_allclose(x.grad, [7.0])
+
+    def test_only_leaves_get_grad(self):
+        w = t64([1.0, 2.0], requires_grad=True)
+        c = t64([3.0, 4.0])
+        h = w * c
+        backward(tsum(h * h))
+        np.testing.assert_allclose(w.grad, 2.0 * w.data * c.data ** 2)
+        assert c.grad is None  # constant operand
+        assert h.grad is None  # intermediate
+
+    def test_rules_skip_constant_operands(self, rng):
+        w = t64(rng.standard_normal((2, 3)), requires_grad=True)
+        c = t64(rng.standard_normal((2, 3)) + 3.0)
+        for out in (w + c, c - w, mul(c, w), w / c, concat([c, w], axis=0)):
+            grads = tape().entries[-1].backward_rule(np.ones(out.shape))
+            consts = [g for t, g in zip(tape().entries[-1].inputs, grads) if t is c]
+            assert consts == [None]
+        out = matmul(c, swapaxes(w, 0, 1))
+        ga, gb = tape().entries[-1].backward_rule(np.ones(out.shape))
+        assert ga is None and gb.shape == (3, 2)
+
+    def test_walk_pops_entries_before_running_their_rules(self):
+        x = t64([1.0, 2.0], requires_grad=True)
+        loss = tsum(texp(x) * 2.0)
+        first = tape().entries[0]
+        seen = []
+        rule = first.backward_rule
+
+        def spy(g):
+            seen.append(len(tape().entries))
+            return rule(g)
+
+        first.backward_rule = spy
+        backward(loss)
+        assert seen == [0]
+        assert tape().entries == []
+
+    def test_raising_rule_still_clears_tape(self):
+        x = t64([1.0, 2.0], requires_grad=True)
+        loss = tsum(texp(x) * x)
+
+        def broken(g):
+            raise RuntimeError("rule failed")
+
+        tape().entries[1].backward_rule = broken
+        with pytest.raises(RuntimeError):
+            backward(loss)
+        assert tape().entries == []
+        assert x.grad is None
 
     def test_unreachable_tensor_untouched(self):
         x = t64([1.0], requires_grad=True)

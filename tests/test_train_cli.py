@@ -14,6 +14,7 @@ from secap.errors import CheckpointError, ConfigurationError, ContractError, Num
 from secap.evaluate import extract_features
 from secap.model import ModelConfig, SeCapModel
 from secap.storage import load_checkpoint, load_rten, save_checkpoint, save_rten
+from secap.tensor import tape
 from secap.train import (
     LOG_KEYS,
     TrainConfig,
@@ -120,6 +121,28 @@ class TestTrainLoop:
         manifest = poisoned_corpus(tmp_path)
         with pytest.raises(NumericError, match=r"epoch 1 step \d"):
             train(manifest, micro_train_cfg(epochs=1))
+        assert tape().entries == []
+
+    def test_tape_empty_after_every_step(self, corpus, monkeypatch):
+        import secap.optim as optim_mod
+
+        real_step = optim_mod.SGD.step
+        held = []
+
+        def checked_step(self):
+            held.append(len(tape().entries))
+            return real_step(self)
+
+        monkeypatch.setattr(optim_mod.SGD, "step", checked_step)
+        result = train(corpus, micro_train_cfg())
+        assert held == [0] * result.total_steps
+        assert tape().entries == []
+
+    def test_raising_step_leaves_tape_empty(self, corpus):
+        # P=1 puts one identity in the batch: triplet mining raises mid-loss
+        with pytest.raises(ContractError, match="two identities"):
+            train(corpus, micro_train_cfg(p=1))
+        assert tape().entries == []
 
     def test_too_few_identities(self, corpus):
         with pytest.raises(ContractError, match="identities"):
