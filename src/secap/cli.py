@@ -206,11 +206,14 @@ def cmd_eval(args) -> int:
         _, manifest = split_identities(manifest, holdout, meta["train"]["seed"])
     queries = select_queries(manifest, per_view=args.queries_per_view)
     names = list(PROTOCOLS) if args.protocol == "all" else [args.protocol]
-    for name in names:
-        split = build_protocol(manifest, name, queries=queries)
-        qfs = extract_features(model, manifest, split.query, batch_size=args.batch_size)
-        gfs = extract_features(model, manifest, split.gallery, batch_size=args.batch_size)
-        report = cmc_map(distance_matrix(qfs, gfs), qfs, gfs, protocol=name)
+    splits = [build_protocol(manifest, name, queries=queries) for name in names]
+    # one pass over every image some protocol needs, in manifest (path) order
+    needed = sorted({r for s in splits for r in s.query + s.gallery}, key=lambda r: r.path)
+    features = extract_features(model, manifest, needed, batch_size=args.batch_size)
+    for split in splits:
+        qfs = features.select(split.query)
+        gfs = features.select(split.gallery)
+        report = cmc_map(distance_matrix(qfs, gfs), qfs, gfs, protocol=split.name)
         print(report.to_json_line())
     return EXIT_OK
 

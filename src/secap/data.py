@@ -1,4 +1,4 @@
-"""Manifests, filename parsing, protocol splits, sampling, augmentation,
+"""Manifests, image file names, protocol splits, sampling, augmentation,
 representative-query selection, and the synthetic cross-view generator.
 
 View encoding: 0 = aerial, 1 = ground-frontal, 2 = ground-oblique. Protocols
@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigurationError, ContractError, ParseError, ProtocolError
-from .storage import save_rten
+from .storage import load_image, save_rten
 
 MANIFEST_HEADER = "#secap-manifest v1"
 
@@ -129,10 +129,19 @@ def write_manifest(manifest: Manifest, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _meta_int(path, text: str, offset: int) -> int:
+    if not text.isdecimal():
+        raise ParseError(f"{path}: non-integer #meta value {text!r}", offset)
+    return int(text)
+
+
 def read_manifest(path) -> Manifest:
     with open(path, "rb") as fh:
         raw = fh.read()
-    text = raw.decode("utf-8")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text", exc.start) from None
     lines = text.split("\n")
     if not lines or lines[0] != MANIFEST_HEADER:
         raise ParseError(f"{path}: missing header {MANIFEST_HEADER!r}", 0)
@@ -146,20 +155,21 @@ def read_manifest(path) -> Manifest:
             continue
         if line.startswith("#"):
             body = line[len("#meta ") :] if line.startswith("#meta ") else ""
+            value_at = line_start + len("#meta ")
             if body.startswith("name="):
                 name = body[5:]
             elif body.startswith("num_views="):
-                num_views = int(body[10:])
+                num_views = _meta_int(path, body[10:], value_at + 10)
             elif body.startswith("image_size="):
                 h, _, w = body[11:].partition("x")
-                image_size = (int(h), int(w))
+                w_at = value_at + 12 + len(h.encode("utf-8"))
+                image_size = (_meta_int(path, h, value_at + 11), _meta_int(path, w, w_at))
             continue
         fields = line.split("\t")
         if len(fields) != 5:
             raise ParseError(f"{path}: expected 5 tab-separated fields, got {len(fields)}", line_start)
         for i, f in enumerate(fields[1:], start=1):
-            stripped = f.lstrip("-")
-            if not stripped.isdigit():
+            if not f.removeprefix("-").isdecimal():
                 col = line_start + len("\t".join(fields[:i]).encode("utf-8")) + 1
                 raise ParseError(f"{path}: non-integer field {f!r}", col)
         try:
@@ -183,37 +193,6 @@ def read_manifest(path) -> Manifest:
 
 # ---------------------------------------------------------------------------
 # Image file naming: <id>_C<camera>_<frame>.<ext>
-
-
-def parse_image_name(name: str) -> Tuple[int, int, int]:
-    """Parse `<digits>_C<digits>_<digits>.<ext>`; offsets index into the name bytes."""
-    base = os.path.basename(name)
-    pos = 0
-
-    def digits(what: str) -> Tuple[int, int]:
-        nonlocal pos
-        start = pos
-        while pos < len(base) and base[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise ParseError(f"{base!r}: expected digits for {what}", start)
-        return int(base[start:pos]), start
-
-    def literal(lit: str) -> None:
-        nonlocal pos
-        if base[pos : pos + len(lit)] != lit:
-            raise ParseError(f"{base!r}: expected {lit!r}", pos)
-        pos += len(lit)
-
-    identity, _ = digits("identity")
-    literal("_C")
-    camera, _ = digits("camera")
-    literal("_")
-    frame, _ = digits("frame")
-    literal(".")
-    if pos >= len(base):
-        raise ParseError(f"{base!r}: missing extension", pos)
-    return identity, camera, frame
 
 
 def format_image_name(identity: int, camera: int, frame: int, ext: str = "rten") -> str:
@@ -379,33 +358,40 @@ def augment(image: np.ndarray, policy: AugmentPolicy, seed) -> np.ndarray:
 # Gradient-histogram descriptor and representative-query selection
 
 
-def hog_descriptor(image: np.ndarray, cell: int = 8, bins: int = 9) -> np.ndarray:
-    """Orientation-binned gradient histogram, square cells, 2x2 block L2 norm."""
-    if image.ndim != 3:
-        raise ContractError(f"expected (C, H, W) image, got shape {image.shape}")
-    gray = np.asarray(image, dtype=np.float64).mean(axis=0)
-    h, w = gray.shape
+def hog_descriptor(images: np.ndarray, cell: int = 8, bins: int = 9) -> np.ndarray:
+    """Orientation-binned gradient histograms of a stack (N, C, H, W): square
+    cells, 2x2 block L2 norm; returns (N, D), one descriptor per image.
+
+    Each row is bit-equal to the descriptor of that image alone: the
+    histogram adds pixels in raster order, and block norms are BLAS dots.
+    """
+    if images.ndim != 4:
+        raise ContractError(f"expected (N, C, H, W) images, got shape {images.shape}")
+    gray = np.asarray(images, dtype=np.float64).mean(axis=1)
+    n, h, w = gray.shape
     hc, wc = h // cell, w // cell
     if hc < 1 or wc < 1:
         raise ContractError(f"image {h}x{w} smaller than one {cell}x{cell} cell")
-    gray = gray[: hc * cell, : wc * cell]
-    dy, dx = np.gradient(gray)
+    gray = gray[:, : hc * cell, : wc * cell]
+    dy, dx = np.gradient(gray, axis=(1, 2))
     mag = np.hypot(dy, dx)
     ang = np.mod(np.arctan2(dy, dx), np.pi)  # unsigned orientation
     bin_idx = np.minimum((ang / np.pi * bins).astype(np.int64), bins - 1)
-    cell_y = (np.arange(hc * cell) // cell)[:, None]
-    cell_x = (np.arange(wc * cell) // cell)[None, :]
-    hist = np.zeros((hc, wc, bins))
-    np.add.at(hist, (np.broadcast_to(cell_y, mag.shape), np.broadcast_to(cell_x, mag.shape), bin_idx), mag)
+    cell_y = (np.arange(hc * cell) // cell)[None, :, None]
+    cell_x = (np.arange(wc * cell) // cell)[None, None, :]
+    image = np.arange(n)[:, None, None]
+    flat = ((image * hc + cell_y) * wc + cell_x) * bins + bin_idx
+    hist = np.bincount(flat.ravel(), weights=mag.ravel(), minlength=n * hc * wc * bins)
+    hist = hist.reshape(n, hc, wc, bins)
     if hc < 2 or wc < 2:
-        flat = hist.ravel()
-        return flat / (np.linalg.norm(flat) + 1e-12)
-    blocks = []
-    for by in range(hc - 1):
-        for bx in range(wc - 1):
-            v = hist[by : by + 2, bx : bx + 2].ravel()
-            blocks.append(v / (np.linalg.norm(v) + 1e-12))
-    return np.concatenate(blocks)
+        v = hist.reshape(n, -1)
+    else:
+        # 2x2 cells per block, raveled (row, column, bin); blocks in raster order
+        v = np.stack([hist[:, :-1, :-1], hist[:, :-1, 1:], hist[:, 1:, :-1], hist[:, 1:, 1:]], axis=3)
+        v = v.reshape(n, hc - 1, wc - 1, 4 * bins)
+    # a (1, k) @ (k, 1) matmul is the BLAS dot np.linalg.norm uses, so the bits match
+    norm = np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0]
+    return (v / (norm + 1e-12)).reshape(n, -1)
 
 
 def _connected_components(adj: np.ndarray) -> List[List[int]]:
@@ -476,16 +462,11 @@ def select_queries(
             if not pool:
                 warnings.warn(f"identity {identity} has no image on side {s}; skipped")
                 continue
-            desc = np.stack([hog_descriptor(_load_for_selection(manifest, r)) for r in pool])
+            # one pool at a time keeps memory at one identity's images
+            desc = hog_descriptor(np.stack([load_image(manifest.resolve(r)) for r in pool]))
             ranked = _rank_pool(desc)
             selected.extend(pool[i] for i in ranked[:per_view])
     return selected
-
-
-def _load_for_selection(manifest: Manifest, record: SampleRecord) -> np.ndarray:
-    from .storage import load_image
-
-    return load_image(manifest.resolve(record))
 
 
 # ---------------------------------------------------------------------------

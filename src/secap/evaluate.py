@@ -58,15 +58,24 @@ class FeatureSet:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def sorted_by_path(self) -> "FeatureSet":
-        order = sorted(range(len(self.paths)), key=lambda i: self.paths[i])
-        return FeatureSet(
-            self.ids[order],
-            self.cameras[order],
-            self.views[order],
-            [self.paths[i] for i in order],
-            self.features[order],
-        )
+    def select(self, records: Sequence[SampleRecord]) -> "FeatureSet":
+        """The rows of the given records, matched by path, in their order.
+
+        Rows are copied as stored, not normalized again: a second
+        normalization can change the last bits of a unit row.
+        """
+        row_of = {path: i for i, path in enumerate(self.paths)}
+        try:
+            rows = [row_of[r.path] for r in records]
+        except KeyError as exc:
+            raise ProtocolError(f"no features extracted for {exc.args[0]!r}") from None
+        out = object.__new__(FeatureSet)
+        out.ids = self.ids[rows]
+        out.cameras = self.cameras[rows]
+        out.views = self.views[rows]
+        out.paths = [self.paths[i] for i in rows]
+        out.features = self.features[rows]
+        return out
 
 
 def extract_features(model, manifest: Manifest, records: Optional[Sequence[SampleRecord]] = None, batch_size: int = 32) -> FeatureSet:

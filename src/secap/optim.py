@@ -41,9 +41,6 @@ class SGD:
             p.data = p.data - self.lr * v
         self.zero_grad()
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: v.copy() for name, v in self._velocity.items()}
-
 
 def cosine_lr(step: int, total_steps: int, lr_max: float, lr_min: float,
               warmup_steps: int = 0) -> float:

@@ -18,16 +18,3 @@ def set_debug_checks(enabled: bool) -> None:
 def debug_checks_enabled() -> bool:
     return _debug_checks
 
-
-def max_threads() -> int:
-    """Worker cap for the few partitionable stages (per-query scoring).
-
-    SECAP_THREADS caps it; unset or invalid means single-threaded.
-    Results never depend on the worker count.
-    """
-    raw = os.environ.get("SECAP_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)

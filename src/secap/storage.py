@@ -20,6 +20,8 @@ RTEN_VERSION = 1
 
 CKPT_MAGIC = b"SECAPCKPT"
 CKPT_VERSION = 1
+# the metadata JSON follows the magic, the u16 version and the u64 length
+CKPT_METADATA_OFFSET = len(CKPT_MAGIC) + 2 + 8
 
 # dtype code registry shared by .rten and the checkpoint parameter table
 _DTYPE_TO_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
@@ -144,6 +146,22 @@ def save_checkpoint(path, params: Sequence[Parameter], metadata: Mapping) -> Non
         fh.write(checkpoint_bytes(params, metadata))
 
 
+def _parse_metadata(raw: bytes, *, label: str) -> dict:
+    at = CKPT_METADATA_OFFSET
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{label}: metadata is not UTF-8", at + exc.start) from None
+    try:
+        meta = json.loads(text)
+    except json.JSONDecodeError as exc:
+        bad = at + len(text[: exc.pos].encode("utf-8"))
+        raise ParseError(f"{label}: metadata is not JSON ({exc.msg})", bad) from None
+    if not isinstance(meta, dict):
+        raise ParseError(f"{label}: metadata is not a JSON object", at)
+    return meta
+
+
 def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
     """Read a checkpoint; returns (metadata, name -> array in file order)."""
     with open(path, "rb") as fh:
@@ -157,7 +175,7 @@ def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
         if version != CKPT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         meta_len = cur.u64("metadata length")
-        meta = json.loads(cur.take(meta_len, "metadata").decode("utf-8"))
+        meta = _parse_metadata(cur.take(meta_len, "metadata"), label=str(path))
         count = cur.u64("parameter count")
         table: Dict[str, np.ndarray] = {}
         for _ in range(count):

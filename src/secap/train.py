@@ -20,11 +20,11 @@ from .data import (
     pk_sample,
 )
 from .encoder import EncoderConfig
-from .errors import ConfigurationError, ContractError, NumericError
+from .errors import CheckpointError, ConfigurationError, ContractError, NumericError
 from .losses import LossWeights
 from .model import ModelConfig, SeCapModel
 from .optim import SGD, cosine_lr
-from .storage import load_checkpoint, load_image, load_into, save_checkpoint
+from .storage import CKPT_METADATA_OFFSET, load_checkpoint, load_image, load_into, save_checkpoint
 from .tensor import backward, tape
 
 CHECKPOINT_VERSION_TAG = "secap-checkpoint"
@@ -135,32 +135,36 @@ def model_from_checkpoint(path) -> Tuple[SeCapModel, dict]:
     """Rebuild the exact model a checkpoint was saved from and load its weights."""
     meta, table = load_checkpoint(path)
     if meta.get("format") != CHECKPOINT_VERSION_TAG:
-        from .errors import CheckpointError
-
         raise CheckpointError(f"{path}: metadata is not a model checkpoint")
-    e = meta["encoder"]
-    enc = EncoderConfig(
-        image_h=e["image_h"],
-        image_w=e["image_w"],
-        patch=e["patch"],
-        stride=e["stride"],
-        embed_dim=e["embed_dim"],
-        depth=e["depth"],
-        heads=e["heads"],
-        ffn_mult=e["ffn_mult"],
-        olp_enabled=e["olp_enabled"],
-        vdt_enabled=e["vdt_enabled"],
-    )
-    m = meta["model"]
-    cfg = ModelConfig(
-        encoder=enc,
-        num_ids=m["num_ids"],
-        num_views=m["num_views"],
-        prompt_len=m["prompt_len"],
-        prm_variant=m["prm_variant"],
-        ablate=m["ablate"],
-        seed=m["seed"],
-    )
+    try:
+        e = meta["encoder"]
+        enc = EncoderConfig(
+            image_h=e["image_h"],
+            image_w=e["image_w"],
+            patch=e["patch"],
+            stride=e["stride"],
+            embed_dim=e["embed_dim"],
+            depth=e["depth"],
+            heads=e["heads"],
+            ffn_mult=e["ffn_mult"],
+            olp_enabled=e["olp_enabled"],
+            vdt_enabled=e["vdt_enabled"],
+        )
+        m = meta["model"]
+        cfg = ModelConfig(
+            encoder=enc,
+            num_ids=m["num_ids"],
+            num_views=m["num_views"],
+            prompt_len=m["prompt_len"],
+            prm_variant=m["prm_variant"],
+            ablate=m["ablate"],
+            seed=m["seed"],
+        )
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(
+            f"{path}: malformed metadata (byte offset {CKPT_METADATA_OFFSET}): "
+            f"{type(exc).__name__} {exc}"
+        ) from None
     model = SeCapModel(cfg)
     load_into(model.parameters(), table)
     return model, meta

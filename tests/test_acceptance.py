@@ -70,13 +70,14 @@ def experiments(tmp_path_factory):
         mtrain, mtest = split_identities(corpus, 0.5, seed)
         result = train(mtrain, tcfg)
         queries = select_queries(mtest, per_view=2)
+        splits = [build_protocol(mtest, proto, queries=queries) for proto in ("a2g", "g2a")]
+        needed = sorted({r for s in splits for r in s.query + s.gallery}, key=lambda r: r.path)
+        features = extract_features(result.model, mtest, needed, batch_size=64)
         rank1, maps = {}, {}
-        for proto in ("a2g", "g2a"):
-            split = build_protocol(mtest, proto, queries=queries)
-            qf = extract_features(result.model, mtest, split.query, batch_size=64)
-            gf = extract_features(result.model, mtest, split.gallery, batch_size=64)
-            report = cmc_map(distance_matrix(qf, gf), qf, gf, protocol=proto)
-            rank1[proto], maps[proto] = report.rank1, report.mAP
+        for split in splits:
+            qf, gf = features.select(split.query), features.select(split.gallery)
+            report = cmc_map(distance_matrix(qf, gf), qf, gf, protocol=split.name)
+            rank1[split.name], maps[split.name] = report.rank1, report.mAP
         entry = SimpleNamespace(
             model=result.model,
             init_cfg=dataclasses.replace(

@@ -1,8 +1,9 @@
-"""Manifests, filename grammar, protocol splits, sampling, augmentation,
+"""Manifests, image file names, protocol splits, sampling, augmentation,
 query selection, and the synthetic generator."""
 
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from secap.data import (
     format_image_name,
     generate_synthetic,
     hog_descriptor,
-    parse_image_name,
     pk_sample,
     read_manifest,
     select_queries,
@@ -35,32 +35,10 @@ def rec(path, identity, camera=0, view=0, frame=0):
 
 class TestImageNames:
     def test_padded_fields(self):
-        assert parse_image_name("0001_C03_000012.jpg") == (1, 3, 12)
+        assert format_image_name(1, 3, 12, "jpg") == "0001_C03_000012.jpg"
 
     def test_all_zeros(self):
-        assert parse_image_name("0000_C00_000000.jpg") == (0, 0, 0)
-
-    def test_unpadded_fields_accepted(self):
-        assert parse_image_name("12_C4_9.rten") == (12, 4, 9)
-
-    def test_directory_prefix_ignored(self):
-        assert parse_image_name("some/dir/0007_C01_000002.ppm") == (7, 1, 2)
-
-    def test_malformed_rejected(self):
-        with pytest.raises(ParseError):
-            parse_image_name("person1.jpg")
-
-    def test_offset_points_at_first_violation(self):
-        with pytest.raises(ParseError) as exc:
-            parse_image_name("0001C03_000012.jpg")
-        assert exc.value.offset == 4  # '_C' expected where 'C' sits
-        with pytest.raises(ParseError) as exc:
-            parse_image_name("_C03_000012.jpg")
-        assert exc.value.offset == 0
-
-    def test_missing_extension(self):
-        with pytest.raises(ParseError, match="extension"):
-            parse_image_name("0001_C03_000012.")
+        assert format_image_name(0, 0, 0) == "0000_C00_000000.rten"
 
     def test_round_trip_identity(self, rng):
         for _ in range(100):
@@ -68,7 +46,9 @@ class TestImageNames:
             c = int(rng.integers(0, 100))
             f = int(rng.integers(0, 10**7))
             ext = ["rten", "ppm", "jpg"][int(rng.integers(0, 3))]
-            assert parse_image_name(format_image_name(i, c, f, ext)) == (i, c, f)
+            m = re.fullmatch(r"(\d{4,})_C(\d{2,})_(\d{6,})\.(\w+)", format_image_name(i, c, f, ext))
+            assert m is not None
+            assert tuple(int(g) for g in m.groups()[:3]) == (i, c, f) and m.group(4) == ext
 
     def test_format_rejects_negative(self):
         with pytest.raises(ConfigurationError):
@@ -121,9 +101,28 @@ class TestManifest:
 
     def test_non_integer_field(self, tmp_path):
         p = tmp_path / "m.tsv"
-        p.write_text("#secap-manifest v1\na.rten\tx\t0\t0\t0\n")
-        with pytest.raises(ParseError, match="non-integer"):
+        for bad in ("x", "--5", "\u00b2"):
+            p.write_text(f"#secap-manifest v1\na.rten\t{bad}\t0\t0\t0\n")
+            with pytest.raises(ParseError, match="non-integer"):
+                read_manifest(p)
+
+    def test_non_integer_meta_value(self, tmp_path):
+        p = tmp_path / "m.tsv"
+        head = "#secap-manifest v1\n#meta name=x\n"
+        for line, at in (("#meta num_views=two", len("#meta num_views=")),
+                         ("#meta image_size=64x3z", len("#meta image_size=64x"))):
+            p.write_text(head + line + "\n")
+            with pytest.raises(ParseError, match="non-integer") as exc:
+                read_manifest(p)
+            assert exc.value.offset == len(head) + at
+
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "m.tsv"
+        raw = b"#secap-manifest v1\na.rten\t0\t0\t0\t0\n"
+        p.write_bytes(raw + b"b\xff.rten\t0\t0\t0\t0\n")
+        with pytest.raises(ParseError, match="UTF-8") as exc:
             read_manifest(p)
+        assert exc.value.offset == len(raw) + 1
 
     def test_identities_excludes_distractors(self):
         m = Manifest([rec("a.rten", 3), rec("b.rten", -1, 1), rec("c.rten", 0, 2)])
@@ -333,32 +332,72 @@ class TestAugment:
         assert len(outs) > 1
 
 
+def per_image_hog(image, cell=8, bins=9):
+    """The one-image descriptor as it was written before batching: the oracle."""
+    gray = np.asarray(image, dtype=np.float64).mean(axis=0)
+    h, w = gray.shape
+    hc, wc = h // cell, w // cell
+    gray = gray[: hc * cell, : wc * cell]
+    dy, dx = np.gradient(gray)
+    mag = np.hypot(dy, dx)
+    ang = np.mod(np.arctan2(dy, dx), np.pi)
+    bin_idx = np.minimum((ang / np.pi * bins).astype(np.int64), bins - 1)
+    cell_y = (np.arange(hc * cell) // cell)[:, None]
+    cell_x = (np.arange(wc * cell) // cell)[None, :]
+    hist = np.zeros((hc, wc, bins))
+    np.add.at(hist, (np.broadcast_to(cell_y, mag.shape), np.broadcast_to(cell_x, mag.shape), bin_idx), mag)
+    if hc < 2 or wc < 2:
+        flat = hist.ravel()
+        return flat / (np.linalg.norm(flat) + 1e-12)
+    blocks = []
+    for by in range(hc - 1):
+        for bx in range(wc - 1):
+            v = hist[by : by + 2, bx : bx + 2].ravel()
+            blocks.append(v / (np.linalg.norm(v) + 1e-12))
+    return np.concatenate(blocks)
+
+
 class TestHog:
     def test_constant_image_zero_descriptor(self):
-        img = np.full((3, 16, 16), 0.5, dtype=np.float32)
+        img = np.full((2, 3, 16, 16), 0.5, dtype=np.float32)
         d = hog_descriptor(img)
         assert np.all(np.isfinite(d))
         assert np.allclose(d, 0.0)
 
     def test_length_matches_block_grid(self, rng):
-        img = rng.uniform(size=(3, 64, 32))
+        img = rng.uniform(size=(2, 3, 64, 32))
         d = hog_descriptor(img)
         # 8x4 cells -> 7x3 blocks of 2x2 cells x 9 bins
-        assert d.shape == (7 * 3 * 4 * 9,)
+        assert d.shape == (2, 7 * 3 * 4 * 9)
 
     def test_single_block_fallback(self, rng):
-        img = rng.uniform(size=(3, 8, 8))
+        img = rng.uniform(size=(3, 3, 8, 8))
         d = hog_descriptor(img)
-        assert d.shape == (9,)
-        assert abs(np.linalg.norm(d) - 1.0) < 1e-9
+        assert d.shape == (3, 9)
+        assert np.all(np.abs(np.linalg.norm(d, axis=1) - 1.0) < 1e-9)
 
     def test_deterministic(self, rng):
-        img = rng.uniform(size=(3, 16, 16))
+        img = rng.uniform(size=(2, 3, 16, 16))
         assert np.array_equal(hog_descriptor(img), hog_descriptor(img))
+
+    @pytest.mark.parametrize("shape", [(3, 64, 32), (3, 16, 16), (3, 8, 8), (3, 20, 13), (3, 8, 40), (3, 256, 128)])
+    def test_stack_bit_equal_to_per_image_loop(self, rng, shape):
+        # float32 inputs as loaded from .rten; sizes include the single-block
+        # fallback and sizes that are not a multiple of the cell
+        n = 3 if shape[1] > 64 else 12
+        images = rng.uniform(size=(n,) + shape).astype(np.float32)
+        images[1] = 0.5  # a constant image: every block norm is zero
+        d = hog_descriptor(images)
+        for i in range(n):
+            assert np.array_equal(d[i], per_image_hog(images[i]))
 
     def test_too_small(self):
         with pytest.raises(ContractError, match="cell"):
-            hog_descriptor(np.zeros((3, 4, 4)))
+            hog_descriptor(np.zeros((1, 3, 4, 4)))
+
+    def test_rank_error(self):
+        with pytest.raises(ContractError, match="N, C, H, W"):
+            hog_descriptor(np.zeros((3, 16, 16)))
 
 
 def write_pool(tmp_path, images, identity=0, view=0):
@@ -373,7 +412,7 @@ def write_pool(tmp_path, images, identity=0, view=0):
 
 def brute_force_medoid(images):
     """Index of the image minimizing total descriptor distance to the rest."""
-    descs = [hog_descriptor(img) for img in images]
+    descs = hog_descriptor(np.stack(images))
     best, best_cost = 0, float("inf")
     for i in range(len(descs)):
         cost = sum(float(np.linalg.norm(descs[i] - descs[j])) for j in range(len(descs)))

@@ -39,6 +39,23 @@ class TestFeatureSet:
         with pytest.raises(DimensionError):
             FeatureSet([0, 1], [0], [0, 0], ["a", "b"], rng.standard_normal((2, 4)))
 
+    def test_select_copies_rows_by_path(self, rng):
+        fs = feature_set([0, 1, 2, 3], [4, 5, 6, 7], rng.standard_normal((4, 8)), views=[0, 1, 0, 1])
+        picked = [SampleRecord(path=fs.paths[i], identity=0, camera=0, view=0, frame=0) for i in (2, 0, 2)]
+        sub = fs.select(picked)
+        assert sub.paths == [fs.paths[2], fs.paths[0], fs.paths[2]]
+        assert sub.features.tobytes() == fs.features[[2, 0, 2]].tobytes()
+        assert sub.ids.tolist() == [2, 0, 2]
+        assert sub.cameras.tolist() == [6, 4, 6]
+        assert sub.views.tolist() == [0, 0, 0]
+        assert len(fs.select([])) == 0
+
+    def test_select_unknown_path(self, rng):
+        fs = feature_set([0], [0], rng.standard_normal((1, 4)))
+        ghost = SampleRecord(path="ghost.rten", identity=0, camera=0, view=0, frame=0)
+        with pytest.raises(ProtocolError, match="ghost.rten"):
+            fs.select([ghost])
+
 
 class TestDistanceMatrix:
     def test_identical_orthogonal_antipodal(self):

@@ -3,17 +3,26 @@
 import json
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
 
 from secap import cli
-from secap.data import SynthConfig, generate_synthetic, read_manifest
+from secap.data import (
+    PROTOCOLS,
+    SynthConfig,
+    build_protocol,
+    generate_synthetic,
+    read_manifest,
+    select_queries,
+    split_identities,
+)
 from secap.encoder import EncoderConfig
 from secap.errors import CheckpointError, ConfigurationError, ContractError, NumericError
-from secap.evaluate import extract_features
+from secap.evaluate import cmc_map, distance_matrix, extract_features
 from secap.model import ModelConfig, SeCapModel
-from secap.storage import load_checkpoint, load_rten, save_checkpoint, save_rten
+from secap.storage import CKPT_MAGIC, CKPT_VERSION, load_checkpoint, load_rten, save_checkpoint, save_rten
 from secap.tensor import tape
 from secap.train import (
     LOG_KEYS,
@@ -269,6 +278,35 @@ class TestCliPipeline:
         assert reports[2]["num_gallery"] == (
             reports[0]["num_gallery"] + reports[1]["num_gallery"] - designated)
 
+    def test_eval_all_encodes_each_image_once(self, cli_pipeline, capsys, monkeypatch):
+        argv = ["eval", "--checkpoint", cli_pipeline["checkpoint"], "--manifest", cli_pipeline["manifest"],
+                "--protocol", "all", "--queries-per-view", "1", "--batch-size", "5"]
+        # the per-protocol recipe: one extraction each for the query and the gallery
+        model, meta = model_from_checkpoint(cli_pipeline["checkpoint"])
+        _, mtest = split_identities(read_manifest(cli_pipeline["manifest"]), 0.25, 3)
+        queries = select_queries(mtest, per_view=1)
+        expected, needed = [], set()
+        for name in PROTOCOLS:
+            split = build_protocol(mtest, name, queries=queries)
+            qfs = extract_features(model, mtest, split.query, batch_size=5)
+            gfs = extract_features(model, mtest, split.gallery, batch_size=5)
+            expected.append(cmc_map(distance_matrix(qfs, gfs), qfs, gfs, protocol=name).to_json_line())
+            needed.update(r.path for r in split.query + split.gallery)
+        assert meta["train"]["holdout"] == 0.25 and meta["train"]["seed"] == 3
+
+        rows = []
+        real = SeCapModel.inference_features
+
+        def counting(self, images):
+            rows.append(len(images))
+            return real(self, images)
+
+        monkeypatch.setattr(SeCapModel, "inference_features", counting)
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "".join(line + "\n" for line in expected)
+        assert sum(rows) == len(needed)
+
     def test_export_features_row_aligned(self, cli_pipeline, capsys):
         base = str(cli_pipeline["root"] / "feats")
         rc = cli.main(["export-features", "--checkpoint", cli_pipeline["checkpoint"],
@@ -283,6 +321,15 @@ class TestCliPipeline:
         first = rows[0].split("\t")
         assert [int(first[0]), int(first[1]), int(first[2])] == [
             manifest.records[0].identity, manifest.records[0].camera, manifest.records[0].view]
+
+
+@pytest.fixture(scope="module")
+def micro_checkpoint(tmp_path_factory):
+    """A loadable untrained checkpoint, for tests whose failure lies elsewhere."""
+    model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2, seed=1))
+    path = tmp_path_factory.mktemp("micro-ckpt") / "micro.ckpt"
+    save_checkpoint(str(path), model.parameters(), checkpoint_metadata(model, None, 0, [0, 1]))
+    return str(path)
 
 
 class TestCliErrors:
@@ -300,6 +347,29 @@ class TestCliErrors:
         rc = cli.main(["eval", "--checkpoint", str(bad), "--manifest", str(manifest)])
         assert rc == cli.EXIT_IO
         capsys.readouterr()
+
+    @pytest.mark.parametrize("manifest_bytes", [
+        b"#secap-manifest v1\n#meta num_views=two\n",
+        b"#secap-manifest v1\n\xff\xfe.rten\t0\t0\t0\t0\n",
+    ], ids=["non-integer-num-views", "not-utf8"])
+    def test_malformed_manifest_is_io(self, micro_checkpoint, tmp_path, capsys, manifest_bytes):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_bytes(manifest_bytes)
+        rc = cli.main(["eval", "--checkpoint", micro_checkpoint, "--manifest", str(manifest)])
+        assert rc == cli.EXIT_IO
+        assert "byte offset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metadata", [b"{not json", b'{"format": "secap-checkpoint"}'],
+                             ids=["metadata-not-json", "metadata-without-encoder"])
+    def test_malformed_checkpoint_metadata_is_io(self, tmp_path, capsys, metadata):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(CKPT_MAGIC + struct.pack("<HQ", CKPT_VERSION, len(metadata)) + metadata
+                         + struct.pack("<Q", 0))
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("#secap-manifest v1\n")
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)])
+        assert rc == cli.EXIT_IO
+        assert "byte offset" in capsys.readouterr().err
 
     def test_nan_loss_is_numeric(self, tmp_path, capsys):
         manifest = poisoned_corpus(tmp_path)
