@@ -11,7 +11,7 @@ import hashlib
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -115,6 +115,17 @@ class Manifest:
 
     def resolve(self, record: SampleRecord) -> str:
         return os.path.join(self.root, record.path) if self.root else record.path
+
+
+def load_images(manifest: Manifest, records: Sequence[SampleRecord]) -> np.ndarray:
+    """Load the records' images as one (N, C, H, W) stack; all must share one shape."""
+    images = [load_image(manifest.resolve(r)) for r in records]
+    for r, image in zip(records, images):
+        if image.shape != images[0].shape:
+            raise ParseError(
+                f"{manifest.resolve(r)}: image shape {image.shape} differs from "
+                f"{images[0].shape} of {manifest.resolve(records[0])}", 0)
+    return np.stack(images)
 
 
 def write_manifest(manifest: Manifest, path) -> None:
@@ -463,7 +474,7 @@ def select_queries(
                 warnings.warn(f"identity {identity} has no image on side {s}; skipped")
                 continue
             # one pool at a time keeps memory at one identity's images
-            desc = hog_descriptor(np.stack([load_image(manifest.resolve(r)) for r in pool]))
+            desc = hog_descriptor(load_images(manifest, pool))
             ranked = _rank_pool(desc)
             selected.extend(pool[i] for i in ranked[:per_view])
     return selected

@@ -13,9 +13,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .data import Manifest, SampleRecord
+from .data import Manifest, SampleRecord, load_images
 from .errors import DimensionError, ProtocolError
-from .storage import load_image
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,7 @@ def extract_features(model, manifest: Manifest, records: Optional[Sequence[Sampl
     chunks: List[np.ndarray] = []
     for start in range(0, len(records), batch_size):
         batch = records[start : start + batch_size]
-        images = np.stack([load_image(manifest.resolve(r)) for r in batch])
-        chunks.append(model.inference_features(images))
+        chunks.append(model.inference_features(load_images(manifest, batch)))
     feats = np.concatenate(chunks, axis=0)
     return FeatureSet(
         ids=[r.identity for r in records],

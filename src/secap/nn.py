@@ -13,11 +13,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import ConfigurationError, DimensionError
-from .tensor import (
-    Parameter, Tensor, gelu, layer_norm, linear, matmul, mul, reshape,
-    softmax_lastdim, swapaxes, transpose,
-)
+from .errors import ConfigurationError
+from .tensor import Parameter, Tensor, attention, gelu, layer_norm, linear, mul
 
 INIT_STD = 0.02
 
@@ -82,7 +79,6 @@ class MultiHeadAttention:
         if dim % heads != 0:
             raise ConfigurationError(f"{name}: dim {dim} not divisible by heads {heads}")
         self.heads = heads
-        self.head_dim = dim // heads
         self.wq = Linear(f"{name}.wq", dim, dim, rng, dtype)
         # a key bias shifts every score of a query equally; softmax ignores it,
         # so it would be a parameter with an identically zero gradient
@@ -92,24 +88,11 @@ class MultiHeadAttention:
         self.capture_attention = False
         self.last_attention: Optional[np.ndarray] = None
 
-    def _split_heads(self, x: Tensor) -> Tensor:
-        b, t, d = x.shape
-        return transpose(reshape(x, (b, t, self.heads, self.head_dim)), (0, 2, 1, 3))
-
     def __call__(self, queries: Tensor, keys_values: Tensor) -> Tensor:
-        if queries.shape[-1] != keys_values.shape[-1]:
-            raise DimensionError(
-                f"attention feature dims disagree: {queries.shape} vs {keys_values.shape}")
-        b, tq, d = queries.shape
-        q = self._split_heads(self.wq(queries))
-        k = self._split_heads(self.wk(keys_values))
-        v = self._split_heads(self.wv(keys_values))
-        scores = mul(matmul(q, swapaxes(k, -1, -2)),
-                     Tensor(np.asarray(1.0 / math.sqrt(self.head_dim), dtype=queries.dtype)))
-        attn = softmax_lastdim(scores)
+        out, weights = attention(self.wq(queries), self.wk(keys_values), self.wv(keys_values),
+                                 self.heads)
         if self.capture_attention:
-            self.last_attention = attn.data.copy()
-        out = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (b, tq, d))
+            self.last_attention = weights.copy()
         return self.wo(out)
 
     def parameters(self) -> list[Parameter]:

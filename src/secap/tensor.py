@@ -27,10 +27,10 @@ from .errors import ContractError, DimensionError, NumericError
 
 __all__ = [
     "Tensor", "Parameter", "Tape", "tape", "no_grad", "backward",
-    "add", "sub", "mul", "div", "neg", "matmul", "linear", "transpose", "swapaxes",
-    "reshape", "concat", "narrow", "split", "tsum", "tmean", "softmax_lastdim",
-    "log_softmax_lastdim", "layer_norm", "gelu", "texp", "tlog", "tsqrt",
-    "tabs", "clamp_min", "softplus", "take_pairs",
+    "add", "sub", "mul", "div", "neg", "matmul", "linear", "attention", "swapaxes",
+    "reshape", "concat", "narrow", "split", "tsum", "tmean", "log_softmax_lastdim",
+    "layer_norm", "gelu", "texp", "tlog", "tsqrt", "tabs", "clamp_min", "softplus",
+    "take_pairs",
 ]
 
 DEFAULT_DTYPE = np.float32
@@ -197,15 +197,18 @@ def _coerce(value, like: Tensor) -> Tensor:
     return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
-def _post(arr: np.ndarray) -> np.ndarray:
-    if runtime.debug_checks_enabled() and not np.all(np.isfinite(arr)):
-        raise NumericError("non-finite value produced by a forward op")
-    return arr
+def _post(arr: np.ndarray, op: str) -> None:
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        index = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise NumericError(f"non-finite value {arr[index]} produced by op {op!r} at index {index}")
 
 
 def _make(data: np.ndarray, inputs: Sequence[Tensor], backward_rule) -> Tensor:
+    if runtime.debug_checks_enabled():  # op name: `tlog.<locals>.<lambda>` is tlog
+        _post(data, backward_rule.__qualname__.split(".")[0])
     out = Tensor.__new__(Tensor)
-    out.data = np.ascontiguousarray(_post(data))
+    out.data = np.ascontiguousarray(data)
     out.grad = None
     out.requires_grad = _TAPE.recording and any(t.requires_grad for t in inputs)
     if out.requires_grad:
@@ -329,10 +332,44 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return _make(out.reshape(*x.shape[:-1], d_out), inputs, rule)
 
 
-def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    return _make(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inverse),))
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
+    """softmax(q k^T / sqrt(d / heads)) v per head, for q (B, Tq, d) and k, v (B, Tk, d).
+
+    One tape entry. Returns the merged (B, Tq, d) output and the (B, heads, Tq, Tk)
+    weights, which the backward rule holds (treat them as read-only). Backward is
+    the FlashAttention formula (Dao et al. 2022) without its tiling.
+    """
+    if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape or k.shape[::2] != q.shape[::2] \
+            or heads < 1 or q.shape[2] % heads:
+        raise DimensionError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} with {heads} heads")
+    b, _, d = q.shape
+    head_dim = d // heads
+    scale = 1.0 / math.sqrt(head_dim)
+
+    def split(x):  # (B, T, d) -> (B, h, T, head_dim), a view
+        return x.reshape(b, x.shape[1], heads, head_dim).transpose(0, 2, 1, 3)
+
+    def merge(x):  # (B, h, T, head_dim) -> (B, T, d), a copy
+        return x.transpose(0, 2, 1, 3).reshape(b, x.shape[2], d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    p = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def rule(g):
+        go = split(g)
+        gq = gk = None
+        gv = merge(np.matmul(p.swapaxes(-1, -2), go)) if v.requires_grad else None
+        if q.requires_grad or k.requires_grad:
+            gp = np.matmul(go, vh.swapaxes(-1, -2))
+            gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+            gq = merge(np.matmul(gs, kh)) if q.requires_grad else None
+            gk = merge(np.matmul(gs.swapaxes(-1, -2), qh)) if k.requires_grad else None
+        return gq, gk, gv
+
+    return _make(merge(np.matmul(p, vh)), (q, k, v), rule), p
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
@@ -432,20 +469,6 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 # nonlinearities
 # ---------------------------------------------------------------------------
-
-def softmax_lastdim(a: Tensor) -> Tensor:
-    if a.shape[-1] < 1:
-        raise DimensionError("softmax needs a non-empty last dimension")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-
-    def rule(g):
-        inner = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - inner),)
-
-    return _make(s, (a,), rule)
-
 
 def log_softmax_lastdim(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)

@@ -17,6 +17,7 @@ from .data import (
     Manifest,
     augment,
     derive_seed,
+    load_images,
     pk_sample,
 )
 from .encoder import EncoderConfig
@@ -84,30 +85,11 @@ def _view_label(view: int) -> int:
 
 def checkpoint_metadata(model: SeCapModel, train_cfg: Optional[TrainConfig], epoch: int, label_ids: List[int]) -> dict:
     cfg = model.cfg
-    enc = cfg.encoder
     meta = {
         "format": CHECKPOINT_VERSION_TAG,
         "epoch": epoch,
-        "encoder": {
-            "image_h": enc.image_h,
-            "image_w": enc.image_w,
-            "patch": enc.patch,
-            "stride": enc.stride,
-            "embed_dim": enc.embed_dim,
-            "depth": enc.depth,
-            "heads": enc.heads,
-            "ffn_mult": enc.ffn_mult,
-            "olp_enabled": enc.olp_enabled,
-            "vdt_enabled": enc.vdt_enabled,
-        },
-        "model": {
-            "num_ids": cfg.num_ids,
-            "num_views": cfg.num_views,
-            "prompt_len": cfg.prompt_len,
-            "prm_variant": cfg.prm_variant,
-            "ablate": cfg.ablate,
-            "seed": cfg.seed,
-        },
+        "encoder": dataclasses.asdict(cfg.encoder),
+        "model": {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name != "encoder"},
         "label_ids": list(label_ids),
     }
     if train_cfg is not None:
@@ -137,29 +119,12 @@ def model_from_checkpoint(path) -> Tuple[SeCapModel, dict]:
     if meta.get("format") != CHECKPOINT_VERSION_TAG:
         raise CheckpointError(f"{path}: metadata is not a model checkpoint")
     try:
-        e = meta["encoder"]
-        enc = EncoderConfig(
-            image_h=e["image_h"],
-            image_w=e["image_w"],
-            patch=e["patch"],
-            stride=e["stride"],
-            embed_dim=e["embed_dim"],
-            depth=e["depth"],
-            heads=e["heads"],
-            ffn_mult=e["ffn_mult"],
-            olp_enabled=e["olp_enabled"],
-            vdt_enabled=e["vdt_enabled"],
-        )
-        m = meta["model"]
-        cfg = ModelConfig(
-            encoder=enc,
-            num_ids=m["num_ids"],
-            num_views=m["num_views"],
-            prompt_len=m["prompt_len"],
-            prm_variant=m["prm_variant"],
-            ablate=m["ablate"],
-            seed=m["seed"],
-        )
+        e, m = meta["encoder"], meta["model"]
+        enc = EncoderConfig(**{f.name: e[f.name] for f in dataclasses.fields(EncoderConfig)})
+        cfg = ModelConfig(encoder=enc, **{f.name: m[f.name] for f in dataclasses.fields(ModelConfig)
+                                          if f.name != "encoder"})
+        if not isinstance(meta.get("train", {}), dict):
+            raise TypeError(f"'train' is {type(meta['train']).__name__}, not an object")
     except (KeyError, TypeError) as exc:
         raise CheckpointError(
             f"{path}: malformed metadata (byte offset {CKPT_METADATA_OFFSET}): "
@@ -256,7 +221,6 @@ def held_out_orthogonality(model: SeCapModel, manifest: Manifest, num_batches: i
     with no_grad():
         for b in range(num_batches):
             batch = pk_sample(manifest, p, k, derive_seed("heldout", seed, b))
-            images = np.stack([load_image(manifest.resolve(r)) for r in batch])
-            out = model.forward(images)
+            out = model.forward(load_images(manifest, batch))
             vals.append(orthogonality_loss(out.x_inv, out.view_feat).data.item())
     return float(np.mean(vals))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from secap.errors import ConfigurationError
 from secap.gradcheck import check_parameter_gradients
 from secap.losses import LossWeights
 from secap.model import ABLATIONS, ModelConfig, SeCapModel
+from secap.tensor import tape
 
 MICRO_ENC = dict(image_h=16, image_w=16, embed_dim=16, depth=1, heads=2, ffn_mult=2)
 
@@ -113,6 +116,24 @@ class TestInference:
         doubled = np.concatenate([images, images], axis=0)
         feats = SeCapModel(micro_cfg()).inference_features(doubled)
         np.testing.assert_array_equal(feats[:2], feats[2:])
+
+
+class TestTapeBudget:
+    # one micro forward: 11 attention calls (1 encoder, 2 PRM, 8 LFRM), each
+    # four linear entries and one attention entry, with no head split or softmax
+    EXPECTED = {
+        "add": 15, "attention": 11, "clamp_min": 2, "concat": 3, "gelu": 5,
+        "layer_norm": 2, "linear": 58, "log_softmax_lastdim": 3, "matmul": 2,
+        "mul": 22, "narrow": 7, "neg": 3, "reshape": 6, "softplus": 2, "sub": 5,
+        "swapaxes": 4, "tabs": 1, "take_pairs": 7, "tsqrt": 2, "tsum": 9,
+    }
+
+    def test_entries_per_op(self, rng):
+        images, ids, views = micro_batch(rng)
+        SeCapModel(micro_cfg()).compute_losses(images, ids, views, LossWeights())
+        counts = Counter(e.backward_rule.__qualname__.split(".")[0] for e in tape().entries)
+        assert dict(counts) == self.EXPECTED
+        assert sum(counts.values()) == 169
 
 
 class TestMicroBatchGradient:

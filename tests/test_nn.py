@@ -1,10 +1,10 @@
-"""Shared layers: initialization and the Linear op."""
+"""Shared layers: initialization, the Linear op and multi-head attention."""
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from secap.nn import Linear, trunc_normal
+from secap.nn import Linear, MultiHeadAttention, trunc_normal
 from secap.tensor import Tensor, tape
 
 
@@ -46,3 +46,17 @@ class TestLinearLayer:
         assert len(tape().entries) == 1
         expected = x @ layer.weight.data + (layer.bias.data if with_bias else 0.0)
         np.testing.assert_allclose(out.data, expected, rtol=1e-6)
+
+
+class TestMultiHeadAttention:
+    def test_four_projections_and_one_attention_entry(self, rng):
+        mha = MultiHeadAttention("attn", 8, 2, rng)
+        mha.capture_attention = True
+        x = Tensor(rng.standard_normal((2, 3, 8)).astype(np.float32))
+        kv = Tensor(rng.standard_normal((2, 5, 8)).astype(np.float32))
+        out = mha(x, kv)
+        ops = [e.backward_rule.__qualname__.split(".")[0] for e in tape().entries]
+        assert ops == ["linear", "linear", "linear", "attention", "linear"]
+        assert out.shape == (2, 3, 8)
+        assert mha.last_attention.shape == (2, 2, 3, 5)
+        np.testing.assert_allclose(mha.last_attention.sum(axis=-1), 1.0, rtol=1e-6)

@@ -8,15 +8,28 @@ from secap.gradcheck import check_parameter_gradients, finite_diff_check
 from secap.optim import SGD, cosine_lr
 from secap.runtime import set_debug_checks
 from secap.tensor import (
-    Parameter, Tensor, backward, clamp_min, concat, gelu, layer_norm, linear,
-    log_softmax_lastdim, matmul, mul, narrow, neg, no_grad, reshape, softmax_lastdim,
-    softplus, split, swapaxes, tabs, take_pairs, tape, texp, tlog, tmean,
-    transpose, tsqrt, tsum,
+    Parameter, Tensor, attention, backward, clamp_min, concat, gelu, layer_norm, linear,
+    log_softmax_lastdim, matmul, mul, narrow, neg, no_grad, reshape, softplus, split,
+    swapaxes, tabs, take_pairs, tape, texp, tlog, tmean, tsqrt, tsum,
 )
 
 
 def t64(data, requires_grad=False):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
+
+
+def np_softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def attention_softmax(x):
+    """Row softmax of a matrix taken through the fused attention op: with one
+    head of width 1, q = 1 and k = the row, the scores are the row itself."""
+    n, m = x.shape
+    q = Tensor(np.ones((n, 1, 1), dtype=x.dtype))
+    kv = Tensor(x.reshape(n, m, 1))
+    return attention(q, kv, kv, 1)[1][:, 0, 0]
 
 
 class TestConstruction:
@@ -165,40 +178,121 @@ class TestShapeOps:
         with pytest.raises(DimensionError):
             narrow(Tensor(np.zeros((3, 4))), axis=1, start=2, length=5)
 
-    def test_transpose_round_trip(self, rng):
-        x = rng.standard_normal((2, 3, 4)).astype(np.float32)
-        out = transpose(transpose(Tensor(x), (2, 0, 1)), (1, 2, 0))
-        np.testing.assert_array_equal(out.data, x)
-
     def test_split_sizes_must_cover_axis(self):
         with pytest.raises(DimensionError):
             split(Tensor(np.zeros((5, 2))), [2, 2], axis=0)
 
 
 class TestSoftmax:
+    """The softmax inside the fused attention op, read through its weights."""
+
     def test_uniform(self):
-        np.testing.assert_allclose(softmax_lastdim(Tensor([0.0, 0.0])).data, [0.5, 0.5])
+        np.testing.assert_allclose(attention_softmax(np.zeros((1, 2))), [[0.5, 0.5]])
 
     def test_hand_values(self):
-        out = softmax_lastdim(t64([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(out.data, [0.09003057, 0.24472847, 0.66524096], atol=1e-4)
+        out = attention_softmax(np.array([[1.0, 2.0, 3.0]]))
+        np.testing.assert_allclose(out, [[0.09003057, 0.24472847, 0.66524096]], atol=1e-4)
 
     def test_shift_invariance(self, rng):
         x = rng.standard_normal((4, 7))
-        a = softmax_lastdim(Tensor(x))
-        b = softmax_lastdim(Tensor(x + 123.0))
-        np.testing.assert_allclose(a.data, b.data, atol=1e-6)
+        a = attention_softmax(x)
+        b = attention_softmax(x + 123.0)
+        np.testing.assert_allclose(a, b, atol=1e-6)
+        np.testing.assert_allclose(a, np_softmax(x), atol=1e-12)
 
     def test_rows_sum_to_one(self, rng):
         for _ in range(20):
-            x = Tensor(rng.standard_normal((3, 5)) * 10.0)
-            np.testing.assert_allclose(softmax_lastdim(x).data.sum(axis=-1), 1.0, atol=1e-6)
+            x = rng.standard_normal((3, 5)) * 10.0
+            np.testing.assert_allclose(attention_softmax(x).sum(axis=-1), 1.0, atol=1e-6)
 
     def test_log_softmax_matches_log_of_softmax(self, rng):
         x = rng.standard_normal((2, 6))
         a = log_softmax_lastdim(t64(x)).data
-        b = np.log(softmax_lastdim(t64(x)).data)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        np.testing.assert_allclose(a, np.log(np_softmax(x)), atol=1e-12)
+
+
+class TestAttention:
+    @staticmethod
+    def composite(q, k, v, heads):
+        """The unfused op sequence, each step a contiguous copy: head split,
+        k transpose, scores, scale, max-shifted softmax, weights times v, head
+        merge. The oracle for the fused forward."""
+        b, tq, d = q.shape
+        hd = d // heads
+
+        def split(x):
+            return np.ascontiguousarray(x.reshape(b, x.shape[1], heads, hd).transpose(0, 2, 1, 3))
+
+        qh, kh, vh = split(q), split(k), split(v)
+        scores = np.matmul(qh, np.ascontiguousarray(np.swapaxes(kh, -1, -2)))
+        scores = scores * np.asarray(1.0 / math.sqrt(hd), dtype=q.dtype)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        out = np.ascontiguousarray(np.matmul(p, vh).transpose(0, 2, 1, 3)).reshape(b, tq, d)
+        return out, p
+
+    SHAPES = {"self": (2, 5, 5, 8, 2), "cross": (2, 4, 7, 8, 2), "one_key": (2, 4, 1, 8, 2)}
+
+    def qkv(self, rng, case, dtype=np.float64):
+        b, tq, tk, d, _ = self.SHAPES[case]
+        return (rng.standard_normal((b, tq, d)).astype(dtype),
+                rng.standard_normal((b, tk, d)).astype(dtype),
+                rng.standard_normal((b, tk, d)).astype(dtype))
+
+    @pytest.mark.parametrize("case", ["self", "cross", "one_key"])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_matches_central_differences(self, rng, case, slot):
+        heads = self.SHAPES[case][-1]
+        arrays = self.qkv(rng, case)
+        readout = Tensor(rng.standard_normal(arrays[0].shape))
+
+        def f(t):
+            args = [t if i == slot else Tensor(a) for i, a in enumerate(arrays)]
+            return tsum(attention(*args, heads)[0] * readout)
+
+        assert finite_diff_check(f, t64(arrays[slot])) < 1e-6
+
+    # float32 is bit-equal; float64 BLAS rounds the strided head views of the
+    # fused op and the contiguous copies of the composite apart in the last bit
+    @pytest.mark.parametrize("dtype,rtol", [(np.float32, 0.0), (np.float64, 1e-13)])
+    @pytest.mark.parametrize("case", ["self", "cross", "one_key"])
+    def test_forward_matches_composite(self, rng, case, dtype, rtol):
+        heads = self.SHAPES[case][-1]
+        q, k, v = self.qkv(rng, case, dtype)
+        out, weights = attention(Tensor(q), Tensor(k), Tensor(v), heads)
+        ref_out, ref_weights = self.composite(q, k, v, heads)
+        assert out.dtype == dtype and weights.dtype == dtype
+        np.testing.assert_allclose(out.data, ref_out, rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(weights, ref_weights, rtol=rtol, atol=0.0)
+
+    def test_head_split_merge_round_trip(self, rng):
+        # one key: every weight is exactly 1, so each output row is v's row
+        q, k, v = self.qkv(rng, "one_key", np.float32)
+        out, weights = attention(Tensor(q), Tensor(k), Tensor(v), 2)
+        assert np.all(weights == 1.0)
+        np.testing.assert_array_equal(out.data, np.broadcast_to(v, q.shape))
+
+    @pytest.mark.parametrize("tracked", [(True, False, False), (False, True, False),
+                                         (False, False, True), (True, True, True)])
+    def test_one_entry_whose_rule_skips_constant_inputs(self, rng, tracked):
+        arrays = self.qkv(rng, "cross")
+        out, _ = attention(*(Tensor(a, requires_grad=r) for a, r in zip(arrays, tracked)), 2)
+        entry, = tape().entries
+        grads = entry.backward_rule(np.ones(out.shape))
+        assert [g is not None for g in grads] == list(tracked)
+        for g, a in zip(grads, arrays):
+            assert g is None or g.shape == a.shape
+
+    def test_shape_errors(self):
+        x = Tensor(np.zeros((2, 3, 8)))
+        with pytest.raises(DimensionError, match="heads"):
+            attention(x, x, x, 3)
+        with pytest.raises(DimensionError):
+            attention(x, Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 3, 4))), 2)
+        with pytest.raises(DimensionError):
+            attention(x, x, Tensor(np.zeros((2, 4, 8))), 2)
+        with pytest.raises(DimensionError):
+            attention(Tensor(np.zeros((3, 8))), x, x, 2)
 
 
 class TestLayerNorm:
@@ -518,8 +612,10 @@ class TestPerOpGradients:
 
     def test_shape_ops(self, rng):
         x0 = rng.standard_normal((2, 3, 4))
+        q0 = rng.standard_normal((2, 3, 4))
         cases = [
-            lambda t: tsum(transpose(t, (1, 0, 2)) * 1.5),
+            # v's head split and merge: the permutations of the fused op
+            lambda t: tsum(attention(Tensor(q0), Tensor(x0), t, 2)[0] * 1.5),
             lambda t: tsum(swapaxes(t, 0, 2) * 0.5),
             lambda t: tsum(reshape(t, (6, 4)) * reshape(t, (6, 4))),
             lambda t: tsum(narrow(t, 1, 1, 2) * 3.0),
@@ -543,8 +639,11 @@ class TestPerOpGradients:
     def test_nonlinearities(self, rng):
         x0 = rng.standard_normal((2, 5))
         pos = np.abs(rng.standard_normal((2, 5))) + 0.5
+        ones = Tensor(np.ones((2, 1, 1)))
         cases = [
-            (lambda t: tsum(softmax_lastdim(t) * Tensor(x0)), x0),
+            # softmax(t) . x0 per row: attention with q = 1, k = t and v = x0
+            (lambda t: tsum(attention(ones, reshape(t, (2, 5, 1)), Tensor(x0.reshape(2, 5, 1)), 1)[0]),
+             x0),
             (lambda t: tsum(log_softmax_lastdim(t) * Tensor(x0)), x0),
             (lambda t: tsum(gelu(t)), x0),
             (lambda t: tsum(texp(t) * 0.1), x0),
@@ -604,8 +703,20 @@ class TestDebugChecks:
     def test_nan_raises_when_enabled(self):
         set_debug_checks(True)
         try:
-            with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-                tlog(Tensor([-1.0]))
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(NumericError, match=r"op 'tlog' at index \(1,\)"):
+                tlog(Tensor([1.0, -1.0]))
+        finally:
+            set_debug_checks(False)
+
+    def test_nan_query_names_attention(self, rng):
+        q = rng.standard_normal((1, 3, 4))
+        q[0, 2, 1] = np.nan
+        kv = Tensor(rng.standard_normal((1, 5, 4)))
+        set_debug_checks(True)
+        try:
+            with pytest.raises(NumericError, match=r"op 'attention' at index \(0, 2, 0\)"):
+                attention(Tensor(q), kv, kv, 2)
         finally:
             set_debug_checks(False)
 

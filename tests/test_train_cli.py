@@ -19,7 +19,7 @@ from secap.data import (
     split_identities,
 )
 from secap.encoder import EncoderConfig
-from secap.errors import CheckpointError, ConfigurationError, ContractError, NumericError
+from secap.errors import CheckpointError, ConfigurationError, ContractError, NumericError, ParseError
 from secap.evaluate import cmc_map, distance_matrix, extract_features
 from secap.model import ModelConfig, SeCapModel
 from secap.storage import CKPT_MAGIC, CKPT_VERSION, load_checkpoint, load_rten, save_checkpoint, save_rten
@@ -370,6 +370,31 @@ class TestCliErrors:
         rc = cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)])
         assert rc == cli.EXIT_IO
         assert "byte offset" in capsys.readouterr().err
+
+    def test_non_object_train_metadata_is_io(self, tmp_path, capsys):
+        model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2, seed=1))
+        meta = {**checkpoint_metadata(model, None, 0, [0, 1]), "train": 5}
+        ckpt = tmp_path / "bad-train.ckpt"
+        save_checkpoint(str(ckpt), model.parameters(), meta)
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("#secap-manifest v1\n")
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)])
+        assert rc == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "'train'" in err and "byte offset" in err
+
+    def test_mixed_image_sizes_is_io(self, micro_checkpoint, tmp_path, capsys):
+        cfg = SynthConfig(num_ids=4, images_per_id_per_view=2, image_h=16, image_w=16, seed=9)
+        manifest, _ = generate_synthetic(cfg, tmp_path)
+        odd = manifest.resolve(manifest.records[1])
+        save_rten(odd, np.zeros((3, 24, 16), dtype=np.float32))
+        rc = cli.main(["eval", "--checkpoint", micro_checkpoint,
+                       "--manifest", os.path.join(str(tmp_path), "manifest.tsv")])
+        assert rc == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert odd in err and "(3, 24, 16)" in err and "(3, 16, 16)" in err
+        with pytest.raises(ParseError, match=r"\(3, 24, 16\)"):
+            extract_features(SeCapModel(micro_train_cfg().model), manifest)
 
     def test_nan_loss_is_numeric(self, tmp_path, capsys):
         manifest = poisoned_corpus(tmp_path)
