@@ -17,6 +17,7 @@ import numpy as np
 
 from .data import (
     PROTOCOLS,
+    AugmentPolicy,
     SynthConfig,
     build_protocol,
     generate_synthetic,
@@ -38,6 +39,7 @@ from .evaluate import cmc_map, distance_matrix, extract_features
 from .gradcheck import check_parameter_gradients, randomize_for_gradcheck
 from .losses import LossWeights
 from .model import ABLATIONS, ModelConfig, SeCapModel
+from .prm import VARIANTS as PRM_VARIANTS
 from .storage import save_rten
 from .train import TrainConfig, model_from_checkpoint, train
 
@@ -47,9 +49,10 @@ EXIT_IO = 2
 EXIT_NUMERIC = 3
 EXIT_USAGE = 64
 
-# CLI defaults are the desk-scale configuration; the published-scale model
-# (256x128 inputs, d=768, depth 12, prompt length 64) is reachable by flags.
-TOY = {"image_h": 64, "image_w": 32, "embed_dim": 64, "depth": 2, "heads": 4, "prompt_len": 8}
+# Every default lives in the config dataclasses; the one exception is the
+# desk-scale geometry the CLI trains and grad-checks at. The published-scale
+# geometry (the dataclass defaults) is reachable by flags.
+DESK = {"image_h": 64, "image_w": 32, "embed_dim": 64, "depth": 2, "heads": 4, "prompt_len": 8}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,54 +63,59 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--image-h", type=int, default=TOY["image_h"])
-    p.add_argument("--image-w", type=int, default=TOY["image_w"])
-    p.add_argument("--patch", type=int, default=16)
-    p.add_argument("--embed-dim", type=int, default=TOY["embed_dim"])
-    p.add_argument("--depth", type=int, default=TOY["depth"])
-    p.add_argument("--heads", type=int, default=TOY["heads"])
-    p.add_argument("--ffn-mult", type=int, default=4)
-    p.add_argument("--prompt-len", type=int, default=TOY["prompt_len"])
-    p.add_argument("--prm-variant", choices=("attn", "add", "cat"), default="attn")
-    p.add_argument("--olp", action="store_true", help="tokenize with overlapping patches")
-    p.add_argument("--ablate", choices=ABLATIONS, default="none")
+    p.add_argument("--image-h", type=int)
+    p.add_argument("--image-w", type=int)
+    p.add_argument("--patch", type=int)
+    p.add_argument("--embed-dim", type=int)
+    p.add_argument("--depth", type=int)
+    p.add_argument("--heads", type=int)
+    p.add_argument("--ffn-mult", type=int)
+    p.add_argument("--prompt-len", type=int)
+    p.add_argument("--prm-variant", choices=PRM_VARIANTS)
+    p.add_argument("--olp", dest="olp_enabled", action="store_true", help="tokenize with overlapping patches")
+    p.add_argument("--ablate", choices=ABLATIONS)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="secap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # gen-data, train and grad-check feed config dataclasses: each flag's dest
+    # is the field it sets, and a flag the user leaves out is absent from the
+    # namespace, so the field keeps its dataclass default (see _config)
+    config_sub = dict(argument_default=argparse.SUPPRESS)
 
-    g = sub.add_parser("gen-data", help="write a synthetic cross-view corpus")
+    g = sub.add_parser("gen-data", help="write a synthetic cross-view corpus", **config_sub)
     g.add_argument("--out", required=True)
-    g.add_argument("--ids", type=int, default=8)
-    g.add_argument("--per-view", type=int, default=4, help="images per identity per view")
-    g.add_argument("--views", type=int, default=2)
-    g.add_argument("--image-h", type=int, default=64)
-    g.add_argument("--image-w", type=int, default=32)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--cams-per-view", type=int, default=2)
-    g.add_argument("--distractors", type=int, default=0)
-    g.add_argument("--strength", type=float, default=1.0, help="view-transform jitter strength")
+    g.add_argument("--ids", dest="num_ids", type=int)
+    g.add_argument("--per-view", dest="images_per_id_per_view", type=int, help="images per identity per view")
+    g.add_argument("--views", dest="num_views", type=int)
+    g.add_argument("--image-h", type=int)
+    g.add_argument("--image-w", type=int)
+    g.add_argument("--seed", type=int)
+    g.add_argument("--cams-per-view", type=int)
+    g.add_argument("--distractors", dest="num_distractors", type=int)
+    g.add_argument("--strength", dest="view_strength", type=float, help="view-transform jitter strength")
 
-    t = sub.add_parser("train", help="train and write checkpoints")
+    t = sub.add_parser("train", help="train and write checkpoints", **config_sub)
+    t.set_defaults(**DESK)
     t.add_argument("--manifest", required=True)
     t.add_argument("--out", required=True, help="directory for checkpoints")
-    t.add_argument("--epochs", type=int, default=120)
-    t.add_argument("--lr-max", type=float, default=8e-3)
-    t.add_argument("--lr-min", type=float, default=1.6e-6)
-    t.add_argument("--p", type=int, default=16)
-    t.add_argument("--k", type=int, default=4)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--alpha", type=float, default=1.0)
-    t.add_argument("--beta", type=float, default=1.0)
-    t.add_argument("--lambda", dest="lam", type=float, default=0.001)
-    t.add_argument("--warmup-steps", type=int, default=0)
-    t.add_argument("--checkpoint-every", type=int, default=20)
-    t.add_argument("--momentum", type=float, default=0.9)
-    t.add_argument("--weight-decay", type=float, default=1e-4)
-    t.add_argument("--holdout", type=float, default=0.0,
+    t.add_argument("--epochs", type=int)
+    t.add_argument("--lr-max", type=float)
+    t.add_argument("--lr-min", type=float)
+    t.add_argument("--p", type=int)
+    t.add_argument("--k", type=int)
+    t.add_argument("--seed", type=int)
+    t.add_argument("--alpha", type=float)
+    t.add_argument("--beta", type=float)
+    t.add_argument("--lambda", dest="lam", type=float)
+    t.add_argument("--warmup-steps", type=int)
+    t.add_argument("--checkpoint-every", type=int)
+    t.add_argument("--momentum", type=float)
+    t.add_argument("--weight-decay", type=float)
+    t.add_argument("--holdout", type=float,
                    help="fraction of identities held out of training; recorded in the checkpoint")
-    t.add_argument("--no-augment", action="store_true")
+    t.add_argument("--no-augment", action="store_true", default=False)
     _add_model_flags(t)
 
     e = sub.add_parser("eval", help="score a checkpoint under retrieval protocols")
@@ -117,13 +125,14 @@ def build_parser() -> _Parser:
     e.add_argument("--batch-size", type=int, default=32)
     e.add_argument("--queries-per-view", type=int, default=2)
 
-    c = sub.add_parser("grad-check", help="finite-difference check of the full loss")
-    c.add_argument("--variant", "--prm-variant", dest="variant", choices=("attn", "add", "cat"), default="attn")
-    c.add_argument("--olp", action="store_true")
-    c.add_argument("--seed", type=int, default=0)
+    c = sub.add_parser("grad-check", help="finite-difference check of the full loss", **config_sub)
+    c.set_defaults(**DESK)
+    c.add_argument("--variant", "--prm-variant", dest="prm_variant", choices=PRM_VARIANTS)
+    c.add_argument("--olp", dest="olp_enabled", action="store_true")
+    c.add_argument("--seed", type=int)
     c.add_argument("--coords", type=int, default=2, help="probed coordinates per parameter")
     c.add_argument("--tol", type=float, default=1e-4)
-    c.add_argument("--ablate", choices=ABLATIONS, default="none")
+    c.add_argument("--ablate", choices=ABLATIONS)
 
     x = sub.add_parser("export-features", help="dump features plus row-aligned metadata")
     x.add_argument("--checkpoint", required=True)
@@ -133,68 +142,27 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _encoder_config(args) -> EncoderConfig:
-    return EncoderConfig(
-        image_h=args.image_h,
-        image_w=args.image_w,
-        patch=args.patch,
-        embed_dim=args.embed_dim,
-        depth=args.depth,
-        heads=args.heads,
-        ffn_mult=args.ffn_mult,
-        olp_enabled=args.olp,
-    )
+def _config(cls, args, **given):
+    """Build `cls` from the given flags that name its fields, plus `given`."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{key: value for key, value in vars(args).items() if key in names}, **given)
 
 
 def cmd_gen_data(args) -> int:
-    cfg = SynthConfig(
-        num_ids=args.ids,
-        images_per_id_per_view=args.per_view,
-        num_views=args.views,
-        image_h=args.image_h,
-        image_w=args.image_w,
-        seed=args.seed,
-        view_strength=args.strength,
-        cams_per_view=args.cams_per_view,
-        num_distractors=args.distractors,
-    )
-    generate_synthetic(cfg, args.out)
+    generate_synthetic(_config(SynthConfig, args), args.out)
     print(os.path.join(args.out, "manifest.tsv"))
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
     manifest = read_manifest(args.manifest)
-    if args.holdout > 0.0:
-        manifest_train, _ = split_identities(manifest, args.holdout, args.seed)
-    else:
-        manifest_train = manifest
-    model_cfg = ModelConfig(
-        encoder=_encoder_config(args),
-        prompt_len=args.prompt_len,
-        prm_variant=args.prm_variant,
-        ablate=args.ablate,
-        seed=args.seed,
-    )
-    cfg = TrainConfig(
-        model=model_cfg,
-        epochs=args.epochs,
-        lr_max=args.lr_max,
-        lr_min=args.lr_min,
-        p=args.p,
-        k=args.k,
-        seed=args.seed,
-        weights=LossWeights(alpha=args.alpha, beta=args.beta, lam=args.lam),
-        momentum=args.momentum,
-        weight_decay=args.weight_decay,
-        warmup_steps=args.warmup_steps,
-        checkpoint_every=args.checkpoint_every,
-        holdout=args.holdout,
-    )
-    if args.no_augment:
-        cfg = dataclasses.replace(cfg, augment_policy=dataclasses.replace(cfg.augment_policy, enabled=False))
+    model_cfg = _config(ModelConfig, args, encoder=_config(EncoderConfig, args))
+    cfg = _config(TrainConfig, args, model=model_cfg, weights=_config(LossWeights, args),
+                  augment_policy=AugmentPolicy(enabled=not args.no_augment))
+    if cfg.holdout > 0.0:
+        manifest, _ = split_identities(manifest, cfg.holdout, cfg.seed)
     os.makedirs(args.out, exist_ok=True)
-    train(manifest_train, cfg, out_dir=args.out, log=print)
+    train(manifest, cfg, out_dir=args.out, log=print)
     return EXIT_OK
 
 
@@ -219,26 +187,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    cfg = ModelConfig(
-        encoder=EncoderConfig(
-            image_h=TOY["image_h"],
-            image_w=TOY["image_w"],
-            embed_dim=TOY["embed_dim"],
-            depth=TOY["depth"],
-            heads=TOY["heads"],
-            olp_enabled=args.olp,
-        ),
-        num_ids=2,
-        num_views=2,
-        prompt_len=TOY["prompt_len"],
-        prm_variant=args.variant,
-        ablate=args.ablate,
-        seed=args.seed,
-    )
+    cfg = _config(ModelConfig, args, encoder=_config(EncoderConfig, args))
     model = SeCapModel(cfg, dtype=np.float64)
     params = model.parameters()
-    randomize_for_gradcheck(params, seed=args.seed)
-    rng = np.random.default_rng([args.seed, 999])
+    randomize_for_gradcheck(params, seed=cfg.seed)
+    rng = np.random.default_rng([cfg.seed, 999])
     images = rng.uniform(0.0, 1.0, size=(4, 3, cfg.encoder.image_h, cfg.encoder.image_w))
     id_labels = np.array([0, 0, 1, 1])
     view_labels = np.array([0, 1, 0, 1])
@@ -249,7 +202,7 @@ def cmd_grad_check(args) -> int:
         return total
 
     worst, worst_name, _ = check_parameter_gradients(
-        params, loss_fn, coords_per_param=args.coords, seed=args.seed
+        params, loss_fn, coords_per_param=args.coords, seed=cfg.seed
     )
     print(f"max relative error {worst:.3e} at {worst_name} (tolerance {args.tol:.1e})")
     if worst < args.tol:

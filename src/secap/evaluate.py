@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -109,31 +109,25 @@ def distance_matrix(q: FeatureSet, g: FeatureSet) -> np.ndarray:
     return 1.0 - q.features @ g.features.T
 
 
-def _default_validity(q_id: int, q_cam: int, g_ids: np.ndarray, g_cams: np.ndarray) -> np.ndarray:
-    """Mask of gallery entries to drop: same identity recorded by the same camera."""
-    return (g_ids == q_id) & (g_cams == q_cam)
-
-
 def cmc_map(
     dist: np.ndarray,
     q_meta: FeatureSet,
     g_meta: FeatureSet,
-    validity_rule: Optional[Callable] = None,
     protocol: str = "",
 ) -> EvalReport:
     """Rank-1 and mAP under ascending-distance ranking.
 
     The gallery is pre-sorted by path so tie-breaking by gallery index is
     reproducible across input orderings. Distractors (id -1) stay in the
-    ranking as permanent negatives. Queries left with no positive after the
-    validity filter are excluded from both means and counted.
+    ranking as permanent negatives. Gallery entries of the query's identity
+    recorded by the query's camera are dropped; queries left with no positive
+    are excluded from both means and counted.
     """
     dist = np.asarray(dist, dtype=np.float64)
     if dist.ndim != 2 or dist.shape != (len(q_meta), len(g_meta)):
         raise DimensionError(f"distance matrix shape {dist.shape} does not match metadata")
     if len(q_meta) < 1 or len(g_meta) < 1:
         raise ProtocolError("need at least one query and one gallery entry")
-    rule = validity_rule if validity_rule is not None else _default_validity
 
     g_order = sorted(range(len(g_meta.paths)), key=lambda i: g_meta.paths[i])
     g_ids = g_meta.ids[g_order]
@@ -144,7 +138,7 @@ def cmc_map(
     aps: List[float] = []
     excluded = 0
     for qi in range(dist.shape[0]):
-        drop = rule(int(q_meta.ids[qi]), int(q_meta.cameras[qi]), g_ids, g_cams)
+        drop = (g_ids == q_meta.ids[qi]) & (g_cams == q_meta.cameras[qi])
         keep = np.nonzero(~drop)[0]
         matches = g_ids[keep] == q_meta.ids[qi]
         if not matches.any():
@@ -172,7 +166,6 @@ def oracle_cmc_map(
     dist: np.ndarray,
     q_meta: FeatureSet,
     g_meta: FeatureSet,
-    validity_rule: Optional[Callable] = None,
     protocol: str = "",
 ) -> EvalReport:
     """Same metrics by direct definition: explicit loops, no vectorization."""
@@ -193,11 +186,7 @@ def oracle_cmc_map(
         for pos, gj in enumerate(gallery):
             g_id = int(g_meta.ids[gj])
             g_cam = int(g_meta.cameras[gj])
-            if validity_rule is not None:
-                dropped = bool(validity_rule(q_id, q_cam, np.array([g_id]), np.array([g_cam]))[0])
-            else:
-                dropped = g_id == q_id and g_cam == q_cam
-            if dropped:
+            if g_id == q_id and g_cam == q_cam:
                 continue
             entries.append((float(dist[qi][gj]), pos, g_id))
         entries.sort(key=lambda e: (e[0], e[1]))

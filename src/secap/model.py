@@ -51,7 +51,7 @@ class ModelConfig:
 
     @property
     def uses_vdt(self) -> bool:
-        return self.ablate not in ("no-vdt", "baseline")
+        return self.encoder.vdt_enabled
 
     @property
     def uses_lfrm(self) -> bool:

@@ -25,12 +25,15 @@ from .errors import CheckpointError, ConfigurationError, ContractError, NumericE
 from .losses import LossWeights
 from .model import ModelConfig, SeCapModel
 from .optim import SGD, cosine_lr
-from .storage import CKPT_METADATA_OFFSET, load_checkpoint, load_image, load_into, save_checkpoint
+from .storage import CKPT_METADATA_OFFSET, load_checkpoint, load_into, save_checkpoint
 from .tensor import backward, tape
 
 CHECKPOINT_VERSION_TAG = "secap-checkpoint"
 
 LOG_KEYS = ("loss_total", "loss_id_g", "loss_tri_g", "loss_id_l", "loss_tri_l", "loss_view", "loss_orth")
+# the TrainConfig fields a checkpoint records (eval reads holdout and seed)
+CHECKPOINT_TRAIN_KEYS = ("epochs", "lr_max", "lr_min", "p", "k", "seed", "momentum", "weight_decay",
+                         "warmup_steps", "holdout")
 _PART_KEYS = {"loss_id_g": "id_g", "loss_tri_g": "tri_g", "loss_id_l": "id_l", "loss_tri_l": "tri_l", "loss_view": "view", "loss_orth": "orth"}
 
 
@@ -98,18 +101,7 @@ def checkpoint_metadata(model: SeCapModel, train_cfg: Optional[TrainConfig], epo
             "beta": train_cfg.weights.beta,
             "lambda": train_cfg.weights.lam,
         }
-        meta["train"] = {
-            "epochs": train_cfg.epochs,
-            "lr_max": train_cfg.lr_max,
-            "lr_min": train_cfg.lr_min,
-            "p": train_cfg.p,
-            "k": train_cfg.k,
-            "seed": train_cfg.seed,
-            "momentum": train_cfg.momentum,
-            "weight_decay": train_cfg.weight_decay,
-            "warmup_steps": train_cfg.warmup_steps,
-            "holdout": train_cfg.holdout,
-        }
+        meta["train"] = {key: getattr(train_cfg, key) for key in CHECKPOINT_TRAIN_KEYS}
     return meta
 
 
@@ -123,8 +115,14 @@ def model_from_checkpoint(path) -> Tuple[SeCapModel, dict]:
         enc = EncoderConfig(**{f.name: e[f.name] for f in dataclasses.fields(EncoderConfig)})
         cfg = ModelConfig(encoder=enc, **{f.name: m[f.name] for f in dataclasses.fields(ModelConfig)
                                           if f.name != "encoder"})
-        if not isinstance(meta.get("train", {}), dict):
-            raise TypeError(f"'train' is {type(meta['train']).__name__}, not an object")
+        run = meta.get("train", {})
+        if not isinstance(run, dict):
+            raise TypeError(f"'train' is {type(run).__name__}, not an object")
+        holdout = run.get("holdout", 0.0)
+        if not isinstance(holdout, (int, float)) or not 0.0 <= holdout < 1.0:
+            raise TypeError(f"train holdout {holdout!r} is not a number in [0, 1)")
+        if holdout > 0.0 and not isinstance(run.get("seed"), int):
+            raise TypeError(f"train seed {run.get('seed')!r} is not an int")
     except (KeyError, TypeError) as exc:
         raise CheckpointError(
             f"{path}: malformed metadata (byte offset {CKPT_METADATA_OFFSET}): "
@@ -163,16 +161,10 @@ def train(
         lr = cfg.lr_max
         for s in range(steps_per_epoch):
             batch = pk_sample(manifest_train, cfg.p, cfg.k, derive_seed("batch", cfg.seed, epoch, s))
-            images = np.stack(
-                [
-                    augment(
-                        load_image(manifest_train.resolve(r)),
-                        cfg.augment_policy,
-                        derive_seed("augment", cfg.seed, r.path, epoch, s, i),
-                    )
-                    for i, r in enumerate(batch)
-                ]
-            )
+            images = np.stack([
+                augment(image, cfg.augment_policy, derive_seed("augment", cfg.seed, r.path, epoch, s, i))
+                for i, (r, image) in enumerate(zip(batch, load_images(manifest_train, batch)))
+            ])
             id_labels = [label_map[r.identity] for r in batch]
             view_labels = [_view_label(r.view) for r in batch]
             try:

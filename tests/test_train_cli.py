@@ -1,5 +1,7 @@
 """Training loop behavior and the command-line surface (exit codes, output formats)."""
 
+import argparse
+import dataclasses
 import json
 import os
 import re
@@ -11,6 +13,7 @@ import pytest
 from secap import cli
 from secap.data import (
     PROTOCOLS,
+    AugmentPolicy,
     SynthConfig,
     build_protocol,
     generate_synthetic,
@@ -21,6 +24,7 @@ from secap.data import (
 from secap.encoder import EncoderConfig
 from secap.errors import CheckpointError, ConfigurationError, ContractError, NumericError, ParseError
 from secap.evaluate import cmc_map, distance_matrix, extract_features
+from secap.losses import LossWeights
 from secap.model import ModelConfig, SeCapModel
 from secap.storage import CKPT_MAGIC, CKPT_VERSION, load_checkpoint, load_rten, save_checkpoint, save_rten
 from secap.tensor import tape
@@ -194,6 +198,17 @@ class TestHeldOutOrthogonality:
         )
         with pytest.raises(ContractError):
             held_out_orthogonality(model, corpus, num_batches=1, p=4, k=2, seed=0)
+
+    def test_encoder_without_view_token_has_no_view_branch(self, corpus):
+        # the encoder's vdt_enabled alone decides the view branch, whatever `ablate` says
+        model_cfg = ModelConfig(encoder=EncoderConfig(**MICRO_ENC, vdt_enabled=False), prompt_len=4, seed=1)
+        assert model_cfg.ablate == "none" and not model_cfg.uses_vdt
+        result = train(corpus, micro_train_cfg(model=model_cfg, epochs=1))
+        assert result.model.heads.view is None
+        assert np.isfinite(result.history[0]["loss_total"])
+        assert result.history[0]["loss_view"] == 0.0 and result.history[0]["loss_orth"] == 0.0
+        with pytest.raises(ContractError):
+            held_out_orthogonality(result.model, corpus, num_batches=1, p=4, k=2, seed=0)
 
 
 class TestCliUsage:
@@ -383,6 +398,34 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "'train'" in err and "byte offset" in err
 
+    @pytest.mark.parametrize("run", [{"holdout": 0.25}, {"holdout": "x", "seed": 0}],
+                             ids=["holdout-without-seed", "non-numeric-holdout"])
+    def test_malformed_train_metadata_is_io(self, tmp_path, capsys, run):
+        model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2, seed=1))
+        meta = {**checkpoint_metadata(model, None, 0, [0, 1]), "train": run}
+        ckpt = tmp_path / "bad-train.ckpt"
+        save_checkpoint(str(ckpt), model.parameters(), meta)
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("#secap-manifest v1\n")
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)])
+        assert rc == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "train" in err and "byte offset" in err
+
+    def test_mixed_image_sizes_in_training_is_io(self, tmp_path, capsys):
+        cfg = SynthConfig(num_ids=4, images_per_id_per_view=2, image_h=16, image_w=16, seed=9)
+        manifest, _ = generate_synthetic(cfg, tmp_path)
+        odd = manifest.resolve(manifest.records[1])
+        save_rten(odd, np.zeros((3, 24, 16), dtype=np.float32))
+        # P = every identity and K = each identity's image count: the first batch holds every image
+        assert len(manifest.identities()) == 4 and len(manifest.by_identity()[manifest.records[1].identity]) == 4
+        rc = cli.main(["train", "--manifest", os.path.join(str(tmp_path), "manifest.tsv"),
+                       "--out", str(tmp_path / "out"), "--epochs", "1",
+                       "--p", "4", "--k", "4", "--patch", "16"] + MICRO_FLAGS)
+        assert rc == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert odd in err and "(3, 24, 16)" in err and "(3, 16, 16)" in err
+
     def test_mixed_image_sizes_is_io(self, micro_checkpoint, tmp_path, capsys):
         cfg = SynthConfig(num_ids=4, images_per_id_per_view=2, image_h=16, image_w=16, seed=9)
         manifest, _ = generate_synthetic(cfg, tmp_path)
@@ -405,6 +448,75 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "numeric failure" in err and "epoch 1" in err
         assert manifest is not None
+
+
+# flags that feed no config dataclass field
+NON_CONFIG_DESTS = {"help", "out", "manifest", "no_augment", "coords", "tol"}
+DESK_ENCODER = dict(image_h=64, image_w=32, embed_dim=64, depth=2, heads=4)
+
+
+def _subparser(name):
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+def _tiny_manifest(tmp_path):
+    generate_synthetic(SynthConfig(num_ids=2, images_per_id_per_view=1, image_h=16, image_w=16), tmp_path)
+    return str(tmp_path / "manifest.tsv")
+
+
+class TestCliConfigSchema:
+    @pytest.mark.parametrize("command, configs", [
+        ("gen-data", (SynthConfig,)),
+        ("train", (EncoderConfig, ModelConfig, TrainConfig, LossWeights)),
+        ("grad-check", (EncoderConfig, ModelConfig)),
+    ])
+    def test_every_dest_names_a_config_field(self, command, configs):
+        # cli._config drops a dest that names no field, so a misspelt one would go unnoticed
+        fields = {f.name for cls in configs for f in dataclasses.fields(cls)}
+        for action in _subparser(command)._actions:
+            assert action.dest in fields | NON_CONFIG_DESTS, (command, action.option_strings)
+
+    def capture_train(self, monkeypatch, argv):
+        seen = []
+        monkeypatch.setattr(cli, "train", lambda manifest, cfg, **kw: seen.append(cfg))
+        assert cli.main(["train"] + argv) == cli.EXIT_OK
+        return seen[0]
+
+    def test_train_defaults_are_the_dataclass_defaults(self, tmp_path, monkeypatch):
+        argv = ["--manifest", _tiny_manifest(tmp_path), "--out", str(tmp_path / "out")]
+        cfg = self.capture_train(monkeypatch, argv)
+        desk = ModelConfig(encoder=EncoderConfig(**DESK_ENCODER), prompt_len=8)
+        assert cfg == TrainConfig(model=desk)
+        assert cfg.weights == LossWeights()
+        assert cfg.augment_policy == AugmentPolicy()
+
+    def test_train_flags_reach_their_fields(self, tmp_path, monkeypatch):
+        argv = ["--manifest", _tiny_manifest(tmp_path), "--out", str(tmp_path / "out"),
+                "--seed", "7", "--lambda", "0.01", "--olp", "--no-augment", "--prm-variant", "cat"]
+        cfg = self.capture_train(monkeypatch, argv)
+        assert cfg.seed == 7 and cfg.model.seed == 7
+        assert cfg.weights == LossWeights(lam=0.01)
+        assert cfg.model.prm_variant == "cat"
+        assert cfg.model.encoder.olp_enabled and cfg.model.encoder.stride == 12
+        assert not cfg.augment_policy.enabled
+
+    @pytest.mark.parametrize("flags, stride", [([], 16), (["--olp"], 12)])
+    def test_grad_check_model(self, capsys, monkeypatch, flags, stride):
+        seen = []
+        real = cli.SeCapModel
+
+        def capturing(cfg, **kw):
+            seen.append(cfg)
+            return real(cfg, **kw)
+
+        monkeypatch.setattr(cli, "SeCapModel", capturing)
+        monkeypatch.setattr(cli, "check_parameter_gradients", lambda *a, **kw: (0.0, "none", None))
+        assert cli.main(["grad-check"] + flags) == cli.EXIT_OK
+        capsys.readouterr()
+        encoder = EncoderConfig(**DESK_ENCODER, olp_enabled=bool(flags))
+        assert seen == [ModelConfig(encoder=encoder, prompt_len=8)]
+        assert seen[0].encoder.stride == stride
 
 
 class TestCliGradCheck:
