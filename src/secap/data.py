@@ -2,7 +2,8 @@
 representative-query selection, and the synthetic cross-view generator.
 
 View encoding: 0 = aerial, 1 = ground-frontal, 2 = ground-oblique. Protocols
-operate on the collapsed aerial/ground pair via a view map.
+operate on the collapsed aerial/ground pair of DEFAULT_VIEW_MAP; a record with
+any other view is rejected when it is made.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import hashlib
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -55,10 +56,10 @@ class SampleRecord:
     def __post_init__(self):
         if self.identity < -1:
             raise ConfigurationError(f"identity must be >= -1, got {self.identity}")
-        if self.camera < 0 or self.view < 0 or self.frame < 0:
-            raise ConfigurationError(
-                f"camera/view/frame must be non-negative, got {self.camera}/{self.view}/{self.frame}"
-            )
+        if self.camera < 0 or self.frame < 0:
+            raise ConfigurationError(f"camera/frame must be non-negative, got {self.camera}/{self.frame}")
+        if self.view not in DEFAULT_VIEW_MAP:
+            raise ConfigurationError(f"view must be one of {sorted(DEFAULT_VIEW_MAP)}, got {self.view}")
 
 
 class Manifest:
@@ -226,7 +227,6 @@ class ProtocolSplit:
 def build_protocol(
     manifest: Manifest,
     protocol_name: str,
-    view_map: Optional[Mapping[int, int]] = None,
     queries: Optional[Iterable] = None,
 ) -> ProtocolSplit:
     """Build query/gallery record lists for one cross-view protocol.
@@ -241,15 +241,8 @@ def build_protocol(
     """
     if protocol_name not in _PROTOCOL_SIDES:
         raise ProtocolError(f"unknown protocol {protocol_name!r}; expected one of {PROTOCOLS}")
-    vmap = DEFAULT_VIEW_MAP if view_map is None else dict(view_map)
     q_side, g_sides = _PROTOCOL_SIDES[protocol_name]
-
-    def side(r: SampleRecord) -> int:
-        if r.view not in vmap:
-            raise ProtocolError(f"record {r.path!r} has view {r.view} absent from the view map")
-        return vmap[r.view]
-
-    query_pool = [r for r in manifest.records if r.identity >= 0 and side(r) == q_side]
+    query_pool = [r for r in manifest.records if r.identity >= 0 and DEFAULT_VIEW_MAP[r.view] == q_side]
     if queries is None:
         query = list(query_pool)
     else:
@@ -266,7 +259,8 @@ def build_protocol(
         query = [r for r in query_pool if r.path in paths]
 
     query_paths = {r.path for r in query}
-    gallery = [r for r in manifest.records if side(r) in g_sides and r.path not in query_paths]
+    gallery = [r for r in manifest.records
+               if DEFAULT_VIEW_MAP[r.view] in g_sides and r.path not in query_paths]
     if not gallery:
         raise ProtocolError(f"{protocol_name}: empty gallery set")
 
@@ -459,17 +453,15 @@ def _rank_pool(descriptors: np.ndarray) -> List[int]:
 def select_queries(
     manifest: Manifest,
     per_view: int = 1,
-    view_map: Optional[Mapping[int, int]] = None,
 ) -> List[SampleRecord]:
     """Pick per_view representative images per identity per collapsed view."""
     if per_view < 1:
         raise ContractError(f"per_view must be >= 1, got {per_view}")
-    vmap = DEFAULT_VIEW_MAP if view_map is None else dict(view_map)
-    sides = sorted(set(vmap.values()))
+    sides = sorted(set(DEFAULT_VIEW_MAP.values()))
     selected: List[SampleRecord] = []
     for identity, recs in sorted(manifest.by_identity().items()):
         for s in sides:
-            pool = [r for r in recs if vmap.get(r.view) == s]
+            pool = [r for r in recs if DEFAULT_VIEW_MAP[r.view] == s]
             if not pool:
                 warnings.warn(f"identity {identity} has no image on side {s}; skipped")
                 continue

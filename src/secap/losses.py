@@ -16,8 +16,8 @@ import numpy as np
 from .errors import ConfigurationError, ContractError, DimensionError
 from .nn import Linear
 from .tensor import (
-    Tensor, add, clamp_min, log_softmax_lastdim, mul, neg, softplus, sub,
-    swapaxes, tabs, take_pairs, tmean, tsqrt, tsum, matmul,
+    Tensor, add, clamp_min, linear, log_softmax_lastdim, mul, neg, softplus, sub,
+    swapaxes, tabs, take_pairs, tmean, tsqrt, tsum,
 )
 
 
@@ -89,7 +89,7 @@ def pairwise_euclidean(features: Tensor) -> Tensor:
     """
     b = features.shape[0]
     sq = tsum(mul(features, features), axis=1, keepdims=True)          # B x 1
-    cross = matmul(features, swapaxes(features, 0, 1))                 # B x B
+    cross = linear(features, swapaxes(features, 0, 1))                 # B x B
     d2 = add(sub(sq, mul(cross, Tensor(np.asarray(2.0, dtype=features.dtype)))),
              swapaxes(sq, 0, 1))
     off_diag = Tensor((1.0 - np.eye(b)).astype(features.dtype))

@@ -40,14 +40,17 @@ def _dtype_code(arr: np.ndarray) -> int:
 # .rten raw tensor files
 
 
-def rten_bytes(arr: np.ndarray) -> bytes:
-    """Serialize one array: magic, version, dtype code, rank, dims, payload."""
+def _array_bytes(arr: np.ndarray) -> bytes:
+    """One array record: dtype code, rank, dims, little-endian payload; _read_array decodes it."""
     arr = np.asarray(arr)  # ascontiguousarray would promote rank-0 to rank-1
     code = _dtype_code(arr)
-    head = RTEN_MAGIC + struct.pack("<BBB", RTEN_VERSION, code, arr.ndim)
-    dims = struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    payload = arr.astype(_CODE_TO_DTYPE[code], copy=False, order="C").tobytes(order="C")
-    return head + dims + payload
+    head = struct.pack(f"<BB{arr.ndim}Q", code, arr.ndim, *arr.shape)
+    return head + arr.astype(_CODE_TO_DTYPE[code], copy=False, order="C").tobytes(order="C")
+
+
+def rten_bytes(arr: np.ndarray) -> bytes:
+    """Serialize one array: magic, version, then its array record."""
+    return RTEN_MAGIC + struct.pack("<B", RTEN_VERSION) + _array_bytes(arr)
 
 
 def save_rten(path, arr: np.ndarray) -> None:
@@ -131,13 +134,7 @@ def checkpoint_bytes(params: Sequence[Parameter], metadata: Mapping) -> bytes:
     out.append(struct.pack("<Q", len(params)))
     for p in params:
         name = p.name.encode("utf-8")
-        arr = np.asarray(p.tensor.data)
-        code = _dtype_code(arr)
-        out.append(struct.pack("<H", len(name)))
-        out.append(name)
-        out.append(struct.pack("<BB", code, arr.ndim))
-        out.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        out.append(arr.astype(_CODE_TO_DTYPE[code], copy=False, order="C").tobytes(order="C"))
+        out.extend((struct.pack("<H", len(name)), name, _array_bytes(p.tensor.data)))
     return b"".join(out)
 
 

@@ -26,11 +26,10 @@ from . import runtime
 from .errors import ContractError, DimensionError, NumericError
 
 __all__ = [
-    "Tensor", "Parameter", "Tape", "tape", "no_grad", "backward",
-    "add", "sub", "mul", "div", "neg", "matmul", "linear", "attention", "swapaxes",
-    "reshape", "concat", "narrow", "split", "tsum", "tmean", "log_softmax_lastdim",
-    "layer_norm", "gelu", "texp", "tlog", "tsqrt", "tabs", "clamp_min", "softplus",
-    "take_pairs",
+    "Tensor", "Parameter", "tape", "no_grad", "backward",
+    "add", "sub", "mul", "neg", "linear", "attention", "swapaxes", "reshape",
+    "concat", "narrow", "tsum", "tmean", "log_softmax_lastdim", "layer_norm",
+    "gelu", "tsqrt", "tabs", "clamp_min", "softplus", "take_pairs",
 ]
 
 DEFAULT_DTYPE = np.float32
@@ -111,10 +110,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def numpy(self) -> np.ndarray:
-        """The underlying buffer (no copy); treat as read-only."""
-        return self.data
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
@@ -122,41 +117,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
-    def backward(self) -> None:
-        backward(self)
-
-    # arithmetic sugar; scalars become constant tensors of matching dtype
-    def __add__(self, other):
-        return add(self, _coerce(other, self))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other, self))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other, self))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other, self))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other, self), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -191,12 +151,6 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.tensor.shape})"
 
 
-def _coerce(value, like: Tensor) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=like.data.dtype))
-
-
 def _post(arr: np.ndarray, op: str) -> None:
     bad = ~np.isfinite(arr)
     if bad.any():
@@ -205,7 +159,7 @@ def _post(arr: np.ndarray, op: str) -> None:
 
 
 def _make(data: np.ndarray, inputs: Sequence[Tensor], backward_rule) -> Tensor:
-    if runtime.debug_checks_enabled():  # op name: `tlog.<locals>.<lambda>` is tlog
+    if runtime.debug_checks_enabled():  # op name: `tsqrt.<locals>.<lambda>` is tsqrt
         _post(data, backward_rule.__qualname__.split(".")[0])
     out = Tensor.__new__(Tensor)
     out.data = np.ascontiguousarray(data)
@@ -269,17 +223,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), rule)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    data = _broadcast_binary(a, b, np.divide, "div")
-
-    def rule(g):
-        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _make(data, (a, b), rule)
-
-
 def neg(a: Tensor) -> Tensor:
     return _make(-a.data, (a,), lambda g: (-g,))
 
@@ -287,24 +230,6 @@ def neg(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # linear algebra and shape ops
 # ---------------------------------------------------------------------------
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul: inner dimensions disagree for {a.shape} and {b.shape}")
-    try:
-        data = np.matmul(a.data, b.data)
-    except ValueError as exc:
-        raise DimensionError(f"matmul: batch dimensions of {a.shape} and {b.shape} do not broadcast") from exc
-
-    def rule(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _make(data, (a, b), rule)
-
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """x @ w (+ b) over the last axis of x, as one GEMM on x flattened to rows."""
@@ -428,16 +353,6 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _make(a.data[idx].copy(), (a,), rule)
 
 
-def split(a: Tensor, sizes: Sequence[int], axis: int) -> list[Tensor]:
-    if sum(sizes) != a.shape[axis % a.ndim]:
-        raise DimensionError(f"split sizes {list(sizes)} do not sum to axis size {a.shape[axis]}")
-    out, offset = [], 0
-    for s in sizes:
-        out.append(narrow(a, axis, offset, s))
-        offset += s
-    return out
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -515,15 +430,6 @@ def gelu(a: Tensor) -> Tensor:
         return (g * (phi_cdf + x * pdf),)
 
     return _make(data, (a,), rule)
-
-
-def texp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-    return _make(data, (a,), lambda g: (g * data,))
-
-
-def tlog(a: Tensor) -> Tensor:
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def tsqrt(a: Tensor) -> Tensor:

@@ -22,11 +22,11 @@ from .data import (
 )
 from .encoder import EncoderConfig
 from .errors import CheckpointError, ConfigurationError, ContractError, NumericError
-from .losses import LossWeights
+from .losses import LossWeights, orthogonality_loss
 from .model import ModelConfig, SeCapModel
 from .optim import SGD, cosine_lr
 from .storage import CKPT_METADATA_OFFSET, load_checkpoint, load_into, save_checkpoint
-from .tensor import backward, tape
+from .tensor import backward, no_grad, tape
 
 CHECKPOINT_VERSION_TAG = "secap-checkpoint"
 
@@ -79,11 +79,6 @@ def format_epoch_line(epoch: int, values: Dict[str, float], lr: float) -> str:
     parts.extend(f"{key}={values[key]!r}" for key in LOG_KEYS)
     parts.append(f"lr={lr!r}")
     return " ".join(parts)
-
-
-def _view_label(view: int) -> int:
-    # the view head classifies the collapsed aerial/ground side
-    return DEFAULT_VIEW_MAP[view]
 
 
 def checkpoint_metadata(model: SeCapModel, train_cfg: Optional[TrainConfig], epoch: int, label_ids: List[int]) -> dict:
@@ -166,7 +161,7 @@ def train(
                 for i, (r, image) in enumerate(zip(batch, load_images(manifest_train, batch)))
             ])
             id_labels = [label_map[r.identity] for r in batch]
-            view_labels = [_view_label(r.view) for r in batch]
+            view_labels = [DEFAULT_VIEW_MAP[r.view] for r in batch]  # the aerial/ground side
             try:
                 total, parts = model.compute_losses(images, id_labels, view_labels, cfg.weights)
                 value = total.data.item()
@@ -191,8 +186,7 @@ def train(
         if out_dir is not None and (epoch % cfg.checkpoint_every == 0 or epoch == cfg.epochs):
             path = os.path.join(out_dir, f"checkpoint-{epoch:04d}.ckpt")
             save_checkpoint(path, params, checkpoint_metadata(model, cfg, epoch, ids))
-            if path not in checkpoint_paths:
-                checkpoint_paths.append(path)
+            checkpoint_paths.append(path)
     return TrainResult(
         model=model,
         history=history,
@@ -204,9 +198,6 @@ def train(
 
 def held_out_orthogonality(model: SeCapModel, manifest: Manifest, num_batches: int, p: int, k: int, seed) -> float:
     """Mean decoupling loss over seeded held-out batches (no augmentation)."""
-    from .losses import orthogonality_loss
-    from .tensor import no_grad
-
     if not model.cfg.uses_vdt:
         raise ContractError("model has no view branch; decoupling loss undefined")
     vals = []

@@ -56,6 +56,13 @@ class TestImageNames:
 
 
 class TestManifest:
+    def test_view_outside_the_encoding_rejected(self):
+        for view in (0, 1, 2):
+            assert rec("a.rten", 0, view=view).view == view
+        for view in (-1, 3):
+            with pytest.raises(ConfigurationError, match="view"):
+                rec("a.rten", 0, view=view)
+
     def test_sorted_and_unique(self):
         m = Manifest([rec("b.rten", 1), rec("a.rten", 0)])
         assert [r.path for r in m.records] == ["a.rten", "b.rten"]

@@ -4,7 +4,7 @@ import pytest
 from secap.encoder import Encoder, EncoderConfig, decouple_step, tokenize
 from secap.errors import ConfigurationError, ContractError, DimensionError
 from secap.gradcheck import check_parameter_gradients
-from secap.tensor import Tensor, backward, tsum
+from secap.tensor import Tensor, add, mul, tsum
 
 TOY = dict(image_h=64, image_w=32, embed_dim=64, depth=2, heads=4)
 
@@ -231,8 +231,8 @@ class TestEncoderGradients:
 
         def loss_fn():
             out = enc.encode(images)
-            return tsum(out.x_inv * out.x_inv) + tsum(out.x_local * out.x_local) \
-                + tsum(out.view_feat * out.view_feat)
+            return add(add(tsum(mul(out.x_inv, out.x_inv)), tsum(mul(out.x_local, out.x_local))),
+                       tsum(mul(out.view_feat, out.view_feat)))
 
         worst, name, _ = check_parameter_gradients(
             enc.parameters(), loss_fn, coords_per_param=4, seed=3)

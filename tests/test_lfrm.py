@@ -4,7 +4,7 @@ import pytest
 from secap.errors import DimensionError
 from secap.gradcheck import check_parameter_gradients
 from secap.lfrm import LFRM, Fusion, TwoWayBlock
-from secap.tensor import Tensor, tsum
+from secap.tensor import Tensor, mul, tsum
 
 L, P, D, HEADS = 6, 8, 16, 2
 
@@ -105,7 +105,7 @@ class TestLFRM:
         probe = Tensor(rng.standard_normal((2, D)))
 
         def loss_fn():
-            return tsum(lfrm(f_p, f_i) * probe)
+            return tsum(mul(lfrm(f_p, f_i), probe))
 
         worst, name, _ = check_parameter_gradients(
             lfrm.parameters(), loss_fn, coords_per_param=4, seed=2)

@@ -9,7 +9,7 @@ from secap.losses import (
     pairwise_euclidean, soft_triplet_loss, total_loss, view_ce_loss,
 )
 from secap.nn import Linear
-from secap.tensor import Parameter, Tensor, backward
+from secap.tensor import Parameter, Tensor, backward, mul, tsum
 
 
 def zero_classifier(d, classes, rng):
@@ -177,9 +177,8 @@ class TestTotalLoss:
 
     def test_zero_lambda_zeroes_view_gradients(self, rng):
         w = Parameter("viewpart", rng.standard_normal(3), dtype=np.float64)
-        from secap.tensor import tsum
         parts = LossParts(id_g=const_part(1.0), tri_g=const_part(1.0),
-                          view=tsum(w.tensor * w.tensor), orth=const_part(0.5))
+                          view=tsum(mul(w.tensor, w.tensor)), orth=const_part(0.5))
         backward(total_loss(parts, LossWeights(lam=0.0)))
         np.testing.assert_array_equal(w.grad, 0.0)
 

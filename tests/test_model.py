@@ -123,8 +123,8 @@ class TestTapeBudget:
     # four linear entries and one attention entry, with no head split or softmax
     EXPECTED = {
         "add": 15, "attention": 11, "clamp_min": 2, "concat": 3, "gelu": 5,
-        "layer_norm": 2, "linear": 58, "log_softmax_lastdim": 3, "matmul": 2,
-        "mul": 22, "narrow": 7, "neg": 3, "reshape": 6, "softplus": 2, "sub": 5,
+        "layer_norm": 2, "linear": 60, "log_softmax_lastdim": 3, "mul": 22,
+        "narrow": 7, "neg": 3, "reshape": 6, "softplus": 2, "sub": 5,
         "swapaxes": 4, "tabs": 1, "take_pairs": 7, "tsqrt": 2, "tsum": 9,
     }
 

@@ -439,6 +439,22 @@ class TestCliErrors:
         with pytest.raises(ParseError, match=r"\(3, 24, 16\)"):
             extract_features(SeCapModel(micro_train_cfg().model), manifest)
 
+    def test_view_outside_the_encoding_is_io(self, tmp_path, capsys):
+        cfg = SynthConfig(num_ids=4, images_per_id_per_view=2, image_h=16, image_w=16, seed=9)
+        generate_synthetic(cfg, tmp_path)
+        manifest = tmp_path / "manifest.tsv"
+        lines = manifest.read_text().split("\n")
+        row = next(i for i, line in enumerate(lines) if line and not line.startswith("#"))
+        fields = lines[row].split("\t")
+        lines[row] = "\t".join(fields[:3] + ["3"] + fields[4:])
+        manifest.write_text("\n".join(lines))
+        rc = cli.main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                       "--epochs", "1", "--p", "4", "--k", "2", "--patch", "16"] + MICRO_FLAGS)
+        assert rc == cli.EXIT_IO
+        err = capsys.readouterr().err
+        offset = sum(len(line) + 1 for line in lines[:row])
+        assert "view" in err and f"(byte offset {offset})" in err and "Traceback" not in err
+
     def test_nan_loss_is_numeric(self, tmp_path, capsys):
         manifest = poisoned_corpus(tmp_path)
         rc = cli.main(["train", "--manifest", os.path.join(str(tmp_path), "manifest.tsv"),
