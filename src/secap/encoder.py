@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError, DimensionError
 from .nn import (
-    FeedForward, LayerNorm, Linear, MultiHeadAttention, collect_parameters,
-    expand_rows, trunc_normal,
+    FeedForward, LayerNorm, Linear, Module, MultiHeadAttention, expand_rows, trunc_normal,
 )
 from .tensor import Parameter, Tensor, add, concat, narrow, reshape, sub
 
@@ -92,7 +91,7 @@ def tokenize(images: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
     return np.ascontiguousarray(patches)
 
 
-class EncoderBlock:
+class EncoderBlock(Module):
     """Pre-norm transformer block: x + MHSA(LN(x)), then + FFN(LN(.))."""
 
     def __init__(self, name: str, cfg: EncoderConfig, rng: np.random.Generator, dtype):
@@ -106,13 +105,6 @@ class EncoderBlock:
         x = add(x, self.attn(h, h))
         return add(x, self.ffn(self.norm2(x)))
 
-    def zero_output_projections(self) -> None:
-        self.attn.wo.zero_()
-        self.ffn.fc2.zero_()
-
-    def parameters(self):
-        return collect_parameters([self.norm1, self.attn, self.norm2, self.ffn])
-
 
 def decouple_step(x: Tensor) -> Tensor:
     """Cls <- Cls - View; the view and patch tokens pass through unchanged."""
@@ -124,7 +116,7 @@ def decouple_step(x: Tensor) -> Tensor:
     return concat([sub(cls_tok, view_tok), view_tok, rest], axis=1)
 
 
-class Encoder:
+class Encoder(Module):
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, dtype=np.float32):
         self.cfg = cfg
         self.dtype = dtype
@@ -168,16 +160,3 @@ class Encoder:
             view_feat = None
         x_local = narrow(x, 1, self.cfg.num_special, self.cfg.num_patches)
         return EncoderOutput(x_inv=x_inv, view_feat=view_feat, x_local=x_local)
-
-    def zero_output_projections(self) -> None:
-        for block in self.blocks:
-            block.zero_output_projections()
-
-    def parameters(self):
-        params = list(self.proj.parameters())
-        params.append(self.cls_token)
-        if self.view_token is not None:
-            params.append(self.view_token)
-        params.append(self.pos)
-        params.extend(collect_parameters(self.blocks))
-        return params

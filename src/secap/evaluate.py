@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .data import Manifest, SampleRecord, load_images
-from .errors import DimensionError, ProtocolError
+from .errors import ContractError, DimensionError, ProtocolError
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def extract_features(model, manifest: Manifest, records: Optional[Sequence[Sampl
     if not records:
         raise ProtocolError("no records to extract features from")
     if batch_size < 1:
-        raise ProtocolError(f"batch_size must be >= 1, got {batch_size}")
+        raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     chunks: List[np.ndarray] = []
     for start in range(0, len(records), batch_size):
         batch = records[start : start + batch_size]

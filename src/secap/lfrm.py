@@ -8,13 +8,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .nn import FeedForward, MultiHeadAttention, collect_parameters, expand_rows, trunc_normal
+from .nn import FeedForward, Module, MultiHeadAttention, expand_rows, trunc_normal
 from .tensor import Parameter, Tensor, add, concat, narrow, reshape
 
 NUM_TWO_WAY_BLOCKS = 2
 
 
-class TwoWayBlock:
+class TwoWayBlock(Module):
     """Prompt-to-image then image-to-prompt attention, residual on each stream."""
 
     def __init__(self, name: str, dim: int, heads: int, ffn_mult: int,
@@ -34,17 +34,8 @@ class TwoWayBlock:
         f_local_out = add(self.ca_i2p(f_local, f_p_out), f_local)
         return f_p_out, f_local_out
 
-    def zero_output_projections(self) -> None:
-        self.sa.wo.zero_()
-        self.ca_p2i.wo.zero_()
-        self.ffn_p.fc2.zero_()
-        self.ca_i2p.wo.zero_()
 
-    def parameters(self):
-        return collect_parameters([self.sa, self.ca_p2i, self.ffn_p, self.ca_i2p])
-
-
-class Fusion:
+class Fusion(Module):
     """Decode one vector from [out_token; prompts] attending over the image
     tokens. Deliberately residual-free: a zeroed final layer yields zero."""
 
@@ -66,11 +57,8 @@ class Fusion:
     def zero_final_ffn(self) -> None:
         self.ffn.fc2.zero_()
 
-    def parameters(self):
-        return [self.out_token, *collect_parameters([self.ca, self.sa, self.ffn])]
 
-
-class LFRM:
+class LFRM(Module):
     def __init__(self, dim: int, heads: int, ffn_mult: int,
                  rng: np.random.Generator, dtype=np.float32, name: str = "lfrm"):
         self.blocks = [TwoWayBlock(f"{name}.two_way.{i}", dim, heads, ffn_mult, rng, dtype)
@@ -82,6 +70,3 @@ class LFRM:
         for block in self.blocks:
             f_p, f_i = block(f_p, f_i)
         return self.fusion(f_p, f_i)
-
-    def parameters(self):
-        return collect_parameters([*self.blocks, self.fusion])

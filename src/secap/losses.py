@@ -8,13 +8,13 @@ out of the invariant half.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DimensionError
-from .nn import Linear
+from .nn import Linear, Module
 from .tensor import (
     Tensor, add, clamp_min, linear, log_softmax_lastdim, mul, neg, softplus, sub,
     swapaxes, tabs, take_pairs, tmean, tsqrt, tsum,
@@ -32,7 +32,7 @@ class LossWeights:
             raise ConfigurationError("loss weights must be non-negative")
 
 
-class Heads:
+class Heads(Module):
     """Classifier heads over the learned features."""
 
     def __init__(self, dim: int, num_ids: int, num_views: int,
@@ -47,14 +47,6 @@ class Heads:
         self.id_global = Linear("heads.id_global", dim, num_ids, rng, dtype)
         self.id_local = Linear("heads.id_local", dim, num_ids, rng, dtype) if with_local else None
         self.view = Linear("heads.view", dim, num_views, rng, dtype) if with_view else None
-
-    def parameters(self):
-        params = list(self.id_global.parameters())
-        if self.id_local is not None:
-            params.extend(self.id_local.parameters())
-        if self.view is not None:
-            params.extend(self.view.parameters())
-        return params
 
 
 def _mean_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -140,10 +132,11 @@ class LossParts:
     orth: Optional[Tensor] = None
 
     def scalars(self) -> dict[str, float]:
+        """Each part's value by field name; an absent part reads 0.0."""
         out = {}
-        for key in ("id_g", "tri_g", "id_l", "tri_l", "view", "orth"):
-            part = getattr(self, key)
-            out[key] = float(part.item()) if part is not None else 0.0
+        for f in fields(self):
+            part = getattr(self, f.name)
+            out[f.name] = float(part.item()) if part is not None else 0.0
         return out
 
 

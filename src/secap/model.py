@@ -24,9 +24,9 @@ from .losses import (
     Heads, LossParts, LossWeights, id_ce_loss, orthogonality_loss,
     soft_triplet_loss, total_loss, view_ce_loss,
 )
-from .nn import expand_rows
+from .nn import Module, expand_rows
 from .prm import PRM, PromptBank, init_prompts
-from .tensor import Parameter, Tensor, no_grad, reshape
+from .tensor import Tensor, no_grad, reshape
 
 ABLATIONS = ("none", "no-prm", "no-vdt", "no-lfrm", "baseline")
 
@@ -69,7 +69,7 @@ class ModelOutput:
     local_feat: Optional[Tensor]
 
 
-class SeCapModel:
+class SeCapModel(Module):
     def __init__(self, cfg: ModelConfig, dtype=np.float32):
         self.cfg = cfg
         self.dtype = dtype
@@ -123,14 +123,3 @@ class SeCapModel:
             if out.local_feat is None:
                 return out.x_inv.data.copy()
             return np.concatenate([out.x_inv.data, out.local_feat.data], axis=1)
-
-    def parameters(self) -> list[Parameter]:
-        params = list(self.encoder.parameters())
-        if self.prm is not None:
-            params.extend(self.prm.parameters())
-        elif self.bank is not None:
-            params.append(self.bank.prompts)
-        if self.lfrm is not None:
-            params.extend(self.lfrm.parameters())
-        params.extend(self.heads.parameters())
-        return params

@@ -1,14 +1,15 @@
 """Layers shared by the encoder, prompt re-calibration, and refinement stages.
 
-Every layer owns named Parameters (dotted paths, unique per model) and
-exposes parameters() in a deterministic order, which fixes the optimizer
-and checkpoint layouts.
+Every layer is a Module that owns named Parameters (dotted paths, unique per
+model). Module.parameters() derives the registry from the layer's attributes
+in assignment order, so the order __init__ builds a layer in is the order of
+the optimizer and checkpoint layouts; no layer lists its parameters by hand.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -30,7 +31,35 @@ def expand_rows(token: Tensor, batch: int) -> Tensor:
     return mul(ones, token)
 
 
-class Linear:
+class Module:
+    """Base of every layer; its registry is read from the instance attributes."""
+
+    def _members(self) -> Iterator:
+        """Attribute values in assignment order, lists flattened one level."""
+        for value in vars(self).values():
+            yield from value if isinstance(value, list) else (value,)
+
+    def _walk(self) -> Iterator[Parameter]:
+        for member in self._members():
+            if isinstance(member, Parameter):
+                yield member
+            elif isinstance(member, Module):
+                yield from member._walk()
+
+    def parameters(self) -> list[Parameter]:
+        """Every Parameter under this layer, once each (a shared one is listed
+        where it is first reached), in attribute-assignment order."""
+        return list(dict.fromkeys(self._walk()))
+
+    def zero_output_projections(self) -> None:
+        """Zero the output projection of every attention (wo) and feed-forward
+        (fc2) sub-layer; a residual block then passes its input through."""
+        for member in self._members():
+            if isinstance(member, Module):
+                member.zero_output_projections()
+
+
+class Linear(Module):
     # Weights are fan-in scaled rather than flat 0.02: at desk widths (d=64)
     # the flat convention sits ~6x below unit gain, attenuating signal through
     # every projection and stalling from-scratch training. Tokens and prompts
@@ -50,11 +79,8 @@ class Linear:
         if self.bias is not None:
             self.bias.data = np.zeros_like(self.bias.data)
 
-    def parameters(self) -> list[Parameter]:
-        return [self.weight] if self.bias is None else [self.weight, self.bias]
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, name: str, dim: int, dtype=np.float32):
         self.gamma = Parameter(f"{name}.gamma", np.ones(dim), dtype=dtype)
         self.beta = Parameter(f"{name}.beta", np.zeros(dim), dtype=dtype)
@@ -62,11 +88,8 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma.tensor, self.beta.tensor)
 
-    def parameters(self) -> list[Parameter]:
-        return [self.gamma, self.beta]
 
-
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     """Scaled dot-product attention over the last two axes (tokens, features).
 
     Queries may come from a different sequence than keys/values, which covers
@@ -95,12 +118,11 @@ class MultiHeadAttention:
             self.last_attention = weights.copy()
         return self.wo(out)
 
-    def parameters(self) -> list[Parameter]:
-        return [*self.wq.parameters(), *self.wk.parameters(),
-                *self.wv.parameters(), *self.wo.parameters()]
+    def zero_output_projections(self) -> None:
+        self.wo.zero_()
 
 
-class FeedForward:
+class FeedForward(Module):
     def __init__(self, name: str, dim: int, mult: int, rng: np.random.Generator,
                  dtype=np.float32):
         self.fc1 = Linear(f"{name}.fc1", dim, dim * mult, rng, dtype)
@@ -109,12 +131,5 @@ class FeedForward:
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(gelu(self.fc1(x)))
 
-    def parameters(self) -> list[Parameter]:
-        return [*self.fc1.parameters(), *self.fc2.parameters()]
-
-
-def collect_parameters(layers: Sequence) -> list[Parameter]:
-    params: list[Parameter] = []
-    for layer in layers:
-        params.extend(layer.parameters())
-    return params
+    def zero_output_projections(self) -> None:
+        self.fc2.zero_()

@@ -11,13 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .nn import FeedForward, MultiHeadAttention, collect_parameters, expand_rows, trunc_normal
+from .nn import FeedForward, Module, MultiHeadAttention, expand_rows, trunc_normal
 from .tensor import Parameter, Tensor, add, concat, narrow, reshape
 
 VARIANTS = ("attn", "add", "cat")
 
 
-class PromptBank:
+class PromptBank(Module):
     """L learnable d-dimensional prompt vectors."""
 
     def __init__(self, prompts: Parameter):
@@ -43,7 +43,7 @@ def init_prompts(length: int, dim: int, seed: int, dtype=np.float32,
     return PromptBank(Parameter(name, trunc_normal(rng, (length, dim)), dtype=dtype))
 
 
-class PRM:
+class PRM(Module):
     def __init__(self, bank: PromptBank, variant: str, heads: int, ffn_mult: int,
                  rng: np.random.Generator, dtype=np.float32, name: str = "prm"):
         if variant not in VARIANTS:
@@ -79,13 +79,3 @@ class PRM:
             h = narrow(h, 1, 0, length)
             h = self.ffn(h)
         return add(h, prompts)
-
-    def zero_output_projections(self) -> None:
-        if self.variant == "attn":
-            self.ca.wo.zero_()
-        self.sa.wo.zero_()
-        self.ffn.fc2.zero_()
-
-    def parameters(self):
-        layers = [self.ca, self.sa, self.ffn] if self.variant == "attn" else [self.sa, self.ffn]
-        return [self.bank.prompts, *collect_parameters(layers)]

@@ -177,7 +177,11 @@ def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
         table: Dict[str, np.ndarray] = {}
         for _ in range(count):
             name_len = cur.u16("name length")
-            name = cur.take(name_len, "name").decode("utf-8")
+            at = cur.pos
+            try:
+                name = cur.take(name_len, "name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: parameter name is not UTF-8", at + exc.start) from None
             if name in table:
                 raise CheckpointError(f"{path}: duplicate parameter {name!r}")
             table[name] = _read_array(cur)

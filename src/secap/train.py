@@ -22,7 +22,7 @@ from .data import (
 )
 from .encoder import EncoderConfig
 from .errors import CheckpointError, ConfigurationError, ContractError, NumericError
-from .losses import LossWeights, orthogonality_loss
+from .losses import LossParts, LossWeights, orthogonality_loss
 from .model import ModelConfig, SeCapModel
 from .optim import SGD, cosine_lr
 from .storage import CKPT_METADATA_OFFSET, load_checkpoint, load_into, save_checkpoint
@@ -30,11 +30,10 @@ from .tensor import backward, no_grad, tape
 
 CHECKPOINT_VERSION_TAG = "secap-checkpoint"
 
-LOG_KEYS = ("loss_total", "loss_id_g", "loss_tri_g", "loss_id_l", "loss_tri_l", "loss_view", "loss_orth")
+LOG_KEYS = ("loss_total", *(f"loss_{f.name}" for f in dataclasses.fields(LossParts)))
 # the TrainConfig fields a checkpoint records (eval reads holdout and seed)
 CHECKPOINT_TRAIN_KEYS = ("epochs", "lr_max", "lr_min", "p", "k", "seed", "momentum", "weight_decay",
                          "warmup_steps", "holdout")
-_PART_KEYS = {"loss_id_g": "id_g", "loss_tri_g": "tri_g", "loss_id_l": "id_l", "loss_tri_l": "tri_l", "loss_view": "view", "loss_orth": "orth"}
 
 
 @dataclass(frozen=True)
@@ -118,12 +117,12 @@ def model_from_checkpoint(path) -> Tuple[SeCapModel, dict]:
             raise TypeError(f"train holdout {holdout!r} is not a number in [0, 1)")
         if holdout > 0.0 and not isinstance(run.get("seed"), int):
             raise TypeError(f"train seed {run.get('seed')!r} is not an int")
-    except (KeyError, TypeError) as exc:
+        model = SeCapModel(cfg)
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
             f"{path}: malformed metadata (byte offset {CKPT_METADATA_OFFSET}): "
             f"{type(exc).__name__} {exc}"
         ) from None
-    model = SeCapModel(cfg)
     load_into(model.parameters(), table)
     return model, meta
 
@@ -176,9 +175,8 @@ def train(
             opt.step()
             step += 1
             sums["loss_total"] += value
-            scalars = parts.scalars()
-            for key, part in _PART_KEYS.items():
-                sums[key] += scalars[part]
+            for part, part_value in parts.scalars().items():
+                sums[f"loss_{part}"] += part_value
         means = {key: sums[key] / steps_per_epoch for key in LOG_KEYS}
         history.append({"epoch": epoch, "lr": lr, **means})
         if log is not None:

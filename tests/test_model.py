@@ -8,6 +8,7 @@ from secap.errors import ConfigurationError
 from secap.gradcheck import check_parameter_gradients
 from secap.losses import LossWeights
 from secap.model import ABLATIONS, ModelConfig, SeCapModel
+from secap.prm import VARIANTS
 from secap.tensor import tape
 
 MICRO_ENC = dict(image_h=16, image_w=16, embed_dim=16, depth=1, heads=2, ffn_mult=2)
@@ -18,6 +19,45 @@ def micro_cfg(**kw):
     merged = dict(encoder=enc, num_ids=2, num_views=2, prompt_len=4, seed=0)
     merged.update(kw)
     return ModelConfig(**merged)
+
+
+def _attn(prefix):
+    return [f"{prefix}.{w}.{k}" for w, k in (("wq", "weight"), ("wq", "bias"), ("wk", "weight"),
+                                              ("wv", "weight"), ("wv", "bias"),
+                                              ("wo", "weight"), ("wo", "bias"))]
+
+
+def _ffn(prefix):
+    return [f"{prefix}.{fc}.{k}" for fc in ("fc1", "fc2") for k in ("weight", "bias")]
+
+
+def expected_layout(ablate, variant):
+    """The checkpoint's parameter order for a depth-1 model, as the layers
+    listed it by hand before the registry was derived from attributes."""
+    vdt = ablate not in ("no-vdt", "baseline")
+    lfrm = ablate not in ("no-lfrm", "baseline")
+    names = ["encoder.proj.weight", "encoder.proj.bias", "encoder.cls",
+             *(["encoder.view"] if vdt else []), "encoder.pos",
+             "encoder.blocks.0.norm1.gamma", "encoder.blocks.0.norm1.beta",
+             *_attn("encoder.blocks.0.attn"),
+             "encoder.blocks.0.norm2.gamma", "encoder.blocks.0.norm2.beta",
+             *_ffn("encoder.blocks.0.ffn")]
+    if lfrm:
+        names.append("prm.prompts")
+        if ablate != "no-prm":
+            names += [*(_attn("prm.ca") if variant == "attn" else []), *_attn("prm.sa"), *_ffn("prm.ffn")]
+        for i in range(2):
+            block = f"lfrm.two_way.{i}"
+            names += [*_attn(f"{block}.sa"), *_attn(f"{block}.ca_p2i"), *_ffn(f"{block}.ffn_p"),
+                      *_attn(f"{block}.ca_i2p")]
+        names += ["lfrm.fusion.out_token", *_attn("lfrm.fusion.ca"), *_attn("lfrm.fusion.sa"),
+                  *_ffn("lfrm.fusion.ffn")]
+    names += ["heads.id_global.weight", "heads.id_global.bias"]
+    if lfrm:
+        names += ["heads.id_local.weight", "heads.id_local.bias"]
+    if vdt:
+        names += ["heads.view.weight", "heads.view.bias"]
+    return names
 
 
 def micro_batch(rng, b=4):
@@ -55,6 +95,12 @@ class TestRegistry:
         backward(total)
         missing = [p.name for p in model.parameters() if p.grad is None]
         assert not missing, missing
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("ablate", ABLATIONS)
+    def test_parameter_order_is_the_checkpoint_layout(self, ablate, variant):
+        model = SeCapModel(micro_cfg(ablate=ablate, prm_variant=variant))
+        assert [p.name for p in model.parameters()] == expected_layout(ablate, variant)
 
     def test_unknown_ablation_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,11 +1,16 @@
-"""Shared layers: initialization, the Linear op and multi-head attention."""
+"""Shared layers: initialization, the parameter registry, the Linear op and
+multi-head attention."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from secap.nn import Linear, MultiHeadAttention, trunc_normal
-from secap.tensor import Tensor, tape
+import secap.nn
+from secap.nn import Linear, Module, MultiHeadAttention, trunc_normal
+from secap.tensor import Parameter, Tensor, tape
 
 
 def scipy_trunc_normal(seed, shape, std):
@@ -35,6 +40,32 @@ class TestTruncNormal:
         x = trunc_normal(np.random.default_rng(3), (100_000,), 0.5)
         assert np.abs(x).max() <= 1.0
         assert abs(x.std() - 0.5 * 0.8796) < 0.005  # std of N(0,1) cut at +-2
+
+
+class TestModule:
+    def test_parameter_reached_twice_is_listed_once(self, rng):
+        class Pair(Module):
+            def __init__(self):
+                self.first = Linear("first", 2, 2, rng)
+                self.tied = Parameter("tied", np.zeros(2))
+                self.second = [Linear("second", 2, 2, rng)]
+                self.second[0].bias = self.tied  # the same object, held by two layers
+
+        pair = Pair()
+        assert [p.name for p in pair.parameters()] == [
+            "first.weight", "first.bias", "tied", "second.weight"]
+
+    def test_no_layer_lists_its_own_parameters(self):
+        """Module.parameters() is the one registry; no layer writes its own."""
+        src = Path(secap.nn.__file__).parent
+        overrides = []
+        for path in src.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ClassDef) and node.name != "Module":
+                    overrides += [f"{path.name}:{node.name}" for item in node.body
+                                  if isinstance(item, ast.FunctionDef) and item.name == "parameters"]
+        assert overrides == []
+        assert not hasattr(secap.nn, "collect_parameters")
 
 
 class TestLinearLayer:

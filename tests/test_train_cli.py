@@ -26,7 +26,9 @@ from secap.errors import CheckpointError, ConfigurationError, ContractError, Num
 from secap.evaluate import cmc_map, distance_matrix, extract_features
 from secap.losses import LossWeights
 from secap.model import ModelConfig, SeCapModel
-from secap.storage import CKPT_MAGIC, CKPT_VERSION, load_checkpoint, load_rten, save_checkpoint, save_rten
+from secap.storage import (
+    CKPT_MAGIC, CKPT_METADATA_OFFSET, CKPT_VERSION, load_checkpoint, load_rten, save_checkpoint, save_rten,
+)
 from secap.tensor import tape
 from secap.train import (
     LOG_KEYS,
@@ -337,6 +339,17 @@ class TestCliPipeline:
         assert [int(first[0]), int(first[1]), int(first[2])] == [
             manifest.records[0].identity, manifest.records[0].camera, manifest.records[0].view]
 
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", "--batch-size"), ("export-features", "--batch-size"), ("eval", "--queries-per-view"),
+    ], ids=["eval-batch-size", "export-batch-size", "eval-queries-per-view"])
+    def test_zero_count_flag_is_usage(self, cli_pipeline, capsys, command, flag):
+        argv = [command, "--checkpoint", cli_pipeline["checkpoint"],
+                "--manifest", cli_pipeline["manifest"], flag, "0"]
+        if command == "export-features":
+            argv += ["--out", str(cli_pipeline["root"] / "zero")]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert "configuration error" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def micro_checkpoint(tmp_path_factory):
@@ -411,6 +424,35 @@ class TestCliErrors:
         assert rc == cli.EXIT_IO
         err = capsys.readouterr().err
         assert "train" in err and "byte offset" in err
+
+    def test_non_utf8_parameter_name_is_io(self, micro_checkpoint, tmp_path, capsys):
+        raw = bytearray(open(micro_checkpoint, "rb").read())
+        at = raw.index(b"encoder.proj.weight")
+        raw[at] = 0xFF
+        ckpt = tmp_path / "bad-name.ckpt"
+        ckpt.write_bytes(bytes(raw))
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("#secap-manifest v1\n")
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)])
+        assert rc == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and f"(byte offset {at})" in err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("encoder", "depth", "1"), ("encoder", "embed_dim", 16.0), ("encoder", "embed_dim", -16),
+        ("model", "prm_variant", "mean"),
+    ], ids=["string-depth", "float-width", "negative-width", "unknown-variant"])
+    def test_malformed_geometry_metadata_is_io(self, tmp_path, capsys, section, key, value):
+        model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2, seed=1))
+        meta = checkpoint_metadata(model, None, 0, [0, 1])
+        meta[section] = {**meta[section], key: value}
+        ckpt = tmp_path / "bad-geometry.ckpt"
+        save_checkpoint(str(ckpt), model.parameters(), meta)
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("#secap-manifest v1\n")
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)])
+        assert rc == cli.EXIT_IO
+        assert f"malformed metadata (byte offset {CKPT_METADATA_OFFSET})" in capsys.readouterr().err
 
     def test_mixed_image_sizes_in_training_is_io(self, tmp_path, capsys):
         cfg = SynthConfig(num_ids=4, images_per_id_per_view=2, image_h=16, image_w=16, seed=9)
