@@ -9,6 +9,7 @@ any other view is rejected when it is made.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -524,6 +525,8 @@ class SynthConfig:
             raise ConfigurationError("image must be at least 8x8")
         if self.num_distractors < 0:
             raise ConfigurationError("num_distractors must be >= 0")
+        if not math.isfinite(self.view_strength):
+            raise ConfigurationError(f"view_strength must be finite, got {self.view_strength}")
 
 
 def _mode_table(h: int, w: int) -> np.ndarray:

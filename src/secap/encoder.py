@@ -40,6 +40,8 @@ class EncoderConfig:
     def __post_init__(self):
         if self.stride is None:
             object.__setattr__(self, "stride", OLP_STRIDE if self.olp_enabled else DEFAULT_STRIDE)
+        if self.heads < 1 or self.ffn_mult < 1:
+            raise ConfigurationError(f"heads and ffn_mult must be >= 1, got {self.heads} and {self.ffn_mult}")
         if self.embed_dim % self.heads != 0:
             raise ConfigurationError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")

@@ -419,15 +419,72 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _make(xhat * gamma.data + beta.data, (x, gamma, beta), rule)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Exact Gaussian-error formulation x * Phi(x)."""
-    x = a.data
-    phi_cdf = 0.5 * (1.0 + _erf(x / math.sqrt(2.0)))
-    data = x * phi_cdf
+# Eigen's float32 rational erf (generic_fast_erf_float, which XLA also uses):
+# erf(z) = z P(z^2) / Q(z^2) on z clamped to [-4, 4], where float32 erf is +-1.
+# Phi from it is within 2.3e-7 of float64 erf; coefficients highest power first.
+_ERF_P = tuple(np.float32(c) for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06, -5.69250639462346e-05,
+    -7.34990630326855e-04, -2.95459980854025e-03, -1.60960333262415e-02))
+_ERF_Q = tuple(np.float32(c) for c in (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
+    -1.42647390514189e-02))
+# halving P's coefficients is exact, so 0.5 + z (P/2) / Q is 0.5 (1 + erf(z)) to the bit
+_HALF_ERF_P = tuple(c * np.float32(0.5) for c in _ERF_P)
+_GELU_BLOCK = 1 << 15  # values per block: a block's buffers stay in a 2 MB L2
 
-    def rule(g):
-        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        return (g * (phi_cdf + x * pdf),)
+
+def _horner(coeffs, z2: np.ndarray, out: np.ndarray) -> None:
+    """out = the polynomial `coeffs` (highest power first) at z2, in place."""
+    np.multiply(z2, coeffs[0], out=out)
+    for c in coeffs[1:-1]:
+        out += c
+        out *= z2
+    out += coeffs[-1]
+
+
+def _gelu_f32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x * Phi(x) and Phi(x) for float32 x, block by block with the rational erf."""
+    flat = x.reshape(-1)
+    out, phi = np.empty_like(flat), np.empty_like(flat)
+    z, z2, q = (np.empty(min(flat.size, _GELU_BLOCK), np.float32) for _ in range(3))
+    for start in range(0, flat.size, _GELU_BLOCK):
+        xb = flat[start:start + _GELU_BLOCK]
+        n = xb.size
+        zb, z2b, qb, pb = z[:n], z2[:n], q[:n], phi[start:start + n]
+        np.multiply(xb, np.float32(1.0 / math.sqrt(2.0)), out=zb)
+        np.clip(zb, -4.0, 4.0, out=zb)
+        np.multiply(zb, zb, out=z2b)
+        _horner(_HALF_ERF_P, z2b, out=pb)
+        pb *= zb
+        _horner(_ERF_Q, z2b, out=qb)
+        pb /= qb  # erf(z) / 2
+        pb += 0.5
+        np.multiply(xb, pb, out=out[start:start + n])
+    return out.reshape(x.shape), phi.reshape(x.shape)
+
+
+def gelu(a: Tensor) -> Tensor:
+    """Exact Gaussian-error formulation x * Phi(x).
+
+    float32 takes Phi from the blocked rational erf above; float64 (gradient
+    checks) keeps scipy's erf.
+    """
+    x = a.data
+    if x.dtype == np.float32:
+        data, phi_cdf = _gelu_f32(x)
+    else:
+        phi_cdf = 0.5 * (1.0 + _erf(x / math.sqrt(2.0)))
+        data = x * phi_cdf
+
+    def rule(g):  # g * (Phi + x * exp(-x^2 / 2) / sqrt(2 pi)), in one buffer
+        t = x * -0.5
+        t *= x
+        np.exp(t, out=t)
+        t /= math.sqrt(2.0 * math.pi)
+        t *= x
+        t += phi_cdf
+        t *= g
+        return (t,)
 
     return _make(data, (a,), rule)
 

@@ -62,6 +62,8 @@ class TrainConfig:
             raise ConfigurationError(f"P and K must be >= 1, got P={self.p} K={self.k}")
         if self.checkpoint_every < 1:
             raise ConfigurationError("checkpoint_every must be >= 1")
+        if not 0.0 <= self.holdout < 1.0:  # the range model_from_checkpoint accepts
+            raise ConfigurationError(f"holdout must be in [0, 1), got {self.holdout}")
 
 
 @dataclass

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 
 import secap.tensor
 from secap.errors import ConfigurationError, ContractError, DimensionError, NumericError
@@ -371,6 +372,55 @@ class TestGelu:
 
     def test_deep_negative_tail(self):
         assert abs(gelu(t64([-10.0])).data[0]) < 1e-6
+
+    @staticmethod
+    def phi64(x):
+        return 0.5 * (1.0 + scipy.special.erf(x.astype(np.float64) / math.sqrt(2.0)))
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 77)],
+                             ids=["one", "block-1", "block", "block+1", "three-blocks-and-tail"])
+    def test_float32_phi_within_3e7_across_block_boundaries(self, blocks, extra):
+        n = blocks * secap.tensor._GELU_BLOCK + extra
+        x = np.linspace(-8.0, 8.0, n, dtype=np.float32)
+        out, phi = secap.tensor._gelu_f32(x)
+        assert phi.dtype == np.float32 and phi.shape == x.shape
+        assert np.abs(phi - self.phi64(x)).max() <= 3e-7
+        np.testing.assert_array_equal(out, x * phi)
+        np.testing.assert_array_equal(gelu(Tensor(x)).data, out)
+
+    def test_float32_special_values_match_float64_path(self):
+        x = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0], dtype=np.float64)
+        with np.errstate(invalid="ignore"):
+            got = gelu(Tensor(x.astype(np.float32))).data
+            want = gelu(t64(x)).data
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want.astype(np.float32))
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_float32_backward_is_the_reference_formula(self, rng):
+        x = rng.standard_normal((4, 10, 33)).astype(np.float32) * np.float32(3.0)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        _, phi = secap.tensor._gelu_f32(x)
+        gelu(Tensor(x, requires_grad=True))
+        (got,) = tape().entries[0].backward_rule(g)
+        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        want = g * (phi + x * pdf)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+
+    def test_float32_records_one_gelu_entry(self, rng):
+        gelu(Tensor(rng.standard_normal((2, 3)).astype(np.float32), requires_grad=True))
+        assert len(tape().entries) == 1
+        assert tape().entries[0].backward_rule.__qualname__.startswith("gelu.")
+
+    def test_float32_nan_is_named_under_debug_checks(self):
+        set_debug_checks(True)
+        try:
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(NumericError, match=r"op 'gelu' at index \(1,\)"):
+                gelu(Tensor(np.array([1.0, np.nan], dtype=np.float32)))
+        finally:
+            set_debug_checks(False)
 
 
 class TestBackward:

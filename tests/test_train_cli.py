@@ -497,6 +497,26 @@ class TestCliErrors:
         offset = sum(len(line) + 1 for line in lines[:row])
         assert "view" in err and f"(byte offset {offset})" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--holdout", "-0.5"), ("--holdout", "1.0"), ("--heads", "0"), ("--ffn-mult", "0"),
+    ], ids=["negative-holdout", "holdout-one", "zero-heads", "zero-ffn-mult"])
+    def test_out_of_range_train_flag_is_usage(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        rc = cli.main(["train", "--manifest", _tiny_manifest(tmp_path), "--out", str(out),
+                       "--epochs", "1", "--p", "2", "--k", "1", "--patch", "16"] + MICRO_FLAGS + [flag, value])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+        assert not out.exists()  # rejected before any checkpoint is written
+
+    @pytest.mark.parametrize("strength", ["nan", "inf"])
+    def test_non_finite_strength_is_usage(self, tmp_path, capsys, strength):
+        rc = cli.main(["gen-data", "--out", str(tmp_path / "c"), "--ids", "2", "--per-view", "1",
+                       "--image-h", "16", "--image-w", "16", "--strength", strength])
+        assert rc == cli.EXIT_USAGE
+        assert "view_strength must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
     def test_nan_loss_is_numeric(self, tmp_path, capsys):
         manifest = poisoned_corpus(tmp_path)
         rc = cli.main(["train", "--manifest", os.path.join(str(tmp_path), "manifest.tsv"),
