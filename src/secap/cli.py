@@ -130,7 +130,7 @@ def build_parser() -> _Parser:
     c.add_argument("--variant", "--prm-variant", dest="prm_variant", choices=PRM_VARIANTS)
     c.add_argument("--olp", dest="olp_enabled", action="store_true")
     c.add_argument("--seed", type=int)
-    c.add_argument("--coords", type=int, default=2, help="probed coordinates per parameter")
+    c.add_argument("--coords", type=int, default=2, help="probed coordinates per parameter; 0 probes every coordinate")
     c.add_argument("--tol", type=float, default=1e-4)
     c.add_argument("--ablate", choices=ABLATIONS)
 
@@ -187,6 +187,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    if args.coords < 0 or not 0.0 < args.tol < np.inf:
+        raise ConfigurationError(f"need --coords >= 0 and a finite --tol > 0, got {args.coords} and {args.tol}")
     cfg = _config(ModelConfig, args, encoder=_config(EncoderConfig, args))
     model = SeCapModel(cfg, dtype=np.float64)
     params = model.parameters()

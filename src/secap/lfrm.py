@@ -50,9 +50,9 @@ class Fusion(Module):
         b, _, d = f_p.shape
         seq = concat([expand_rows(self.out_token.tensor, b), f_p], axis=1)
         h = self.ca(seq, f_i)
-        h = self.sa(h, h)
-        h = self.ffn(h)
-        return reshape(narrow(h, 1, 0, 1), (b, d))
+        # only the output token's row is read out, so it alone queries [out_token; prompts]
+        h = self.sa(narrow(h, 1, 0, 1), h)
+        return reshape(self.ffn(h), (b, d))
 
     def zero_final_ffn(self) -> None:
         self.ffn.fc2.zero_()

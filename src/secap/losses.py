@@ -28,8 +28,8 @@ class LossWeights:
     lam: float = 0.001   # view classification + orthogonality
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.lam < 0:
-            raise ConfigurationError("loss weights must be non-negative")
+        if not all(0.0 <= w < np.inf for w in (self.alpha, self.beta, self.lam)):
+            raise ConfigurationError(f"loss weights must be finite and non-negative, got {self}")
 
 
 class Heads(Module):

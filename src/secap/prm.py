@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError
 from .nn import FeedForward, Module, MultiHeadAttention, expand_rows, trunc_normal
-from .tensor import Parameter, Tensor, add, concat, narrow, reshape
+from .tensor import Parameter, Tensor, add, concat, reshape
 
 VARIANTS = ("attn", "add", "cat")
 
@@ -65,17 +65,9 @@ class PRM(Module):
         length = self.bank.length
         prompts = expand_rows(reshape(self.bank.prompts.tensor, (1, length, d)), b)
         x_row = reshape(x_inv, (b, 1, d))
-        if self.variant == "attn":
-            h = self.ca(prompts, x_row)
+        if self.variant == "cat":  # prompts attend over [prompts; x_inv]; no x_inv row is kept
+            h = self.sa(prompts, concat([prompts, x_row], axis=1))
+        else:
+            h = self.ca(prompts, x_row) if self.variant == "attn" else add(prompts, x_row)
             h = self.sa(h, h)
-            h = self.ffn(h)
-        elif self.variant == "add":
-            h = add(prompts, x_row)
-            h = self.sa(h, h)
-            h = self.ffn(h)
-        else:  # cat: calibrate over [prompts; x_inv], then drop the x_inv row
-            seq = concat([prompts, x_row], axis=1)
-            h = self.sa(seq, seq)
-            h = narrow(h, 1, 0, length)
-            h = self.ffn(h)
-        return add(h, prompts)
+        return add(self.ffn(h), prompts)

@@ -54,10 +54,14 @@ class TrainConfig:
     augment_policy: AugmentPolicy = field(default_factory=AugmentPolicy)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr_min > self.lr_max:
-            raise ConfigurationError(f"lr_min {self.lr_min} exceeds lr_max {self.lr_max}")
+        if self.epochs < 1 or self.warmup_steps < 0:
+            raise ConfigurationError(f"need epochs >= 1, warmup_steps >= 0; got {self.epochs}, {self.warmup_steps}")
+        # a chained comparison is False for nan, so each range below rejects it too
+        if not (0.0 < self.lr_max < np.inf and 0.0 <= self.lr_min <= self.lr_max):
+            raise ConfigurationError(f"need 0 <= lr_min <= lr_max < inf, lr_max > 0; got {self.lr_min}, {self.lr_max}")
+        if not (0.0 <= self.momentum < 1.0 and 0.0 <= self.weight_decay < np.inf):
+            raise ConfigurationError(f"need momentum in [0, 1), weight_decay in [0, inf); "
+                                     f"got {self.momentum}, {self.weight_decay}")
         if self.p < 1 or self.k < 1:
             raise ConfigurationError(f"P and K must be >= 1, got P={self.p} K={self.k}")
         if self.checkpoint_every < 1:

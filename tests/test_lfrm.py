@@ -4,7 +4,8 @@ import pytest
 from secap.errors import DimensionError
 from secap.gradcheck import check_parameter_gradients
 from secap.lfrm import LFRM, Fusion, TwoWayBlock
-from secap.tensor import Tensor, mul, tsum
+from secap.nn import expand_rows
+from secap.tensor import Tensor, backward, concat, mul, narrow, reshape, tsum
 
 L, P, D, HEADS = 6, 8, 16, 2
 
@@ -61,11 +62,26 @@ class TestFusion:
         assert not out.data.any()
 
     def test_internal_sequence_includes_out_token(self, rng):
+        # the output token is the only query; it attends over [out_token; prompts]
         fusion = Fusion("f", D, HEADS, 2, rng)
         fusion.sa.capture_attention = True
         f_p, f_i = streams(rng)
         fusion(f_p, f_i)
-        assert fusion.sa.last_attention.shape == (2, HEADS, L + 1, L + 1)
+        assert fusion.sa.last_attention.shape == (2, HEADS, 1, L + 1)
+
+    def test_ffn_runs_on_the_output_token_alone(self, rng, monkeypatch):
+        fusion = Fusion("f", D, HEADS, 2, rng)
+        seen = []
+        fc1 = fusion.ffn.fc1
+
+        def spy(x):
+            seen.append(x.shape)
+            return fc1(x)
+
+        monkeypatch.setattr(fusion.ffn, "fc1", spy)
+        f_p, f_i = streams(rng, b=3)
+        fusion(f_p, f_i)
+        assert seen == [(3, 1, D)]
 
     def test_invariant_to_image_token_permutation(self, rng):
         fusion = Fusion("f", D, HEADS, 2, rng, dtype=np.float64)
@@ -74,6 +90,55 @@ class TestFusion:
         perm = rng.permutation(P)
         moved = fusion(f_p, Tensor(f_i.data[:, perm])).data
         np.testing.assert_allclose(moved, base, atol=1e-5)
+
+
+def full_sequence_fusion(fusion, f_p, f_i):
+    """Oracle: every row of [out_token; prompts] runs through sa and the FFN,
+    then only the output token's row is kept."""
+    b, _, d = f_p.shape
+    seq = concat([expand_rows(fusion.out_token.tensor, b), f_p], axis=1)
+    h = fusion.ca(seq, f_i)
+    h = fusion.ffn(fusion.sa(h, h))
+    return reshape(narrow(h, 1, 0, 1), (b, d))
+
+
+def relative_error(new, old):
+    return np.abs(new - old).max() / np.abs(old).max()
+
+
+def gradients(fusion, f_p, f_i, out, probe):
+    """Every parameter's and input's gradient of sum(out * probe), flattened."""
+    leaves = [p.tensor for p in fusion.parameters()] + [f_p, f_i]
+    for t in leaves:
+        t.zero_grad()
+    backward(tsum(mul(out, probe)))
+    return np.concatenate([t.grad.ravel() for t in leaves])
+
+
+# (B, L, P, heads): single batch row, single prompt, single image token, 1 and 2 heads
+ORACLE_SHAPES = [(1, 1, 1, 1), (1, 1, 1, 2), (1, 6, 8, 1), (2, 1, 8, 2), (3, 4, 1, 2), (2, 6, 8, 2)]
+
+
+class TestFusionMatchesFullSequence:
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("b,length,patches,heads", ORACLE_SHAPES)
+    def test_output(self, b, length, patches, heads, dtype, rtol, rng):
+        fusion = Fusion("f", D, heads, 2, rng, dtype=dtype)
+        f_p = Tensor(rng.standard_normal((b, length, D)).astype(dtype))
+        f_i = Tensor(rng.standard_normal((b, patches, D)).astype(dtype))
+        out = fusion(f_p, f_i)
+        assert out.shape == (b, D) and out.dtype == dtype
+        assert relative_error(out.data, full_sequence_fusion(fusion, f_p, f_i).data) <= rtol
+
+    @pytest.mark.parametrize("b,length,patches,heads", ORACLE_SHAPES)
+    def test_gradients(self, b, length, patches, heads, rng):
+        fusion = Fusion("f", D, heads, 2, rng, dtype=np.float64)
+        f_p = Tensor(rng.standard_normal((b, length, D)), requires_grad=True)
+        f_i = Tensor(rng.standard_normal((b, patches, D)), requires_grad=True)
+        probe = Tensor(rng.standard_normal((b, D)))
+        new = gradients(fusion, f_p, f_i, fusion(f_p, f_i), probe)
+        old = gradients(fusion, f_p, f_i, full_sequence_fusion(fusion, f_p, f_i), probe)
+        assert relative_error(new, old) <= 1e-12
 
 
 class TestLFRM:

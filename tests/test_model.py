@@ -174,6 +174,10 @@ class TestTapeBudget:
         "swapaxes": 4, "tabs": 1, "take_pairs": 7, "tsqrt": 2, "tsum": 9,
     }
 
+    # bytes of every recorded output; fusion's sa and FFN keep only the output
+    # token's row, where the full [out_token; prompts] sequence took 90,908
+    EXPECTED_BYTES = 82_716
+
     def test_entries_per_op(self, rng):
         images, ids, views = micro_batch(rng)
         SeCapModel(micro_cfg()).compute_losses(images, ids, views, LossWeights())
@@ -181,14 +185,23 @@ class TestTapeBudget:
         assert dict(counts) == self.EXPECTED
         assert sum(counts.values()) == 169
 
+    def test_recorded_output_bytes(self, rng):
+        images, ids, views = micro_batch(rng)
+        SeCapModel(micro_cfg()).compute_losses(images, ids, views, LossWeights())
+        assert sum(e.output.data.nbytes for e in tape().entries) == self.EXPECTED_BYTES
+
 
 class TestMicroBatchGradient:
-    def test_full_loss_two_image_batch(self, rng):
+    @staticmethod
+    def worst_error(rng, **cfg):
         """Whole-model analytic gradients vs central differences, tiny config."""
         from secap.gradcheck import randomize_for_gradcheck
-        model = SeCapModel(micro_cfg(), dtype=np.float64)
+        # two patches: with one, fusion.ca has a single key and emits identical
+        # rows, so fusion.sa's query and key gradients are zero by construction
+        enc = EncoderConfig(**{**MICRO_ENC, "image_w": 32})
+        model = SeCapModel(micro_cfg(encoder=enc, **cfg), dtype=np.float64)
         randomize_for_gradcheck(model.parameters(), seed=2)
-        images = rng.standard_normal((2, 3, 16, 16))
+        images = rng.standard_normal((2, 3, 16, 32))
         ids = np.array([0, 1])
         views = np.array([0, 1])
         weights = LossWeights()
@@ -199,4 +212,13 @@ class TestMicroBatchGradient:
 
         worst, name, _ = check_parameter_gradients(
             model.parameters(), loss_fn, coords_per_param=3, seed=11)
+        return worst, name
+
+    def test_full_loss_two_image_batch(self, rng):
+        worst, name = self.worst_error(rng)
+        assert worst < 1e-4, name
+
+    @pytest.mark.parametrize("variant", ["add", "cat"])
+    def test_full_loss_other_prm_variants(self, rng, variant):
+        worst, name = self.worst_error(rng, prm_variant=variant)
         assert worst < 1e-4, name

@@ -3,8 +3,9 @@ import pytest
 
 from secap.errors import ConfigurationError, DimensionError
 from secap.gradcheck import finite_diff_check
+from secap.nn import expand_rows
 from secap.prm import PRM, PromptBank, VARIANTS, init_prompts
-from secap.tensor import Parameter, Tensor, tsum
+from secap.tensor import Parameter, Tensor, add, backward, concat, mul, narrow, reshape, tsum
 
 L, D, HEADS = 8, 16, 2
 
@@ -88,3 +89,50 @@ class TestCalibration:
         assert not any(".ca." in n for n in names)
         attn_names = {p.name for p in make_prm("attn", rng).parameters()}
         assert any(".ca." in n for n in attn_names)
+
+
+def full_sequence_cat(prm, x_inv):
+    """Oracle: calibrate every row of [prompts; x_inv], then drop the x_inv row."""
+    b, d = x_inv.shape
+    length = prm.bank.length
+    prompts = expand_rows(reshape(prm.bank.prompts.tensor, (1, length, d)), b)
+    seq = concat([prompts, reshape(x_inv, (b, 1, d))], axis=1)
+    h = narrow(prm.sa(seq, seq), 1, 0, length)
+    return add(prm.ffn(h), prompts)
+
+
+def relative_error(new, old):
+    return np.abs(new - old).max() / np.abs(old).max()
+
+
+def gradients(prm, x_inv, out, probe):
+    """Every parameter's and the input's gradient of sum(out * probe), flattened."""
+    leaves = [p.tensor for p in prm.parameters()] + [x_inv]
+    for t in leaves:
+        t.zero_grad()
+    backward(tsum(mul(out, probe)))
+    return np.concatenate([t.grad.ravel() for t in leaves])
+
+
+# (B, L, heads): single batch row, single prompt, 1 and 2 heads
+ORACLE_SHAPES = [(1, 1, 1), (1, 1, 2), (1, 8, 1), (3, 1, 2), (2, 8, 2)]
+
+
+class TestCatMatchesFullSequence:
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
+    def test_output(self, b, length, heads, dtype, rtol, rng):
+        prm = PRM(init_prompts(length, D, 5, dtype=dtype), "cat", heads, 2, rng, dtype)
+        x_inv = Tensor(rng.standard_normal((b, D)).astype(dtype))
+        out = prm(x_inv)
+        assert out.shape == (b, length, D) and out.dtype == dtype
+        assert relative_error(out.data, full_sequence_cat(prm, x_inv).data) <= rtol
+
+    @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
+    def test_gradients(self, b, length, heads, rng):
+        prm = PRM(init_prompts(length, D, 5, dtype=np.float64), "cat", heads, 2, rng, np.float64)
+        x_inv = Tensor(rng.standard_normal((b, D)), requires_grad=True)
+        probe = Tensor(rng.standard_normal((b, length, D)))
+        new = gradients(prm, x_inv, prm(x_inv), probe)
+        old = gradients(prm, x_inv, full_sequence_cat(prm, x_inv), probe)
+        assert relative_error(new, old) <= 1e-12

@@ -509,6 +509,21 @@ class TestCliErrors:
         assert "configuration error" in err and "Traceback" not in err
         assert not out.exists()  # rejected before any checkpoint is written
 
+    @pytest.mark.parametrize("flags", [
+        ["--lr-max", "nan"], ["--lr-max", "inf"], ["--lr-max", "-1", "--lr-min", "-2"],
+        ["--momentum", "nan"], ["--weight-decay", "nan"], ["--alpha", "nan"], ["--lambda", "inf"],
+        ["--warmup-steps", "-5"],
+    ], ids=["lr-max-nan", "lr-max-inf", "negative-lr", "momentum-nan", "weight-decay-nan",
+            "alpha-nan", "lambda-inf", "negative-warmup"])
+    def test_bad_rate_or_weight_is_usage_before_any_step(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        rc = cli.main(["train", "--manifest", _tiny_manifest(tmp_path), "--out", str(out),
+                       "--epochs", "1", "--p", "2", "--k", "1", "--patch", "16"] + MICRO_FLAGS + flags)
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("strength", ["nan", "inf"])
     def test_non_finite_strength_is_usage(self, tmp_path, capsys, strength):
         rc = cli.main(["gen-data", "--out", str(tmp_path / "c"), "--ids", "2", "--per-view", "1",
@@ -604,6 +619,18 @@ class TestCliGradCheck:
         assert rc == cli.EXIT_OK
         assert "max relative error" in out
         assert "grad-check: PASS" in out
+
+    @pytest.mark.parametrize("flags", [
+        ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"], ["--tol=-1e-4"], ["--coords", "-1"],
+    ], ids=["tol-nan", "tol-inf", "tol-zero", "tol-negative", "coords-negative"])
+    def test_bad_flag_is_usage_before_any_probe(self, capsys, monkeypatch, flags):
+        probed = []
+        monkeypatch.setattr(cli, "check_parameter_gradients",
+                            lambda *a, **kw: probed.append(kw) or (0.0, "none", None))
+        assert cli.main(["grad-check", "--seed", "0"] + flags) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err and "grad-check" not in captured.out
+        assert not probed
 
     def test_corrupted_backward_fails(self, capsys, monkeypatch):
         # negative control: scale one backward reduction and the check must fail
