@@ -51,7 +51,7 @@ from .storage import (
     save_checkpoint,
     save_rten,
 )
-from .tensor import Parameter, Tensor, backward, no_grad
+from .tensor import Parameter, Tensor, backward, recording
 from .train import TrainConfig, TrainResult, held_out_orthogonality, model_from_checkpoint, train
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .data import Manifest, SampleRecord, load_images
-from .errors import ContractError, DimensionError, ProtocolError
+from .errors import ContractError, DimensionError, NumericError, ProtocolError
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,9 @@ def extract_features(model, manifest: Manifest, records: Optional[Sequence[Sampl
         batch = records[start : start + batch_size]
         chunks.append(model.inference_features(load_images(manifest, batch)))
     feats = np.concatenate(chunks, axis=0)
+    bad = ~np.isfinite(feats).all(axis=1)
+    if bad.any():
+        raise NumericError(f"non-finite features for {manifest.resolve(records[int(np.argmax(bad))])}")
     return FeatureSet(
         ids=[r.identity for r in records],
         cameras=[r.camera for r in records],

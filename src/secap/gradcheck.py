@@ -11,7 +11,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ContractError
-from .tensor import Parameter, Tensor, backward, no_grad
+from .tensor import Parameter, Tensor, backward, recording
 
 
 def _relative_error(analytic: float, numeric: float) -> float:
@@ -56,10 +56,11 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor,
         raise ContractError(f"gradient checking requires float64 input, got {x.dtype}")
     x.requires_grad = True
     x.zero_grad()
-    out = f(x)
-    if out.data.size != 1:
-        raise ContractError(f"checked function must return a scalar, got shape {out.shape}")
-    backward(out)
+    with recording():
+        out = f(x)
+        if out.data.size != 1:
+            raise ContractError(f"checked function must return a scalar, got shape {out.shape}")
+        backward(out)
     if x.grad is None:
         raise ContractError("analytic gradient missing: input does not reach the output")
     analytic = x.grad.reshape(-1).copy()
@@ -67,16 +68,15 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor,
     flat = x.data.reshape(-1)
     indices = range(flat.size) if coords is None else coords
     worst = 0.0
-    with no_grad():
-        for i in indices:
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = f(x).item()
-            flat[i] = orig - eps
-            f_minus = f(x).item()
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            worst = max(worst, _relative_error(float(analytic[i]), numeric))
+    for i in indices:
+        orig = flat[i]
+        flat[i] = orig + eps
+        f_plus = f(x).item()
+        flat[i] = orig - eps
+        f_minus = f(x).item()
+        flat[i] = orig
+        numeric = (f_plus - f_minus) / (2.0 * eps)
+        worst = max(worst, _relative_error(float(analytic[i]), numeric))
     return worst
 
 
@@ -102,10 +102,11 @@ def check_parameter_gradients(params: Sequence[Parameter],
             raise ContractError(f"gradient checking requires float64 parameters ({p.name} is {p.tensor.dtype})")
         p.tensor.zero_grad()
 
-    out = loss_fn()
-    if out.data.size != 1:
-        raise ContractError(f"loss function must return a scalar, got shape {out.shape}")
-    backward(out)
+    with recording():
+        out = loss_fn()
+        if out.data.size != 1:
+            raise ContractError(f"loss function must return a scalar, got shape {out.shape}")
+        backward(out)
     analytic = {}
     for p in params:
         g = p.tensor.grad
@@ -115,28 +116,27 @@ def check_parameter_gradients(params: Sequence[Parameter],
     rng = np.random.default_rng(seed)
     per_param: dict[str, float] = {}
     worst, worst_name = 0.0, ""
-    with no_grad():
-        for p in params:
-            flat = p.data.reshape(-1)
-            n = flat.size
-            if coords_per_param <= 0 or coords_per_param >= n:
-                indices = np.arange(n)
-            else:
-                indices = rng.choice(n, size=coords_per_param, replace=False)
-            discrepancy = 0.0
-            scale = float(np.abs(analytic[p.name]).max()) if n else 0.0
-            for i in indices:
-                orig = flat[i]
-                flat[i] = orig + eps
-                f_plus = loss_fn().item()
-                flat[i] = orig - eps
-                f_minus = loss_fn().item()
-                flat[i] = orig
-                numeric = (f_plus - f_minus) / (2.0 * eps)
-                discrepancy = max(discrepancy, abs(float(analytic[p.name][i]) - numeric))
-                scale = max(scale, abs(numeric))
-            err = discrepancy / max(scale, 1e-12)
-            per_param[p.name] = err
-            if err > worst:
-                worst, worst_name = err, p.name
+    for p in params:
+        flat = p.data.reshape(-1)
+        n = flat.size
+        if coords_per_param <= 0 or coords_per_param >= n:
+            indices = np.arange(n)
+        else:
+            indices = rng.choice(n, size=coords_per_param, replace=False)
+        discrepancy = 0.0
+        scale = float(np.abs(analytic[p.name]).max()) if n else 0.0
+        for i in indices:
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = loss_fn().item()
+            flat[i] = orig - eps
+            f_minus = loss_fn().item()
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            discrepancy = max(discrepancy, abs(float(analytic[p.name][i]) - numeric))
+            scale = max(scale, abs(numeric))
+        err = discrepancy / max(scale, 1e-12)
+        per_param[p.name] = err
+        if err > worst:
+            worst, worst_name = err, p.name
     return worst, worst_name, per_param

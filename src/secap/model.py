@@ -26,7 +26,7 @@ from .losses import (
 )
 from .nn import Module, expand_rows
 from .prm import PRM, PromptBank, init_prompts
-from .tensor import Tensor, no_grad, reshape
+from .tensor import Tensor, reshape
 
 ABLATIONS = ("none", "no-prm", "no-vdt", "no-lfrm", "baseline")
 
@@ -118,8 +118,7 @@ class SeCapModel(Module):
 
     def inference_features(self, images: np.ndarray) -> np.ndarray:
         """Concatenated [invariant, refined-local] rows; no augmentation, no grads."""
-        with no_grad():
-            out = self.forward(images)
-            if out.local_feat is None:
-                return out.x_inv.data.copy()
-            return np.concatenate([out.x_inv.data, out.local_feat.data], axis=1)
+        out = self.forward(images)
+        if out.local_feat is None:
+            return out.x_inv.data.copy()
+        return np.concatenate([out.x_inv.data, out.local_feat.data], axis=1)

@@ -282,10 +282,12 @@ def load_image(path) -> np.ndarray:
     """Load one image by extension: .rten float tensor or binary P6 PPM."""
     s = str(path)
     if s.endswith(".rten"):
-        arr = load_rten(path)
-        if arr.ndim != 3:
-            raise ParseError(f"{s}: image tensor must be rank 3, got rank {arr.ndim}", 0)
-        return arr.astype(np.float32, copy=False)
+        image = load_rten(path).astype(np.float32, copy=False)
+        if image.ndim != 3 or image.shape[0] != 3:
+            raise ParseError(f"{s}: image tensor must be rank 3 with shape (3, H, W), got {image.shape}", 0)
+        if not np.isfinite(image).all():
+            raise ParseError(f"{s}: {int(np.sum(~np.isfinite(image)))} non-finite pixels", 0)
+        return image
     if s.endswith(".ppm"):
         return load_ppm(path)
     raise ParseError(f"{s}: unknown image extension (expected .rten or .ppm)", 0)

@@ -1,10 +1,11 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Data lives in contiguous row-major numpy buffers (float32 by default,
-float64 for gradient checking). Every differentiable op appends one entry
-to a process-global tape; backward() walks the tape once in reverse and
-consumes it. The tape is rebuilt on every forward pass; there are no
-retained graphs.
+float64 for gradient checking). Inside a `with recording():` block every
+differentiable op appends one entry to the process-global tape, and
+backward() walks it once in reverse and consumes it. Outside a block no op
+records; leaving one, normally or by raising, empties the tape. There are
+no retained graphs.
 
 Backward does only the work the loss needs: a rule returns None for an input
 that does not require a gradient (images, constants), each entry is popped as
@@ -26,7 +27,7 @@ from . import runtime
 from .errors import ContractError, DimensionError, NumericError
 
 __all__ = [
-    "Tensor", "Parameter", "tape", "no_grad", "backward",
+    "Tensor", "Parameter", "recording", "backward",
     "add", "sub", "mul", "neg", "linear", "attention", "swapaxes", "reshape",
     "concat", "narrow", "tsum", "tmean", "log_softmax_lastdim", "layer_norm",
     "gelu", "tsqrt", "tabs", "clamp_min", "softplus", "take_pairs",
@@ -49,32 +50,29 @@ class Tape:
 
     def __init__(self):
         self.entries: list[TapeEntry] = []
-        self.recording = True
-
-    def append(self, entry: TapeEntry) -> None:
-        if self.recording:
-            self.entries.append(entry)
-
-    def clear(self) -> None:
-        self.entries.clear()
+        self.recording = False
 
 
 _TAPE = Tape()
 
 
 def tape() -> Tape:
+    """The one tape: the same object, with the same entries list, in and out of scopes."""
     return _TAPE
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Disable tape recording inside the block (inference, numeric probes)."""
-    prev = _TAPE.recording
-    _TAPE.recording = False
+def recording():
+    """Record differentiable ops inside the block; on exit, normal or by
+    raising, recording is off and the tape is empty. Blocks do not nest."""
+    if _TAPE.recording:
+        raise ContractError("recording() is already active; scopes do not nest")
+    _TAPE.recording = True
     try:
         yield
     finally:
-        _TAPE.recording = prev
+        _TAPE.recording = False
+        _TAPE.entries.clear()
 
 
 class Tensor:
@@ -166,7 +164,7 @@ def _make(data: np.ndarray, inputs: Sequence[Tensor], backward_rule) -> Tensor:
     out.grad = None
     out.requires_grad = _TAPE.recording and any(t.requires_grad for t in inputs)
     if out.requires_grad:
-        _TAPE.append(TapeEntry(tuple(inputs), out, backward_rule))
+        _TAPE.entries.append(TapeEntry(tuple(inputs), out, backward_rule))
     return out
 
 
@@ -549,7 +547,7 @@ def backward(loss: Tensor) -> None:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     entries = _TAPE.entries
     if not entries:
-        raise ContractError("tape is empty: already consumed or nothing was recorded")
+        raise ContractError("tape is empty: no op was recorded inside recording(), or backward consumed it")
 
     # id -> (tensor, gradient so far); entries come in topological order, so
     # an output's gradient is complete when the walk reaches its entry
@@ -566,7 +564,7 @@ def backward(loss: Tensor) -> None:
                 prev = acc.get(id(inp))
                 acc[id(inp)] = (inp, g if prev is None else prev[1] + g)
     finally:
-        _TAPE.clear()
+        _TAPE.entries.clear()
 
     # what is left was produced by no recorded op: the leaves
     for tensor_, g in acc.values():

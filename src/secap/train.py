@@ -26,7 +26,7 @@ from .losses import LossParts, LossWeights, orthogonality_loss
 from .model import ModelConfig, SeCapModel
 from .optim import SGD, cosine_lr
 from .storage import CKPT_METADATA_OFFSET, load_checkpoint, load_into, save_checkpoint
-from .tensor import backward, no_grad, tape
+from .tensor import backward, recording
 
 CHECKPOINT_VERSION_TAG = "secap-checkpoint"
 
@@ -167,15 +167,12 @@ def train(
             ])
             id_labels = [label_map[r.identity] for r in batch]
             view_labels = [DEFAULT_VIEW_MAP[r.view] for r in batch]  # the aerial/ground side
-            try:
+            with recording():
                 total, parts = model.compute_losses(images, id_labels, view_labels, cfg.weights)
                 value = total.data.item()
                 if not np.isfinite(value):
                     raise NumericError(f"non-finite loss {value} at epoch {epoch} step {s}")
-            except BaseException:
-                tape().clear()  # an aborted step must not leave its ops for the next backward
-                raise
-            backward(total)
+                backward(total)
             lr = cosine_lr(step, total_steps, cfg.lr_max, cfg.lr_min, cfg.warmup_steps)
             opt.lr = lr
             opt.step()
@@ -205,9 +202,8 @@ def held_out_orthogonality(model: SeCapModel, manifest: Manifest, num_batches: i
     if not model.cfg.uses_vdt:
         raise ContractError("model has no view branch; decoupling loss undefined")
     vals = []
-    with no_grad():
-        for b in range(num_batches):
-            batch = pk_sample(manifest, p, k, derive_seed("heldout", seed, b))
-            out = model.forward(load_images(manifest, batch))
-            vals.append(orthogonality_loss(out.x_inv, out.view_feat).data.item())
+    for b in range(num_batches):
+        batch = pk_sample(manifest, p, k, derive_seed("heldout", seed, b))
+        out = model.forward(load_images(manifest, batch))
+        vals.append(orthogonality_loss(out.x_inv, out.view_feat).data.item())
     return float(np.mean(vals))

@@ -1,17 +1,6 @@
 import numpy as np
 import pytest
 
-from secap.tensor import tape
-
-
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    """Each test starts and ends with an empty recording tape."""
-    tape().clear()
-    tape().recording = True
-    yield
-    tape().clear()
-
 
 @pytest.fixture
 def rng():

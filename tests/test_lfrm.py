@@ -5,7 +5,7 @@ from secap.errors import DimensionError
 from secap.gradcheck import check_parameter_gradients
 from secap.lfrm import LFRM, Fusion, TwoWayBlock
 from secap.nn import expand_rows
-from secap.tensor import Tensor, backward, concat, mul, narrow, reshape, tsum
+from secap.tensor import Tensor, backward, concat, mul, narrow, recording, reshape, tsum
 
 L, P, D, HEADS = 6, 8, 16, 2
 
@@ -136,8 +136,9 @@ class TestFusionMatchesFullSequence:
         f_p = Tensor(rng.standard_normal((b, length, D)), requires_grad=True)
         f_i = Tensor(rng.standard_normal((b, patches, D)), requires_grad=True)
         probe = Tensor(rng.standard_normal((b, D)))
-        new = gradients(fusion, f_p, f_i, fusion(f_p, f_i), probe)
-        old = gradients(fusion, f_p, f_i, full_sequence_fusion(fusion, f_p, f_i), probe)
+        with recording():
+            new = gradients(fusion, f_p, f_i, fusion(f_p, f_i), probe)
+            old = gradients(fusion, f_p, f_i, full_sequence_fusion(fusion, f_p, f_i), probe)
         assert relative_error(new, old) <= 1e-12
 
 

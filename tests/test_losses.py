@@ -9,7 +9,7 @@ from secap.losses import (
     pairwise_euclidean, soft_triplet_loss, total_loss, view_ce_loss,
 )
 from secap.nn import Linear
-from secap.tensor import Parameter, Tensor, backward, mul, tsum
+from secap.tensor import Parameter, Tensor, backward, mul, recording, tsum
 
 
 def zero_classifier(d, classes, rng):
@@ -121,7 +121,8 @@ class TestSoftTriplet:
     def test_gradient_flows_through_mined_pairs(self):
         pts = Tensor(np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0], [-2.0, 5.0]]),
                      requires_grad=True)
-        backward(soft_triplet_loss(pts, np.array([0, 0, 1, 1])))
+        with recording():
+            backward(soft_triplet_loss(pts, np.array([0, 0, 1, 1])))
         assert pts.grad is not None and np.abs(pts.grad).max() > 0
 
     def test_pairwise_distances_match_scipy_style_loops(self, rng):
@@ -176,10 +177,11 @@ class TestTotalLoss:
         assert abs(total.item() - 4.002) < 1e-12
 
     def test_zero_lambda_zeroes_view_gradients(self, rng):
-        w = Parameter("viewpart", rng.standard_normal(3), dtype=np.float64)
-        parts = LossParts(id_g=const_part(1.0), tri_g=const_part(1.0),
-                          view=tsum(mul(w.tensor, w.tensor)), orth=const_part(0.5))
-        backward(total_loss(parts, LossWeights(lam=0.0)))
+        with recording():
+            w = Parameter("viewpart", rng.standard_normal(3), dtype=np.float64)
+            parts = LossParts(id_g=const_part(1.0), tri_g=const_part(1.0),
+                              view=tsum(mul(w.tensor, w.tensor)), orth=const_part(0.5))
+            backward(total_loss(parts, LossWeights(lam=0.0)))
         np.testing.assert_array_equal(w.grad, 0.0)
 
     def test_lambda_only(self):

@@ -9,7 +9,7 @@ from secap.gradcheck import check_parameter_gradients
 from secap.losses import LossWeights
 from secap.model import ABLATIONS, ModelConfig, SeCapModel
 from secap.prm import VARIANTS
-from secap.tensor import tape
+from secap.tensor import recording, tape
 
 MICRO_ENC = dict(image_h=16, image_w=16, embed_dim=16, depth=1, heads=2, ffn_mult=2)
 
@@ -90,9 +90,10 @@ class TestRegistry:
     def test_every_parameter_receives_gradient(self, ablate, rng):
         model = SeCapModel(micro_cfg(ablate=ablate), dtype=np.float64)
         images, ids, views = micro_batch(rng)
-        total, _ = model.compute_losses(images, ids, views, LossWeights())
-        from secap.tensor import backward
-        backward(total)
+        with recording():
+            total, _ = model.compute_losses(images, ids, views, LossWeights())
+            from secap.tensor import backward
+            backward(total)
         missing = [p.name for p in model.parameters() if p.grad is None]
         assert not missing, missing
 
@@ -157,6 +158,12 @@ class TestInference:
         SeCapModel(micro_cfg()).inference_features(images)
         assert not tape().entries
 
+    def test_forward_outside_a_scope_records_nothing(self, rng):
+        images, _, _ = micro_batch(rng)
+        out = SeCapModel(micro_cfg()).forward(images)
+        assert not tape().entries
+        assert not out.x_inv.requires_grad and not out.local_feat.requires_grad
+
     def test_duplicate_images_give_identical_rows(self, rng):
         images, _, _ = micro_batch(rng, b=2)
         doubled = np.concatenate([images, images], axis=0)
@@ -180,15 +187,17 @@ class TestTapeBudget:
 
     def test_entries_per_op(self, rng):
         images, ids, views = micro_batch(rng)
-        SeCapModel(micro_cfg()).compute_losses(images, ids, views, LossWeights())
-        counts = Counter(e.backward_rule.__qualname__.split(".")[0] for e in tape().entries)
-        assert dict(counts) == self.EXPECTED
-        assert sum(counts.values()) == 169
+        with recording():
+            SeCapModel(micro_cfg()).compute_losses(images, ids, views, LossWeights())
+            counts = Counter(e.backward_rule.__qualname__.split(".")[0] for e in tape().entries)
+            assert dict(counts) == self.EXPECTED
+            assert sum(counts.values()) == 169
 
     def test_recorded_output_bytes(self, rng):
         images, ids, views = micro_batch(rng)
-        SeCapModel(micro_cfg()).compute_losses(images, ids, views, LossWeights())
-        assert sum(e.output.data.nbytes for e in tape().entries) == self.EXPECTED_BYTES
+        with recording():
+            SeCapModel(micro_cfg()).compute_losses(images, ids, views, LossWeights())
+            assert sum(e.output.data.nbytes for e in tape().entries) == self.EXPECTED_BYTES
 
 
 class TestMicroBatchGradient:

@@ -10,7 +10,7 @@ from scipy import stats
 
 import secap.nn
 from secap.nn import Linear, Module, MultiHeadAttention, trunc_normal
-from secap.tensor import Parameter, Tensor, tape
+from secap.tensor import Parameter, Tensor, recording, tape
 
 
 def scipy_trunc_normal(seed, shape, std):
@@ -73,8 +73,9 @@ class TestLinearLayer:
     def test_one_tape_entry_per_call(self, rng, with_bias):
         layer = Linear("fc", 4, 3, rng, with_bias=with_bias)
         x = rng.standard_normal((2, 5, 4)).astype(np.float32)
-        out = layer(Tensor(x))
-        assert len(tape().entries) == 1
+        with recording():
+            out = layer(Tensor(x))
+            assert len(tape().entries) == 1
         expected = x @ layer.weight.data + (layer.bias.data if with_bias else 0.0)
         np.testing.assert_allclose(out.data, expected, rtol=1e-6)
 
@@ -85,9 +86,10 @@ class TestMultiHeadAttention:
         mha.capture_attention = True
         x = Tensor(rng.standard_normal((2, 3, 8)).astype(np.float32))
         kv = Tensor(rng.standard_normal((2, 5, 8)).astype(np.float32))
-        out = mha(x, kv)
-        ops = [e.backward_rule.__qualname__.split(".")[0] for e in tape().entries]
-        assert ops == ["linear", "linear", "linear", "attention", "linear"]
+        with recording():
+            out = mha(x, kv)
+            ops = [e.backward_rule.__qualname__.split(".")[0] for e in tape().entries]
+            assert ops == ["linear", "linear", "linear", "attention", "linear"]
         assert out.shape == (2, 3, 8)
         assert mha.last_attention.shape == (2, 2, 3, 5)
         np.testing.assert_allclose(mha.last_attention.sum(axis=-1), 1.0, rtol=1e-6)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from secap.encoder import EncoderConfig
 from secap.errors import ConfigurationError, DimensionError
 from secap.gradcheck import finite_diff_check
+from secap.losses import LossWeights
+from secap.model import ModelConfig, SeCapModel
 from secap.nn import expand_rows
 from secap.prm import PRM, PromptBank, VARIANTS, init_prompts
-from secap.tensor import Parameter, Tensor, add, backward, concat, mul, narrow, reshape, tsum
+from secap.tensor import Parameter, Tensor, add, backward, concat, mul, narrow, recording, reshape, tsum
 
 L, D, HEADS = 8, 16, 2
 
@@ -133,6 +136,41 @@ class TestCatMatchesFullSequence:
         prm = PRM(init_prompts(length, D, 5, dtype=np.float64), "cat", heads, 2, rng, np.float64)
         x_inv = Tensor(rng.standard_normal((b, D)), requires_grad=True)
         probe = Tensor(rng.standard_normal((b, length, D)))
-        new = gradients(prm, x_inv, prm(x_inv), probe)
-        old = gradients(prm, x_inv, full_sequence_cat(prm, x_inv), probe)
+        with recording():
+            new = gradients(prm, x_inv, prm(x_inv), probe)
+            old = gradients(prm, x_inv, full_sequence_cat(prm, x_inv), probe)
         assert relative_error(new, old) <= 1e-12
+
+
+class TestAttnCollapse:
+    """PRM `attn` cross-attends the prompts to x_inv alone: one key, so every
+    softmax weight is 1 and every prompt row gets the same update. The
+    self-attention then sees L identical rows, so the output is the bank plus
+    one broadcast vector per image, and the query and key projections of both
+    attentions never receive a gradient."""
+
+    DEAD = ["prm.ca.wq.weight", "prm.ca.wq.bias", "prm.ca.wk.weight",
+            "prm.sa.wq.weight", "prm.sa.wq.bias", "prm.sa.wk.weight"]
+
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
+    def test_output_is_bank_plus_one_vector_per_image(self, b, length, heads, dtype, rtol, rng):
+        prm = PRM(init_prompts(length, D, 5, dtype=dtype), "attn", heads, 2, rng, dtype)
+        x_inv = Tensor(rng.standard_normal((b, D)).astype(dtype))
+        g = prm.ffn(prm.sa.wo(prm.sa.wv(prm.ca.wo(prm.ca.wv(x_inv))))).data
+        oracle = prm.bank.prompts.data[None, :, :] + g[:, None, :]
+        out = prm(x_inv).data
+        assert out.dtype == dtype
+        assert relative_error(out, oracle) <= rtol
+
+    def test_desk_step_trains_every_parameter_but_the_six_projections(self, rng):
+        desk = EncoderConfig(image_h=64, image_w=32, embed_dim=64, depth=2, heads=4)
+        model = SeCapModel(ModelConfig(encoder=desk, num_ids=16, prompt_len=8))
+        images = rng.standard_normal((64, 3, 64, 32)).astype(np.float32)
+        ids = np.repeat(np.arange(16), 4)  # P = 16 identities, K = 4 images each
+        views = np.tile([0, 1], 32)
+        with recording():
+            total, _ = model.compute_losses(images, ids, views, LossWeights())
+            backward(total)
+        dead = [p.name for p in model.parameters() if not np.any(p.grad)]
+        assert dead == self.DEAD

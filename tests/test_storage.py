@@ -255,6 +255,23 @@ class TestLoadImage:
         with pytest.raises(ParseError, match="rank"):
             load_image(p)
 
+    @pytest.mark.parametrize("shape", [(1, 4, 4), (4, 4, 4), (4, 4, 3)])
+    def test_rten_needs_three_channels(self, tmp_path, shape):
+        p = tmp_path / "a.rten"
+        save_rten(p, np.zeros(shape, dtype=np.float32))
+        with pytest.raises(ParseError, match=r"\(3, H, W\)"):
+            load_image(p)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300])
+    def test_rten_non_finite_pixels(self, tmp_path, value):
+        """1e300 is a finite float64 that overflows the float32 the model reads."""
+        img = np.zeros((3, 4, 4))
+        img[2, 1, 0] = img[0, 3, 3] = value
+        p = tmp_path / "a.rten"
+        save_rten(p, img)
+        with pytest.raises(ParseError, match="2 non-finite pixels"):
+            load_image(p)
+
     def test_unknown_extension(self, tmp_path):
         with pytest.raises(ParseError, match="extension"):
             load_image(tmp_path / "a.jpg")

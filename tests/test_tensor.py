@@ -13,7 +13,7 @@ from secap.optim import SGD, cosine_lr
 from secap.runtime import set_debug_checks
 from secap.tensor import (
     Parameter, Tensor, _make, add, attention, backward, clamp_min, concat, gelu, layer_norm,
-    linear, log_softmax_lastdim, mul, narrow, neg, no_grad, reshape, softplus, sub,
+    linear, log_softmax_lastdim, mul, narrow, neg, recording, reshape, softplus, sub,
     swapaxes, tabs, take_pairs, tape, tmean, tsqrt, tsum,
 )
 
@@ -86,7 +86,8 @@ class TestElementwise:
     def test_broadcast_gradient_sums_over_expanded_axes(self):
         b = t64(np.ones((1, 3)), requires_grad=True)
         a = t64(np.ones((4, 3)), requires_grad=True)
-        backward(tsum(add(a, b)))
+        with recording():
+            backward(tsum(add(a, b)))
         np.testing.assert_array_equal(b.grad, np.full((1, 3), 4.0))
         np.testing.assert_array_equal(a.grad, np.ones((4, 3)))
 
@@ -139,10 +140,11 @@ class TestLinear:
         x = t64(rng.standard_normal((2, 3, 4)))
         w = t64(rng.standard_normal((4, 3)), requires_grad=True)
         b = t64(rng.standard_normal(3), requires_grad=True)
-        out = linear(x, w, b)
-        assert len(tape().entries) == 1
-        gx, gw, gb = tape().entries[0].backward_rule(np.ones(out.shape))
-        assert gx is None and gw.shape == (4, 3) and gb.shape == (3,)
+        with recording():
+            out = linear(x, w, b)
+            assert len(tape().entries) == 1
+            gx, gw, gb = tape().entries[0].backward_rule(np.ones(out.shape))
+            assert gx is None and gw.shape == (4, 3) and gb.shape == (3,)
 
     def test_shape_errors(self):
         w = Tensor(np.zeros((4, 3)))
@@ -277,12 +279,13 @@ class TestAttention:
                                          (False, False, True), (True, True, True)])
     def test_one_entry_whose_rule_skips_constant_inputs(self, rng, tracked):
         arrays = self.qkv(rng, "cross")
-        out, _ = attention(*(Tensor(a, requires_grad=r) for a, r in zip(arrays, tracked)), 2)
-        entry, = tape().entries
-        grads = entry.backward_rule(np.ones(out.shape))
-        assert [g is not None for g in grads] == list(tracked)
-        for g, a in zip(grads, arrays):
-            assert g is None or g.shape == a.shape
+        with recording():
+            out, _ = attention(*(Tensor(a, requires_grad=r) for a, r in zip(arrays, tracked)), 2)
+            entry, = tape().entries
+            grads = entry.backward_rule(np.ones(out.shape))
+            assert [g is not None for g in grads] == list(tracked)
+            for g, a in zip(grads, arrays):
+                assert g is None or g.shape == a.shape
 
     def test_shape_errors(self):
         x = Tensor(np.zeros((2, 3, 8)))
@@ -349,8 +352,9 @@ class TestLayerNorm:
         results = []
         for fn in (layer_norm, self.composite):
             x, g, b = (Tensor(a, requires_grad=True) for a in (x0, g0, b0))
-            y = fn(x, g, b)
-            backward(tsum(mul(y, readout)))
+            with recording():
+                y = fn(x, g, b)
+                backward(tsum(mul(y, readout)))
             results.append((y.data, x.grad, g.grad, b.grad))
         for fused, oracle in zip(*results):
             assert fused.dtype == dtype
@@ -359,8 +363,9 @@ class TestLayerNorm:
     def test_one_tape_entry(self, rng):
         x = t64(rng.standard_normal((3, 4)), requires_grad=True)
         gamma, beta = self.gamma_beta(4)
-        layer_norm(x, gamma, beta)
-        assert len(tape().entries) == 1
+        with recording():
+            layer_norm(x, gamma, beta)
+            assert len(tape().entries) == 1
 
 
 class TestGelu:
@@ -401,17 +406,19 @@ class TestGelu:
         x = rng.standard_normal((4, 10, 33)).astype(np.float32) * np.float32(3.0)
         g = rng.standard_normal(x.shape).astype(np.float32)
         _, phi = secap.tensor._gelu_f32(x)
-        gelu(Tensor(x, requires_grad=True))
-        (got,) = tape().entries[0].backward_rule(g)
+        with recording():
+            gelu(Tensor(x, requires_grad=True))
+            (got,) = tape().entries[0].backward_rule(g)
         pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
         want = g * (phi + x * pdf)
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, want)
 
     def test_float32_records_one_gelu_entry(self, rng):
-        gelu(Tensor(rng.standard_normal((2, 3)).astype(np.float32), requires_grad=True))
-        assert len(tape().entries) == 1
-        assert tape().entries[0].backward_rule.__qualname__.startswith("gelu.")
+        with recording():
+            gelu(Tensor(rng.standard_normal((2, 3)).astype(np.float32), requires_grad=True))
+            assert len(tape().entries) == 1
+            assert tape().entries[0].backward_rule.__qualname__.startswith("gelu.")
 
     def test_float32_nan_is_named_under_debug_checks(self):
         set_debug_checks(True)
@@ -426,20 +433,23 @@ class TestGelu:
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = t64([1.0, 2.0, 3.0], requires_grad=True)
-        backward(tsum(x))
+        with recording():
+            backward(tsum(x))
         np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
 
     def test_sum_of_squares_gradient(self):
         x = t64([1.0, 2.0], requires_grad=True)
-        backward(tsum(mul(x, x)))
+        with recording():
+            backward(tsum(mul(x, x)))
         np.testing.assert_allclose(x.grad, [2.0, 4.0])
 
     def test_second_backward_without_recording_raises(self):
         x = t64([1.0], requires_grad=True)
-        loss = tsum(mul(x, x))
-        backward(loss)
-        with pytest.raises(ContractError):
+        with recording():
+            loss = tsum(mul(x, x))
             backward(loss)
+            with pytest.raises(ContractError):
+                backward(loss)
 
     def test_non_scalar_loss_rejected(self):
         x = t64([1.0, 2.0], requires_grad=True)
@@ -449,14 +459,16 @@ class TestBackward:
 
     def test_reused_tensor_accumulates(self):
         x = t64([3.0], requires_grad=True)
-        backward(tsum(add(mul(x, x), x)))  # d/dx (x^2 + x) = 2x + 1
+        with recording():
+            backward(tsum(add(mul(x, x), x)))  # d/dx (x^2 + x) = 2x + 1
         np.testing.assert_allclose(x.grad, [7.0])
 
     def test_only_leaves_get_grad(self):
         w = t64([1.0, 2.0], requires_grad=True)
         c = t64([3.0, 4.0])
-        h = mul(w, c)
-        backward(tsum(mul(h, h)))
+        with recording():
+            h = mul(w, c)
+            backward(tsum(mul(h, h)))
         np.testing.assert_allclose(w.grad, 2.0 * w.data * c.data ** 2)
         assert c.grad is None  # constant operand
         assert h.grad is None  # intermediate
@@ -464,67 +476,110 @@ class TestBackward:
     def test_rules_skip_constant_operands(self, rng):
         w = t64(rng.standard_normal((2, 3)), requires_grad=True)
         c = t64(rng.standard_normal((2, 3)) + 3.0)
-        for out in (add(w, c), sub(c, w), mul(c, w), concat([c, w], axis=0)):
-            grads = tape().entries[-1].backward_rule(np.ones(out.shape))
-            consts = [g for t, g in zip(tape().entries[-1].inputs, grads) if t is c]
-            assert consts == [None]
-        out = linear(c, swapaxes(w, 0, 1))
-        ga, gb = tape().entries[-1].backward_rule(np.ones(out.shape))
-        assert ga is None and gb.shape == (3, 2)
+        with recording():
+            for out in (add(w, c), sub(c, w), mul(c, w), concat([c, w], axis=0)):
+                grads = tape().entries[-1].backward_rule(np.ones(out.shape))
+                consts = [g for t, g in zip(tape().entries[-1].inputs, grads) if t is c]
+                assert consts == [None]
+            out = linear(c, swapaxes(w, 0, 1))
+            ga, gb = tape().entries[-1].backward_rule(np.ones(out.shape))
+            assert ga is None and gb.shape == (3, 2)
 
     def test_walk_pops_entries_before_running_their_rules(self):
         x = t64([1.0, 2.0], requires_grad=True)
-        loss = tsum(mul(gelu(x), t64(2.0)))
-        first = tape().entries[0]
-        seen = []
-        rule = first.backward_rule
+        with recording():
+            loss = tsum(mul(gelu(x), t64(2.0)))
+            first = tape().entries[0]
+            seen = []
+            rule = first.backward_rule
 
-        def spy(g):
-            seen.append(len(tape().entries))
-            return rule(g)
+            def spy(g):
+                seen.append(len(tape().entries))
+                return rule(g)
 
-        first.backward_rule = spy
-        backward(loss)
-        assert seen == [0]
-        assert tape().entries == []
+            first.backward_rule = spy
+            backward(loss)
+            assert seen == [0]
+            assert tape().entries == []
 
     def test_raising_rule_still_clears_tape(self):
         x = t64([1.0, 2.0], requires_grad=True)
-        loss = tsum(mul(gelu(x), x))
+        with recording():
+            loss = tsum(mul(gelu(x), x))
 
-        def broken(g):
-            raise RuntimeError("rule failed")
+            def broken(g):
+                raise RuntimeError("rule failed")
 
-        tape().entries[1].backward_rule = broken
-        with pytest.raises(RuntimeError):
-            backward(loss)
-        assert tape().entries == []
+            tape().entries[1].backward_rule = broken
+            with pytest.raises(RuntimeError):
+                backward(loss)
+            assert tape().entries == []
         assert x.grad is None
 
     def test_unreachable_tensor_untouched(self):
         x = t64([1.0], requires_grad=True)
         y = t64([1.0], requires_grad=True)
-        _orphan = mul(y, y)
-        backward(tsum(mul(x, x)))
+        with recording():
+            _orphan = mul(y, y)
+            backward(tsum(mul(x, x)))
         assert y.grad is None
 
-    def test_no_grad_blocks_recording(self):
+    def test_nothing_records_outside_a_scope(self):
         x = t64([1.0], requires_grad=True)
-        with no_grad():
-            y = mul(x, x)
+        y = mul(x, x)
         assert not y.requires_grad
         assert not tape().entries
 
     def test_requires_grad_propagates(self):
         a = t64([1.0], requires_grad=True)
         b = t64([2.0])
-        assert add(a, b).requires_grad
-        assert not add(b, b).requires_grad
+        with recording():
+            assert add(a, b).requires_grad
+            assert not add(b, b).requires_grad
 
     def test_constant_graph_appends_nothing(self):
         a = t64([1.0])
-        _ = add(mul(a, a), a)
-        assert not tape().entries
+        with recording():
+            _ = add(mul(a, a), a)
+            assert not tape().entries
+
+
+class TestRecordingScope:
+    def test_tape_is_one_object_holding_the_scope_entries(self):
+        """The benchmark tracer caches tape() once and reads .entries on every layer call."""
+        before = tape()
+        entries = before.entries
+        x = t64([1.0, 2.0], requires_grad=True)
+        with recording():
+            assert tape() is before and tape().entries is entries
+            y = mul(x, x)
+            loss = tsum(y)
+            assert [e.output for e in tape().entries] == [y, loss]
+        assert tape() is before and tape().entries is entries and entries == []
+
+    def test_raising_block_leaves_tape_empty_and_recording_off(self):
+        x = t64([1.0], requires_grad=True)
+        with pytest.raises(RuntimeError, match="aborted"):
+            with recording():
+                mul(x, x)
+                assert tape().recording and len(tape().entries) == 1
+                raise RuntimeError("aborted")
+        assert tape().entries == [] and not tape().recording
+        assert not mul(x, x).requires_grad
+
+    def test_backward_outside_a_scope_raises(self):
+        x = t64([1.0], requires_grad=True)
+        with pytest.raises(ContractError, match=r"recording\(\)"):
+            backward(tsum(mul(x, x)))
+        assert x.grad is None
+
+    def test_scopes_do_not_nest(self):
+        with recording():
+            with pytest.raises(ContractError, match="nest"):
+                with recording():
+                    pass
+            assert tape().recording
+        assert not tape().recording
 
 
 class TestSGD:

@@ -64,11 +64,11 @@ def corpus(tmp_path_factory):
 
 
 def poisoned_corpus(tmp_path):
-    """Tiny corpus where every step samples every image, one of them NaN."""
+    """Tiny corpus where every step samples every image, one of them all 1e30."""
     cfg = SynthConfig(num_ids=4, images_per_id_per_view=1, image_h=16, image_w=16, seed=9)
     manifest, _ = generate_synthetic(cfg, tmp_path)
     bad = manifest.resolve(manifest.records[0])
-    save_rten(bad, np.full((3, 16, 16), np.nan, dtype=np.float32))
+    save_rten(bad, np.full((3, 16, 16), 1e30, dtype=np.float32))
     return manifest
 
 
@@ -157,7 +157,7 @@ class TestTrainLoop:
         # P=1 puts one identity in the batch: triplet mining raises mid-loss
         with pytest.raises(ContractError, match="two identities"):
             train(corpus, micro_train_cfg(p=1))
-        assert tape().entries == []
+        assert tape().entries == [] and not tape().recording
 
     def test_too_few_identities(self, corpus):
         with pytest.raises(ContractError, match="identities"):
@@ -480,6 +480,40 @@ class TestCliErrors:
         assert odd in err and "(3, 24, 16)" in err and "(3, 16, 16)" in err
         with pytest.raises(ParseError, match=r"\(3, 24, 16\)"):
             extract_features(SeCapModel(micro_train_cfg().model), manifest)
+
+    @pytest.mark.parametrize("value, code, message", [
+        (np.nan, cli.EXIT_IO, "1 non-finite pixels"),
+        (np.inf, cli.EXIT_IO, "1 non-finite pixels"),
+        (-np.inf, cli.EXIT_IO, "1 non-finite pixels"),
+        # finite in float32, but the encoder's layer norm squares it past the range
+        (1e30, cli.EXIT_NUMERIC, "numeric failure: non-finite features for"),
+    ], ids=["nan", "inf", "minus-inf", "overflowing"])
+    @pytest.mark.parametrize("command", ["eval", "export-features"])
+    def test_non_finite_or_overflowing_pixel(self, micro_checkpoint, tmp_path, capsys, command,
+                                             value, code, message):
+        cfg = SynthConfig(num_ids=4, images_per_id_per_view=2, image_h=16, image_w=16, seed=9)
+        manifest, _ = generate_synthetic(cfg, tmp_path)
+        bad = manifest.resolve(manifest.records[1])
+        image = load_rten(bad)
+        image[1, 2, 3] = value
+        save_rten(bad, image)
+        argv = [command, "--checkpoint", micro_checkpoint, "--manifest", str(tmp_path / "manifest.tsv")]
+        out = tmp_path / "feats"
+        assert cli.main(argv + (["--out", str(out)] if command == "export-features" else [])) == code
+        err = capsys.readouterr().err
+        assert message in err and bad in err
+        assert not os.path.exists(f"{out}.rten")
+
+    def test_single_channel_images_are_io(self, micro_checkpoint, tmp_path, capsys):
+        cfg = SynthConfig(num_ids=4, images_per_id_per_view=2, image_h=16, image_w=16, seed=9)
+        manifest, _ = generate_synthetic(cfg, tmp_path)
+        for record in manifest.records:
+            path = manifest.resolve(record)
+            save_rten(path, load_rten(path)[:1])
+        assert cli.main(["eval", "--checkpoint", micro_checkpoint,
+                         "--manifest", str(tmp_path / "manifest.tsv")]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "shape (3, H, W), got (1, 16, 16)" in err and "configuration error" not in err
 
     def test_view_outside_the_encoding_is_io(self, tmp_path, capsys):
         cfg = SynthConfig(num_ids=4, images_per_id_per_view=2, image_h=16, image_w=16, seed=9)
