@@ -242,7 +242,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        # overflow and NaN are caught by explicit finiteness checks (exit 2 or 3),
+        # so numpy's own RuntimeWarnings would only repeat them on stderr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[args.command](args)
     except (ConfigurationError, ContractError, DimensionError) as exc:
         print(f"secap: configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -400,26 +400,6 @@ def hog_descriptor(images: np.ndarray, cell: int = 8, bins: int = 9) -> np.ndarr
     return (v / (norm + 1e-12)).reshape(n, -1)
 
 
-def _connected_components(adj: np.ndarray) -> List[List[int]]:
-    n = adj.shape[0]
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in np.nonzero(adj[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        comps.append(sorted(comp))
-    return comps
-
-
 def _rank_pool(descriptors: np.ndarray) -> List[int]:
     """Order a pool of images by representativeness.
 
@@ -440,9 +420,15 @@ def _rank_pool(descriptors: np.ndarray) -> List[int]:
         picked = [j for j in order if j != i][:k]
         adj[i, picked] = True
     adj |= adj.T
-    comps = _connected_components(adj)
-    comps.sort(key=lambda c: (-len(c), c[0]))
-    main = comps[0]
+    # label each image with the lowest index it is connected to; then the
+    # largest component with the lowest label is the one with the earliest member
+    labels = np.arange(n)
+    while True:
+        spread = np.where(adj, labels, labels[:, None]).min(axis=1)
+        if np.array_equal(spread, labels):
+            break
+        labels = spread
+    main = np.flatnonzero(labels == np.argmax(np.bincount(labels))).tolist()
     sums = dist[np.ix_(main, main)].sum(axis=1)
     ranked = [main[i] for i in np.argsort(sums, kind="stable")]
     medoid = ranked[0]

@@ -141,11 +141,11 @@ class Encoder(Module):
                 f"{p} patch tokens do not fit a positional table of "
                 f"{self.pos.data.shape[0]} rows; re-derive positions for this stride")
         patch_emb = self.proj(Tensor(tokens.astype(self.dtype, copy=False)))
-        parts = [expand_rows(self.cls_token.tensor, b)]
+        parts = [expand_rows(self.cls_token, b)]
         if self.view_token is not None:
-            parts.append(expand_rows(self.view_token.tensor, b))
+            parts.append(expand_rows(self.view_token, b))
         parts.append(patch_emb)
-        return add(concat(parts, axis=1), self.pos.tensor)
+        return add(concat(parts, axis=1), self.pos)
 
     def encode(self, images: np.ndarray) -> EncoderOutput:
         x = self.embed(tokenize(images, self.cfg))

@@ -8,7 +8,7 @@ can cross-check each other.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -27,16 +27,7 @@ class EvalReport:
     num_excluded: int = 0  # queries with no valid match after filtering
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "protocol": self.protocol,
-                "rank1": self.rank1,
-                "mAP": self.mAP,
-                "num_queries": self.num_queries,
-                "num_gallery": self.num_gallery,
-                "num_excluded": self.num_excluded,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 class FeatureSet:

@@ -28,20 +28,20 @@ def randomize_for_gradcheck(params: Sequence[Parameter], seed: int = 0) -> None:
     """
     rng = np.random.default_rng(seed)
     for p in params:
-        shape = p.data.shape
+        shape = p.shape
         noise = rng.standard_normal(shape)
         name = p.name.rsplit(".", 1)[-1]
         if name == "gamma":
-            p.data = 1.0 + 0.1 * noise
+            p.assign(1.0 + 0.1 * noise)
         elif name in ("bias", "beta"):
-            p.data = 0.1 * noise
+            p.assign(0.1 * noise)
         elif len(shape) == 2:
             # unit-gain matrices: smaller shrinks deep-path gradients into the
             # central-difference noise floor, larger saturates the norm-free
             # refinement path's softmaxes into locally flat (unfalsifiable) spots
-            p.data = noise / np.sqrt(shape[0])
+            p.assign(noise / np.sqrt(shape[0]))
         else:
-            p.data = 0.25 * noise
+            p.assign(0.25 * noise)
 
 
 def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor,
@@ -98,9 +98,9 @@ def check_parameter_gradients(params: Sequence[Parameter],
     roundoff floor (|loss| * ulp / eps) even when the backward pass is exact.
     """
     for p in params:
-        if p.tensor.dtype != np.float64:
-            raise ContractError(f"gradient checking requires float64 parameters ({p.name} is {p.tensor.dtype})")
-        p.tensor.zero_grad()
+        if p.dtype != np.float64:
+            raise ContractError(f"gradient checking requires float64 parameters ({p.name} is {p.dtype})")
+        p.zero_grad()
 
     with recording():
         out = loss_fn()
@@ -109,9 +109,8 @@ def check_parameter_gradients(params: Sequence[Parameter],
         backward(out)
     analytic = {}
     for p in params:
-        g = p.tensor.grad
-        analytic[p.name] = np.zeros(p.data.size) if g is None else g.reshape(-1).copy()
-        p.tensor.zero_grad()
+        analytic[p.name] = np.zeros(p.size) if p.grad is None else p.grad.reshape(-1).copy()
+        p.zero_grad()
 
     rng = np.random.default_rng(seed)
     per_param: dict[str, float] = {}

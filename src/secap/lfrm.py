@@ -48,7 +48,7 @@ class Fusion(Module):
 
     def __call__(self, f_p: Tensor, f_i: Tensor) -> Tensor:
         b, _, d = f_p.shape
-        seq = concat([expand_rows(self.out_token.tensor, b), f_p], axis=1)
+        seq = concat([expand_rows(self.out_token, b), f_p], axis=1)
         h = self.ca(seq, f_i)
         # only the output token's row is read out, so it alone queries [out_token; prompts]
         h = self.sa(narrow(h, 1, 0, 1), h)

@@ -24,9 +24,9 @@ from .losses import (
     Heads, LossParts, LossWeights, id_ce_loss, orthogonality_loss,
     soft_triplet_loss, total_loss, view_ce_loss,
 )
-from .nn import Module, expand_rows
-from .prm import PRM, PromptBank, init_prompts
-from .tensor import Tensor, reshape
+from .nn import Module, expand_rows, trunc_normal
+from .prm import PRM
+from .tensor import Parameter, Tensor, reshape
 
 ABLATIONS = ("none", "no-prm", "no-vdt", "no-lfrm", "baseline")
 
@@ -75,13 +75,15 @@ class SeCapModel(Module):
         self.dtype = dtype
         d = cfg.encoder.embed_dim
         self.encoder = Encoder(cfg.encoder, np.random.default_rng([cfg.seed, 0]), dtype)
-        self.bank: Optional[PromptBank] = None
+        self.prompts: Optional[Parameter] = None
         self.prm: Optional[PRM] = None
         self.lfrm: Optional[LFRM] = None
         if cfg.uses_lfrm:
-            self.bank = init_prompts(cfg.prompt_len, d, [cfg.seed, 1], dtype=dtype)
+            self.prompts = Parameter(
+                "prm.prompts", trunc_normal(np.random.default_rng([cfg.seed, 1]), (cfg.prompt_len, d)),
+                dtype=dtype)
             if cfg.uses_prm:
-                self.prm = PRM(self.bank, cfg.prm_variant, cfg.encoder.heads,
+                self.prm = PRM(self.prompts, cfg.prm_variant, cfg.encoder.heads,
                                cfg.encoder.ffn_mult, np.random.default_rng([cfg.seed, 2]), dtype)
             self.lfrm = LFRM(d, cfg.encoder.heads, cfg.encoder.ffn_mult,
                              np.random.default_rng([cfg.seed, 3]), dtype)
@@ -95,7 +97,7 @@ class SeCapModel(Module):
         if self.lfrm is not None:
             b = enc.x_inv.shape[0]
             d = self.cfg.encoder.embed_dim
-            prompts = reshape(self.bank.prompts.tensor, (1, self.cfg.prompt_len, d))
+            prompts = reshape(self.prompts, (1, self.cfg.prompt_len, d))
             p_re = self.prm(enc.x_inv) if self.prm is not None else expand_rows(prompts, b)
             local_feat = self.lfrm(p_re, enc.x_local)
         return ModelOutput(x_inv=enc.x_inv, view_feat=enc.view_feat, local_feat=local_feat)

@@ -72,12 +72,12 @@ class Linear(Module):
         self.bias = Parameter(f"{name}.bias", np.zeros(d_out), dtype=dtype) if with_bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        return linear(x, self.weight.tensor, None if self.bias is None else self.bias.tensor)
+        return linear(x, self.weight, self.bias)
 
     def zero_(self) -> None:
-        self.weight.data = np.zeros_like(self.weight.data)
+        self.weight.assign(np.zeros_like(self.weight.data))
         if self.bias is not None:
-            self.bias.data = np.zeros_like(self.bias.data)
+            self.bias.assign(np.zeros_like(self.bias.data))
 
 
 class LayerNorm(Module):
@@ -86,7 +86,7 @@ class LayerNorm(Module):
         self.beta = Parameter(f"{name}.beta", np.zeros(dim), dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gamma.tensor, self.beta.tensor)
+        return layer_norm(x, self.gamma, self.beta)
 
 
 class MultiHeadAttention(Module):

@@ -26,11 +26,11 @@ class SGD:
 
     def zero_grad(self) -> None:
         for p in self.params:
-            p.tensor.zero_grad()
+            p.zero_grad()
 
     def step(self) -> None:
         for p in self.params:
-            g = p.tensor.grad
+            g = p.grad
             if g is None:
                 raise ContractError(f"parameter {p.name} has no gradient; every registered parameter must be used")
             if self.weight_decay:
@@ -38,7 +38,7 @@ class SGD:
             v = self._velocity[p.name]
             v *= self.momentum
             v += g
-            p.data = p.data - self.lr * v
+            p.assign(p.data - self.lr * v)
         self.zero_grad()
 
 

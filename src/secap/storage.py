@@ -134,7 +134,7 @@ def checkpoint_bytes(params: Sequence[Parameter], metadata: Mapping) -> bytes:
     out.append(struct.pack("<Q", len(params)))
     for p in params:
         name = p.name.encode("utf-8")
-        out.extend((struct.pack("<H", len(name)), name, _array_bytes(p.tensor.data)))
+        out.extend((struct.pack("<H", len(name)), name, _array_bytes(p.data)))
     return b"".join(out)
 
 
@@ -203,11 +203,11 @@ def load_into(params: Sequence[Parameter], table: Mapping[str, np.ndarray]) -> N
         )
     for p in params:
         arr = table[p.name]
-        if arr.shape != p.tensor.data.shape:
+        if arr.shape != p.shape:
             raise CheckpointError(
-                f"parameter {p.name!r}: checkpoint shape {arr.shape} != model shape {p.tensor.data.shape}"
+                f"parameter {p.name!r}: checkpoint shape {arr.shape} != model shape {p.shape}"
             )
-        p.data = arr.astype(p.tensor.data.dtype, copy=False)
+        p.assign(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +282,8 @@ def load_image(path) -> np.ndarray:
     """Load one image by extension: .rten float tensor or binary P6 PPM."""
     s = str(path)
     if s.endswith(".rten"):
-        image = load_rten(path).astype(np.float32, copy=False)
+        with np.errstate(over="ignore"):  # a value past float32 becomes inf, rejected below
+            image = load_rten(path).astype(np.float32, copy=False)
         if image.ndim != 3 or image.shape[0] != 3:
             raise ParseError(f"{s}: image tensor must be rank 3 with shape (3, H, W), got {image.shape}", 0)
         if not np.isfinite(image).all():

@@ -120,33 +120,25 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
 
-class Parameter:
+class Parameter(Tensor):
     """A named, trainable tensor. Names are unique within a model."""
 
-    __slots__ = ("name", "tensor")
+    __slots__ = ("name",)
 
     def __init__(self, name: str, data, dtype=None):
+        super().__init__(data, requires_grad=True, dtype=dtype)
         self.name = name
-        self.tensor = Tensor(data, requires_grad=True, dtype=dtype)
 
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @data.setter
-    def data(self, value: np.ndarray) -> None:
-        if value.shape != self.tensor.data.shape:
+    def assign(self, value: np.ndarray) -> None:
+        """Overwrite every value: same shape, cast to this parameter's dtype,
+        copied so read-only sources (checkpoint views) stay probe-safe."""
+        if value.shape != self.shape:
             raise DimensionError(
-                f"parameter {self.name}: cannot assign shape {value.shape} over {self.tensor.data.shape}")
-        # copy so read-only sources (checkpoint views) stay probe-safe
-        self.tensor.data = np.array(value.astype(self.tensor.data.dtype, copy=False), order="C")
-
-    @property
-    def grad(self) -> Optional[np.ndarray]:
-        return self.tensor.grad
+                f"parameter {self.name}: cannot assign shape {value.shape} over {self.shape}")
+        self.data = np.array(value, dtype=self.dtype, order="C")
 
     def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.tensor.shape})"
+        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 def _post(arr: np.ndarray, op: str) -> None:

@@ -31,10 +31,10 @@ from secap.gradcheck import check_parameter_gradients, randomize_for_gradcheck
 from secap.lfrm import LFRM
 from secap.losses import LossWeights, id_ce_loss, orthogonality_loss, soft_triplet_loss
 from secap.model import ModelConfig, SeCapModel
-from secap.nn import Linear
+from secap.nn import Linear, trunc_normal
 from secap.optim import cosine_lr
-from secap.prm import PRM, init_prompts
-from secap.tensor import Tensor
+from secap.prm import PRM
+from secap.tensor import Parameter, Tensor
 from secap.train import TrainConfig, held_out_orthogonality, train
 
 TOY = dict(image_h=64, image_w=32, embed_dim=64, depth=2, heads=4)
@@ -142,11 +142,12 @@ def test_criterion_2_residual_identities(capsys):
             failures.append(f"encoder block {i}")
 
     for variant in ("attn", "add", "cat"):
-        bank = init_prompts(PROMPT_LEN, 64, 5)
-        prm = PRM(bank, variant, 4, 2, rng, np.float32)
+        prompts = Parameter("prm.prompts", trunc_normal(np.random.default_rng(5), (PROMPT_LEN, 64)),
+                            dtype=np.float32)
+        prm = PRM(prompts, variant, 4, 2, rng, np.float32)
         prm.zero_output_projections()
         out = prm(Tensor(rng.standard_normal((3, 64)).astype(np.float32)))
-        expected = np.ascontiguousarray(np.broadcast_to(bank.prompts.data, (3, PROMPT_LEN, 64)))
+        expected = np.ascontiguousarray(np.broadcast_to(prompts.data, (3, PROMPT_LEN, 64)))
         if out.data.tobytes() != expected.tobytes():
             failures.append(f"prm {variant}")
 

@@ -95,7 +95,7 @@ class TestEmbed:
         cfg = toy_cfg()
         enc = Encoder(cfg, rng)
         enc.proj.zero_()
-        enc.pos.data = np.zeros_like(enc.pos.data)
+        enc.pos.assign(np.zeros_like(enc.pos.data))
         out = enc.embed(tokenize(np.zeros((1, 3, 64, 32), dtype=np.float32), cfg))
         np.testing.assert_array_equal(out.data[0, 0], enc.cls_token.data[0, 0])
         np.testing.assert_array_equal(out.data[0, 1], enc.view_token.data[0, 0])
@@ -169,8 +169,8 @@ class TestEncode:
         cfg = toy_cfg(depth=1)
         enc = Encoder(cfg, rng)
         enc.zero_output_projections()
-        enc.pos.data = np.zeros_like(enc.pos.data)
-        enc.view_token.data = enc.cls_token.data.copy()
+        enc.pos.assign(np.zeros_like(enc.pos.data))
+        enc.view_token.assign(enc.cls_token.data.copy())
         out = enc.encode(toy_images(rng, b=1, cfg=cfg))
         np.testing.assert_array_equal(out.x_inv.data, 0.0)
 
@@ -178,9 +178,9 @@ class TestEncode:
         cfg = toy_cfg()
         enc = Encoder(cfg, rng)
         enc.zero_output_projections()
-        enc.pos.data = np.zeros_like(enc.pos.data)
-        enc.cls_token.data = np.zeros_like(enc.cls_token.data)
-        enc.view_token.data = np.zeros_like(enc.view_token.data)
+        enc.pos.assign(np.zeros_like(enc.pos.data))
+        enc.cls_token.assign(np.zeros_like(enc.cls_token.data))
+        enc.view_token.assign(np.zeros_like(enc.view_token.data))
         out = enc.encode(toy_images(rng, b=1, cfg=cfg))
         np.testing.assert_array_equal(out.x_inv.data, 0.0)
 
@@ -206,7 +206,7 @@ class TestEncode:
     def test_patch_permutation_covariance_without_positions(self, rng):
         cfg = toy_cfg(depth=1, stride=16)
         enc = Encoder(cfg, rng, dtype=np.float64)
-        enc.pos.data = np.zeros_like(enc.pos.data)
+        enc.pos.assign(np.zeros_like(enc.pos.data))
         img = rng.standard_normal((1, 3, 64, 32))
         perm = rng.permutation(8)
         permuted = np.empty_like(img)

@@ -96,7 +96,7 @@ def full_sequence_fusion(fusion, f_p, f_i):
     """Oracle: every row of [out_token; prompts] runs through sa and the FFN,
     then only the output token's row is kept."""
     b, _, d = f_p.shape
-    seq = concat([expand_rows(fusion.out_token.tensor, b), f_p], axis=1)
+    seq = concat([expand_rows(fusion.out_token, b), f_p], axis=1)
     h = fusion.ca(seq, f_i)
     h = fusion.ffn(fusion.sa(h, h))
     return reshape(narrow(h, 1, 0, 1), (b, d))
@@ -108,7 +108,7 @@ def relative_error(new, old):
 
 def gradients(fusion, f_p, f_i, out, probe):
     """Every parameter's and input's gradient of sum(out * probe), flattened."""
-    leaves = [p.tensor for p in fusion.parameters()] + [f_p, f_i]
+    leaves = fusion.parameters() + [f_p, f_i]
     for t in leaves:
         t.zero_grad()
     backward(tsum(mul(out, probe)))

@@ -22,8 +22,8 @@ def logit_classifier(log_probs, rng):
     """Identity-consuming classifier whose logits are fixed per class."""
     d = 1
     clf = Linear("clf", d, len(log_probs), rng, dtype=np.float64)
-    clf.weight.data = np.zeros((d, len(log_probs)))
-    clf.bias.data = np.asarray(log_probs, dtype=np.float64)
+    clf.weight.assign(np.zeros((d, len(log_probs))))
+    clf.bias.assign(np.asarray(log_probs, dtype=np.float64))
     return clf
 
 
@@ -180,7 +180,7 @@ class TestTotalLoss:
         with recording():
             w = Parameter("viewpart", rng.standard_normal(3), dtype=np.float64)
             parts = LossParts(id_g=const_part(1.0), tri_g=const_part(1.0),
-                              view=tsum(mul(w.tensor, w.tensor)), orth=const_part(0.5))
+                              view=tsum(mul(w, w)), orth=const_part(0.5))
             backward(total_loss(parts, LossWeights(lam=0.0)))
         np.testing.assert_array_equal(w.grad, 0.0)
 

@@ -117,7 +117,7 @@ class TestAblationStructure:
 
     def test_no_prm_keeps_bank_without_calibration(self, rng):
         model = SeCapModel(micro_cfg(ablate="no-prm"))
-        assert model.prm is None and model.bank is not None and model.lfrm is not None
+        assert model.prm is None and model.prompts is not None and model.lfrm is not None
         names = {p.name for p in model.parameters()}
         assert "prm.prompts" in names
         assert not any(".sa." in n and n.startswith("prm") for n in names)

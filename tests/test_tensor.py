@@ -582,6 +582,43 @@ class TestRecordingScope:
         assert not tape().recording
 
 
+class TestParameter:
+    def test_is_a_tensor_that_requires_grad(self):
+        p = Parameter("w", np.zeros((2, 3)))
+        assert isinstance(p, Tensor) and p.requires_grad and p.name == "w"
+
+    def test_assign_rejects_a_shape_change(self):
+        p = Parameter("w", np.zeros((2, 3)), dtype=np.float32)
+        with pytest.raises(DimensionError, match="parameter w"):
+            p.assign(np.zeros((3, 2)))
+        assert p.shape == (2, 3)
+
+    def test_assign_casts_to_the_parameter_dtype(self):
+        p = Parameter("w", np.zeros(3), dtype=np.float32)
+        p.assign(np.array([0.1, 1e-3, -2.5], dtype=np.float64))
+        assert p.dtype == np.float32
+        assert p.data.tobytes() == np.array([0.1, 1e-3, -2.5], dtype=np.float32).tobytes()
+
+    def test_assign_copies_a_read_only_source(self):
+        src = np.arange(6.0).reshape(2, 3)
+        src.setflags(write=False)
+        p = Parameter("w", np.zeros((2, 3)))
+        p.assign(src)
+        assert p.data is not src and p.data.flags.writeable and p.data.flags.c_contiguous
+        p.data[0, 0] = 9.0  # in-place probes, as the gradient checks make, stay off the source
+        assert src[0, 0] == 0.0
+
+    def test_fed_straight_to_linear_gets_grad(self, rng):
+        w = Parameter("w", rng.standard_normal((3, 2)))
+        b = Parameter("b", rng.standard_normal(2))
+        x = t64(rng.standard_normal((4, 3)))
+        with recording():
+            backward(tsum(linear(x, w, b)))
+        np.testing.assert_allclose(w.grad, np.broadcast_to(x.data.sum(axis=0)[:, None], (3, 2)))
+        np.testing.assert_array_equal(b.grad, [4.0, 4.0])
+        assert x.grad is None
+
+
 class TestSGD:
     def make_param(self, value):
         return Parameter("w", np.asarray(value, dtype=np.float64))
@@ -589,13 +626,13 @@ class TestSGD:
     def test_zero_lr_is_byte_noop(self):
         p = self.make_param([1.0, -0.0, 2.5])
         before = p.data.tobytes()
-        p.tensor.grad = np.array([1.0, 2.0, 3.0])
+        p.grad = np.array([1.0, 2.0, 3.0])
         SGD([p], lr=0.0).step()
         assert p.data.tobytes() == before
 
     def test_plain_step(self):
         p = self.make_param([1.0])
-        p.tensor.grad = np.array([2.0])
+        p.grad = np.array([2.0])
         SGD([p], lr=0.1, momentum=0.0).step()
         np.testing.assert_allclose(p.data, [0.8])
 
@@ -603,7 +640,7 @@ class TestSGD:
         p = self.make_param([0.0])
         opt = SGD([p], lr=1.0, momentum=0.9)
         for _ in range(2):
-            p.tensor.grad = np.array([1.0])
+            p.grad = np.array([1.0])
             opt.step()
         np.testing.assert_allclose(p.data, [-2.9])
 
@@ -614,9 +651,9 @@ class TestSGD:
 
     def test_grads_cleared_after_step(self):
         p = self.make_param([1.0])
-        p.tensor.grad = np.array([1.0])
+        p.grad = np.array([1.0])
         SGD([p], lr=0.1).step()
-        assert p.tensor.grad is None
+        assert p.grad is None
 
     def test_duplicate_names_rejected(self):
         a, b = self.make_param([1.0]), self.make_param([2.0])
@@ -625,7 +662,7 @@ class TestSGD:
 
     def test_weight_decay_pulls_toward_zero(self):
         p = self.make_param([10.0])
-        p.tensor.grad = np.array([0.0])
+        p.grad = np.array([0.0])
         SGD([p], lr=0.1, momentum=0.0, weight_decay=0.5).step()
         np.testing.assert_allclose(p.data, [9.5])
 
@@ -787,7 +824,7 @@ class TestParameterGradientSweep:
         x = Tensor(rng.standard_normal((5, 3)).astype(np.float64))
 
         def loss_fn():
-            h = linear(x, w.tensor, b.tensor)
+            h = linear(x, w, b)
             return tsum(mul(h, h))
 
         worst, name, per_param = check_parameter_gradients(
@@ -799,7 +836,7 @@ class TestParameterGradientSweep:
     def test_float32_parameters_rejected(self):
         w = Parameter("w", np.zeros(2), dtype=np.float32)
         with pytest.raises(ContractError):
-            check_parameter_gradients([w], lambda: tsum(w.tensor))
+            check_parameter_gradients([w], lambda: tsum(w))
 
 
 class TestDebugChecks:

@@ -132,6 +132,9 @@ class TestTrainLoop:
         bytes_b = (out_b / "checkpoint-0002.ckpt").read_bytes()
         assert bytes_a == bytes_b
 
+    # train() is called directly, outside the CLI's errstate: the poisoned
+    # pixel overflows numpy on purpose on its way to the NumericError
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_loss_names_epoch_and_step(self, tmp_path):
         manifest = poisoned_corpus(tmp_path)
         with pytest.raises(NumericError, match=r"epoch 1 step \d"):
@@ -179,7 +182,7 @@ class TestTrainLoop:
     def test_metadata_shape_mismatch_rejected(self, tmp_path):
         model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, seed=1))
         meta = checkpoint_metadata(model, None, 0, [0, 1])
-        meta["model"]["prompt_len"] = 8  # claims a wider prompt bank than the weights hold
+        meta["model"]["prompt_len"] = 8  # claims more prompts than the weights hold
         path = tmp_path / "tampered.ckpt"
         save_checkpoint(str(path), model.parameters(), meta)
         with pytest.raises(CheckpointError):
