@@ -10,7 +10,6 @@ if _threads and _threads.isdigit():
 del _os, _threads
 
 from .data import (
-    AugmentPolicy,
     Manifest,
     SampleRecord,
     SynthConfig,

@@ -17,7 +17,6 @@ import numpy as np
 
 from .data import (
     PROTOCOLS,
-    AugmentPolicy,
     SynthConfig,
     build_protocol,
     generate_synthetic,
@@ -115,7 +114,7 @@ def build_parser() -> _Parser:
     t.add_argument("--weight-decay", type=float)
     t.add_argument("--holdout", type=float,
                    help="fraction of identities held out of training; recorded in the checkpoint")
-    t.add_argument("--no-augment", action="store_true", default=False)
+    t.add_argument("--no-augment", dest="augment", action="store_false")
     _add_model_flags(t)
 
     e = sub.add_parser("eval", help="score a checkpoint under retrieval protocols")
@@ -157,8 +156,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     manifest = read_manifest(args.manifest)
     model_cfg = _config(ModelConfig, args, encoder=_config(EncoderConfig, args))
-    cfg = _config(TrainConfig, args, model=model_cfg, weights=_config(LossWeights, args),
-                  augment_policy=AugmentPolicy(enabled=not args.no_augment))
+    cfg = _config(TrainConfig, args, model=model_cfg, weights=_config(LossWeights, args))
     if cfg.holdout > 0.0:
         manifest, _ = split_identities(manifest, cfg.holdout, cfg.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -190,7 +188,7 @@ def cmd_grad_check(args) -> int:
     if args.coords < 0 or not 0.0 < args.tol < np.inf:
         raise ConfigurationError(f"need --coords >= 0 and a finite --tol > 0, got {args.coords} and {args.tol}")
     cfg = _config(ModelConfig, args, encoder=_config(EncoderConfig, args))
-    model = SeCapModel(cfg, dtype=np.float64)
+    model = SeCapModel(cfg).astype(np.float64)
     params = model.parameters()
     randomize_for_gradcheck(params, seed=cfg.seed)
     rng = np.random.default_rng([cfg.seed, 999])

@@ -310,47 +310,41 @@ def pk_sample(manifest: Manifest, p: int, k: int, seed) -> List[SampleRecord]:
 # Augmentation
 
 
-@dataclass(frozen=True)
-class AugmentPolicy:
-    enabled: bool = True
-    pad: int = 4
-    jitter_low: float = 0.8
-    jitter_high: float = 1.2
-    erase_prob: float = 0.5
-    erase_area: Tuple[float, float] = (0.02, 0.4)
-    erase_aspect: Tuple[float, float] = (0.3, 3.33)
+CROP_PAD = 4                  # pixels of zero padding before the random crop
+JITTER_GAIN = (0.8, 1.2)      # per-channel gain range
+ERASE_PROB = 0.5              # chance of one random-erasing rectangle
+ERASE_AREA = (0.02, 0.4)      # erased fraction of the image area
+ERASE_ASPECT = (0.3, 3.33)    # erased rectangle's height/width ratio
 
 
-def augment(image: np.ndarray, policy: AugmentPolicy, seed) -> np.ndarray:
+def augment(image: np.ndarray, seed) -> np.ndarray:
     """Pad-and-crop, channel jitter, random erasing. Pure in (image, seed)."""
     if image.ndim != 3:
         raise ContractError(f"expected (C, H, W) image, got shape {image.shape}")
-    if not policy.enabled:
-        return np.array(image)
     rng = np.random.default_rng(seed)
     c, h, w = image.shape
 
-    pad = policy.pad
+    pad = CROP_PAD
     padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=image.dtype)
     padded[:, pad : pad + h, pad : pad + w] = image
     y0 = int(rng.integers(0, 2 * pad + 1))
     x0 = int(rng.integers(0, 2 * pad + 1))
     out = padded[:, y0 : y0 + h, x0 : x0 + w].copy()
 
-    gains = rng.uniform(policy.jitter_low, policy.jitter_high, size=c)
+    gains = rng.uniform(*JITTER_GAIN, size=c)
     out *= gains[:, None, None].astype(image.dtype)
 
-    if rng.uniform() < policy.erase_prob:
+    if rng.uniform() < ERASE_PROB:
         # resample until the rectangle fits and its rounded area stays in range
         for _ in range(50):
-            frac = rng.uniform(*policy.erase_area)
-            aspect = rng.uniform(*policy.erase_aspect)
+            frac = rng.uniform(*ERASE_AREA)
+            aspect = rng.uniform(*ERASE_ASPECT)
             area = frac * h * w
             eh = max(1, int(round(np.sqrt(area * aspect))))
             ew = max(1, int(round(np.sqrt(area / aspect))))
             if eh > h or ew > w:
                 continue
-            lo, hi = policy.erase_area
+            lo, hi = ERASE_AREA
             if not lo <= eh * ew / (h * w) <= hi:
                 continue
             ey = int(rng.integers(0, h - eh + 1))

@@ -3,7 +3,7 @@ view-related parts.
 
 Token layout is [Cls, View, patch tokens...]; after every transformer block
 the Cls slot is re-decoupled as Cls <- Cls - View, so the final Cls already
-is the view-invariant feature. With the view token disabled the layout
+is the view-invariant feature. Built without the view token, the layout
 shrinks to [Cls, patches...] and no decoupling happens.
 """
 
@@ -29,27 +29,30 @@ class EncoderConfig:
     image_h: int = 256
     image_w: int = 128
     patch: int = 16
-    stride: Optional[int] = None  # None resolves to 16, or 12 with overlap on
     embed_dim: int = 768
     depth: int = 12
     heads: int = 12
     ffn_mult: int = 4
     olp_enabled: bool = False
-    vdt_enabled: bool = True
 
     def __post_init__(self):
-        if self.stride is None:
-            object.__setattr__(self, "stride", OLP_STRIDE if self.olp_enabled else DEFAULT_STRIDE)
+        if self.embed_dim < 1 or self.depth < 1:
+            raise ConfigurationError(f"embed_dim and depth must be >= 1, got {self.embed_dim} and {self.depth}")
         if self.heads < 1 or self.ffn_mult < 1:
             raise ConfigurationError(f"heads and ffn_mult must be >= 1, got {self.heads} and {self.ffn_mult}")
         if self.embed_dim % self.heads != 0:
             raise ConfigurationError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
-        if self.stride < 1 or self.patch < 1:
-            raise ConfigurationError("patch and stride must be positive")
+        if self.patch < 1:
+            raise ConfigurationError(f"patch must be positive, got {self.patch}")
         if self.image_h < self.patch or self.image_w < self.patch:
             raise ConfigurationError(
                 f"image {self.image_h}x{self.image_w} smaller than one {self.patch}px patch")
+
+    @property
+    def stride(self) -> int:
+        """Patch stride: overlapping (TransReID's sliding window) with olp_enabled."""
+        return OLP_STRIDE if self.olp_enabled else DEFAULT_STRIDE
 
     @property
     def grid(self) -> tuple[int, int]:
@@ -61,10 +64,6 @@ class EncoderConfig:
     def num_patches(self) -> int:
         nh, nw = self.grid
         return nh * nw
-
-    @property
-    def num_special(self) -> int:
-        return 2 if self.vdt_enabled else 1
 
 
 @dataclass
@@ -96,11 +95,11 @@ def tokenize(images: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
 class EncoderBlock(Module):
     """Pre-norm transformer block: x + MHSA(LN(x)), then + FFN(LN(.))."""
 
-    def __init__(self, name: str, cfg: EncoderConfig, rng: np.random.Generator, dtype):
-        self.norm1 = LayerNorm(f"{name}.norm1", cfg.embed_dim, dtype)
-        self.attn = MultiHeadAttention(f"{name}.attn", cfg.embed_dim, cfg.heads, rng, dtype)
-        self.norm2 = LayerNorm(f"{name}.norm2", cfg.embed_dim, dtype)
-        self.ffn = FeedForward(f"{name}.ffn", cfg.embed_dim, cfg.ffn_mult, rng, dtype)
+    def __init__(self, name: str, cfg: EncoderConfig, rng: np.random.Generator):
+        self.norm1 = LayerNorm(f"{name}.norm1", cfg.embed_dim)
+        self.attn = MultiHeadAttention(f"{name}.attn", cfg.embed_dim, cfg.heads, rng)
+        self.norm2 = LayerNorm(f"{name}.norm2", cfg.embed_dim)
+        self.ffn = FeedForward(f"{name}.ffn", cfg.embed_dim, cfg.ffn_mult, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         h = self.norm1(x)
@@ -119,28 +118,25 @@ def decouple_step(x: Tensor) -> Tensor:
 
 
 class Encoder(Module):
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, with_view: bool = True):
         self.cfg = cfg
-        self.dtype = dtype
+        self.num_special = 2 if with_view else 1
         d = cfg.embed_dim
         patch_dim = 3 * cfg.patch * cfg.patch
-        self.proj = Linear("encoder.proj", patch_dim, d, rng, dtype)
-        self.cls_token = Parameter("encoder.cls", trunc_normal(rng, (1, 1, d)), dtype=dtype)
-        self.view_token = (Parameter("encoder.view", trunc_normal(rng, (1, 1, d)), dtype=dtype)
-                           if cfg.vdt_enabled else None)
-        self.pos = Parameter(
-            "encoder.pos", trunc_normal(rng, (cfg.num_patches + cfg.num_special, d)), dtype=dtype)
-        self.blocks = [EncoderBlock(f"encoder.blocks.{i}", cfg, rng, dtype)
-                       for i in range(cfg.depth)]
+        self.proj = Linear("encoder.proj", patch_dim, d, rng)
+        self.cls_token = Parameter("encoder.cls", trunc_normal(rng, (1, 1, d)))
+        self.view_token = Parameter("encoder.view", trunc_normal(rng, (1, 1, d))) if with_view else None
+        self.pos = Parameter("encoder.pos", trunc_normal(rng, (cfg.num_patches + self.num_special, d)))
+        self.blocks = [EncoderBlock(f"encoder.blocks.{i}", cfg, rng) for i in range(cfg.depth)]
 
     def embed(self, tokens: np.ndarray) -> Tensor:
         """Project raster patches and prepend the learned special tokens."""
         b, p, _ = tokens.shape
-        if p + self.cfg.num_special != self.pos.data.shape[0]:
+        if p + self.num_special != self.pos.data.shape[0]:
             raise ConfigurationError(
                 f"{p} patch tokens do not fit a positional table of "
                 f"{self.pos.data.shape[0]} rows; re-derive positions for this stride")
-        patch_emb = self.proj(Tensor(tokens.astype(self.dtype, copy=False)))
+        patch_emb = self.proj(Tensor(tokens.astype(self.proj.weight.dtype, copy=False)))
         parts = [expand_rows(self.cls_token, b)]
         if self.view_token is not None:
             parts.append(expand_rows(self.view_token, b))
@@ -151,14 +147,11 @@ class Encoder(Module):
         x = self.embed(tokenize(images, self.cfg))
         for block in self.blocks:
             x = block(x)
-            if self.cfg.vdt_enabled:
+            if self.view_token is not None:
                 x = decouple_step(x)
         d = self.cfg.embed_dim
         b = x.shape[0]
         x_inv = reshape(narrow(x, 1, 0, 1), (b, d))
-        if self.cfg.vdt_enabled:
-            view_feat = reshape(narrow(x, 1, 1, 1), (b, d))
-        else:
-            view_feat = None
-        x_local = narrow(x, 1, self.cfg.num_special, self.cfg.num_patches)
+        view_feat = reshape(narrow(x, 1, 1, 1), (b, d)) if self.view_token is not None else None
+        x_local = narrow(x, 1, self.num_special, self.cfg.num_patches)
         return EncoderOutput(x_inv=x_inv, view_feat=view_feat, x_local=x_local)

@@ -17,12 +17,11 @@ NUM_TWO_WAY_BLOCKS = 2
 class TwoWayBlock(Module):
     """Prompt-to-image then image-to-prompt attention, residual on each stream."""
 
-    def __init__(self, name: str, dim: int, heads: int, ffn_mult: int,
-                 rng: np.random.Generator, dtype=np.float32):
-        self.sa = MultiHeadAttention(f"{name}.sa", dim, heads, rng, dtype)
-        self.ca_p2i = MultiHeadAttention(f"{name}.ca_p2i", dim, heads, rng, dtype)
-        self.ffn_p = FeedForward(f"{name}.ffn_p", dim, ffn_mult, rng, dtype)
-        self.ca_i2p = MultiHeadAttention(f"{name}.ca_i2p", dim, heads, rng, dtype)
+    def __init__(self, name: str, dim: int, heads: int, ffn_mult: int, rng: np.random.Generator):
+        self.sa = MultiHeadAttention(f"{name}.sa", dim, heads, rng)
+        self.ca_p2i = MultiHeadAttention(f"{name}.ca_p2i", dim, heads, rng)
+        self.ffn_p = FeedForward(f"{name}.ffn_p", dim, ffn_mult, rng)
+        self.ca_i2p = MultiHeadAttention(f"{name}.ca_i2p", dim, heads, rng)
 
     def __call__(self, f_p: Tensor, f_local: Tensor) -> tuple[Tensor, Tensor]:
         if f_p.shape[-1] != f_local.shape[-1]:
@@ -39,12 +38,11 @@ class Fusion(Module):
     """Decode one vector from [out_token; prompts] attending over the image
     tokens. Deliberately residual-free: a zeroed final layer yields zero."""
 
-    def __init__(self, name: str, dim: int, heads: int, ffn_mult: int,
-                 rng: np.random.Generator, dtype=np.float32):
-        self.out_token = Parameter(f"{name}.out_token", trunc_normal(rng, (1, 1, dim)), dtype=dtype)
-        self.ca = MultiHeadAttention(f"{name}.ca", dim, heads, rng, dtype)
-        self.sa = MultiHeadAttention(f"{name}.sa", dim, heads, rng, dtype)
-        self.ffn = FeedForward(f"{name}.ffn", dim, ffn_mult, rng, dtype)
+    def __init__(self, name: str, dim: int, heads: int, ffn_mult: int, rng: np.random.Generator):
+        self.out_token = Parameter(f"{name}.out_token", trunc_normal(rng, (1, 1, dim)))
+        self.ca = MultiHeadAttention(f"{name}.ca", dim, heads, rng)
+        self.sa = MultiHeadAttention(f"{name}.sa", dim, heads, rng)
+        self.ffn = FeedForward(f"{name}.ffn", dim, ffn_mult, rng)
 
     def __call__(self, f_p: Tensor, f_i: Tensor) -> Tensor:
         b, _, d = f_p.shape
@@ -60,10 +58,10 @@ class Fusion(Module):
 
 class LFRM(Module):
     def __init__(self, dim: int, heads: int, ffn_mult: int,
-                 rng: np.random.Generator, dtype=np.float32, name: str = "lfrm"):
-        self.blocks = [TwoWayBlock(f"{name}.two_way.{i}", dim, heads, ffn_mult, rng, dtype)
+                 rng: np.random.Generator, name: str = "lfrm"):
+        self.blocks = [TwoWayBlock(f"{name}.two_way.{i}", dim, heads, ffn_mult, rng)
                        for i in range(NUM_TWO_WAY_BLOCKS)]
-        self.fusion = Fusion(f"{name}.fusion", dim, heads, ffn_mult, rng, dtype)
+        self.fusion = Fusion(f"{name}.fusion", dim, heads, ffn_mult, rng)
 
     def __call__(self, p_re: Tensor, x_local: Tensor) -> Tensor:
         f_p, f_i = p_re, x_local

@@ -12,7 +12,7 @@ always matches what the optimizer updates:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -46,12 +46,10 @@ class ModelConfig:
             raise ConfigurationError(f"unknown ablation {self.ablate!r}; pick one of {ABLATIONS}")
         if self.prompt_len < 1:
             raise ConfigurationError(f"prompt length must be positive, got {self.prompt_len}")
-        if self.ablate in ("no-vdt", "baseline") and self.encoder.vdt_enabled:
-            object.__setattr__(self, "encoder", replace(self.encoder, vdt_enabled=False))
 
     @property
     def uses_vdt(self) -> bool:
-        return self.encoder.vdt_enabled
+        return self.ablate not in ("no-vdt", "baseline")
 
     @property
     def uses_lfrm(self) -> bool:
@@ -70,35 +68,32 @@ class ModelOutput:
 
 
 class SeCapModel(Module):
-    def __init__(self, cfg: ModelConfig, dtype=np.float32):
+    def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
-        self.dtype = dtype
         d = cfg.encoder.embed_dim
-        self.encoder = Encoder(cfg.encoder, np.random.default_rng([cfg.seed, 0]), dtype)
+        self.encoder = Encoder(cfg.encoder, np.random.default_rng([cfg.seed, 0]), with_view=cfg.uses_vdt)
         self.prompts: Optional[Parameter] = None
         self.prm: Optional[PRM] = None
         self.lfrm: Optional[LFRM] = None
         if cfg.uses_lfrm:
             self.prompts = Parameter(
-                "prm.prompts", trunc_normal(np.random.default_rng([cfg.seed, 1]), (cfg.prompt_len, d)),
-                dtype=dtype)
+                "prm.prompts", trunc_normal(np.random.default_rng([cfg.seed, 1]), (cfg.prompt_len, d)))
             if cfg.uses_prm:
                 self.prm = PRM(self.prompts, cfg.prm_variant, cfg.encoder.heads,
-                               cfg.encoder.ffn_mult, np.random.default_rng([cfg.seed, 2]), dtype)
-            self.lfrm = LFRM(d, cfg.encoder.heads, cfg.encoder.ffn_mult,
-                             np.random.default_rng([cfg.seed, 3]), dtype)
-        self.heads = Heads(d, cfg.num_ids, cfg.num_views,
-                           np.random.default_rng([cfg.seed, 4]), dtype,
+                               cfg.encoder.ffn_mult, np.random.default_rng([cfg.seed, 2]))
+            self.lfrm = LFRM(d, cfg.encoder.heads, cfg.encoder.ffn_mult, np.random.default_rng([cfg.seed, 3]))
+        self.heads = Heads(d, cfg.num_ids, cfg.num_views, np.random.default_rng([cfg.seed, 4]),
                            with_local=cfg.uses_lfrm, with_view=cfg.uses_vdt)
 
     def forward(self, images: np.ndarray) -> ModelOutput:
         enc: EncoderOutput = self.encoder.encode(images)
         local_feat = None
         if self.lfrm is not None:
-            b = enc.x_inv.shape[0]
-            d = self.cfg.encoder.embed_dim
-            prompts = reshape(self.prompts, (1, self.cfg.prompt_len, d))
-            p_re = self.prm(enc.x_inv) if self.prm is not None else expand_rows(prompts, b)
+            if self.prm is not None:
+                p_re = self.prm(enc.x_inv)
+            else:
+                prompts = reshape(self.prompts, (1, self.cfg.prompt_len, self.cfg.encoder.embed_dim))
+                p_re = expand_rows(prompts, enc.x_inv.shape[0])
             local_feat = self.lfrm(p_re, enc.x_local)
         return ModelOutput(x_inv=enc.x_inv, view_feat=enc.view_feat, local_feat=local_feat)
 

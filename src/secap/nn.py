@@ -9,7 +9,7 @@ the optimizer and checkpoint layouts; no layer lists its parameters by hand.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -21,8 +21,9 @@ INIT_STD = 0.02
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.ndarray:
-    """Normal(0, std) truncated to two standard deviations, by inverse-CDF sampling."""
-    return std * ndtri(rng.uniform(ndtr(-2.0), ndtr(2.0), size=shape))
+    """Normal(0, std) truncated to two standard deviations, by inverse-CDF
+    sampling in float64 and rounded once to float32."""
+    return (std * ndtri(rng.uniform(ndtr(-2.0), ndtr(2.0), size=shape))).astype(np.float32)
 
 
 def expand_rows(token: Tensor, batch: int) -> Tensor:
@@ -58,6 +59,13 @@ class Module:
             if isinstance(member, Module):
                 member.zero_output_projections()
 
+    def astype(self, dtype) -> "Module":
+        """Convert every parameter to `dtype` in place (layers are built in
+        float32); returns this layer."""
+        for p in self.parameters():
+            p.data = p.data.astype(dtype)
+        return self
+
 
 class Linear(Module):
     # Weights are fan-in scaled rather than flat 0.02: at desk widths (d=64)
@@ -65,11 +73,9 @@ class Linear(Module):
     # every projection and stalling from-scratch training. Tokens and prompts
     # keep INIT_STD.
     def __init__(self, name: str, d_in: int, d_out: int, rng: np.random.Generator,
-                 dtype=np.float32, with_bias: bool = True):
-        self.weight = Parameter(
-            f"{name}.weight", trunc_normal(rng, (d_in, d_out), std=1.0 / math.sqrt(d_in)), dtype=dtype
-        )
-        self.bias = Parameter(f"{name}.bias", np.zeros(d_out), dtype=dtype) if with_bias else None
+                 with_bias: bool = True):
+        self.weight = Parameter(f"{name}.weight", trunc_normal(rng, (d_in, d_out), std=1.0 / math.sqrt(d_in)))
+        self.bias = Parameter(f"{name}.bias", np.zeros(d_out, np.float32)) if with_bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
@@ -81,9 +87,9 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, name: str, dim: int, dtype=np.float32):
-        self.gamma = Parameter(f"{name}.gamma", np.ones(dim), dtype=dtype)
-        self.beta = Parameter(f"{name}.beta", np.zeros(dim), dtype=dtype)
+    def __init__(self, name: str, dim: int):
+        self.gamma = Parameter(f"{name}.gamma", np.ones(dim, np.float32))
+        self.beta = Parameter(f"{name}.beta", np.zeros(dim, np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta)
@@ -93,29 +99,22 @@ class MultiHeadAttention(Module):
     """Scaled dot-product attention over the last two axes (tokens, features).
 
     Queries may come from a different sequence than keys/values, which covers
-    both self- and cross-attention. Setting capture_attention stashes the most
-    recent post-softmax weights (detached) for inspection.
+    both self- and cross-attention.
     """
 
-    def __init__(self, name: str, dim: int, heads: int, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, name: str, dim: int, heads: int, rng: np.random.Generator):
         if dim % heads != 0:
             raise ConfigurationError(f"{name}: dim {dim} not divisible by heads {heads}")
         self.heads = heads
-        self.wq = Linear(f"{name}.wq", dim, dim, rng, dtype)
+        self.wq = Linear(f"{name}.wq", dim, dim, rng)
         # a key bias shifts every score of a query equally; softmax ignores it,
         # so it would be a parameter with an identically zero gradient
-        self.wk = Linear(f"{name}.wk", dim, dim, rng, dtype, with_bias=False)
-        self.wv = Linear(f"{name}.wv", dim, dim, rng, dtype)
-        self.wo = Linear(f"{name}.wo", dim, dim, rng, dtype)
-        self.capture_attention = False
-        self.last_attention: Optional[np.ndarray] = None
+        self.wk = Linear(f"{name}.wk", dim, dim, rng, with_bias=False)
+        self.wv = Linear(f"{name}.wv", dim, dim, rng)
+        self.wo = Linear(f"{name}.wo", dim, dim, rng)
 
     def __call__(self, queries: Tensor, keys_values: Tensor) -> Tensor:
-        out, weights = attention(self.wq(queries), self.wk(keys_values), self.wv(keys_values),
-                                 self.heads)
-        if self.capture_attention:
-            self.last_attention = weights.copy()
+        out, _ = attention(self.wq(queries), self.wk(keys_values), self.wv(keys_values), self.heads)
         return self.wo(out)
 
     def zero_output_projections(self) -> None:
@@ -123,10 +122,9 @@ class MultiHeadAttention(Module):
 
 
 class FeedForward(Module):
-    def __init__(self, name: str, dim: int, mult: int, rng: np.random.Generator,
-                 dtype=np.float32):
-        self.fc1 = Linear(f"{name}.fc1", dim, dim * mult, rng, dtype)
-        self.fc2 = Linear(f"{name}.fc2", dim * mult, dim, rng, dtype)
+    def __init__(self, name: str, dim: int, mult: int, rng: np.random.Generator):
+        self.fc1 = Linear(f"{name}.fc1", dim, dim * mult, rng)
+        self.fc2 = Linear(f"{name}.fc2", dim * mult, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(gelu(self.fc1(x)))

@@ -19,7 +19,7 @@ VARIANTS = ("attn", "add", "cat")
 
 class PRM(Module):
     def __init__(self, prompts: Parameter, variant: str, heads: int, ffn_mult: int,
-                 rng: np.random.Generator, dtype=np.float32, name: str = "prm"):
+                 rng: np.random.Generator, name: str = "prm"):
         if prompts.ndim != 2 or prompts.shape[0] < 1:
             raise ConfigurationError(f"prompts must be an L x d matrix, got {prompts.shape}")
         if variant not in VARIANTS:
@@ -28,9 +28,9 @@ class PRM(Module):
         self.variant = variant
         d = prompts.shape[1]
         if variant == "attn":
-            self.ca = MultiHeadAttention(f"{name}.ca", d, heads, rng, dtype)
-        self.sa = MultiHeadAttention(f"{name}.sa", d, heads, rng, dtype)
-        self.ffn = FeedForward(f"{name}.ffn", d, ffn_mult, rng, dtype)
+            self.ca = MultiHeadAttention(f"{name}.ca", d, heads, rng)
+        self.sa = MultiHeadAttention(f"{name}.sa", d, heads, rng)
+        self.ffn = FeedForward(f"{name}.ffn", d, ffn_mult, rng)
 
     def __call__(self, x_inv: Tensor) -> Tensor:
         length, d = self.prompts.shape

@@ -13,7 +13,6 @@ import numpy as np
 
 from .data import (
     DEFAULT_VIEW_MAP,
-    AugmentPolicy,
     Manifest,
     augment,
     derive_seed,
@@ -51,7 +50,7 @@ class TrainConfig:
     warmup_steps: int = 0
     checkpoint_every: int = 20
     holdout: float = 0.0  # identity fraction withheld by the caller; recorded for eval
-    augment_policy: AugmentPolicy = field(default_factory=AugmentPolicy)
+    augment: bool = True  # pad-and-crop, channel jitter and random erasing (data.augment)
 
     def __post_init__(self):
         if self.epochs < 1 or self.warmup_steps < 0:
@@ -161,10 +160,10 @@ def train(
         lr = cfg.lr_max
         for s in range(steps_per_epoch):
             batch = pk_sample(manifest_train, cfg.p, cfg.k, derive_seed("batch", cfg.seed, epoch, s))
-            images = np.stack([
-                augment(image, cfg.augment_policy, derive_seed("augment", cfg.seed, r.path, epoch, s, i))
-                for i, (r, image) in enumerate(zip(batch, load_images(manifest_train, batch)))
-            ])
+            images = load_images(manifest_train, batch)
+            if cfg.augment:
+                images = np.stack([augment(image, derive_seed("augment", cfg.seed, r.path, epoch, s, i))
+                                   for i, (r, image) in enumerate(zip(batch, images))])
             id_labels = [label_map[r.identity] for r in batch]
             view_labels = [DEFAULT_VIEW_MAP[r.view] for r in batch]  # the aerial/ground side
             with recording():

@@ -105,7 +105,7 @@ def test_criterion_1_gradient_check_all_variants(capsys):
                 num_ids=2, num_views=2, prompt_len=PROMPT_LEN,
                 prm_variant=variant, seed=0,
             )
-            model = SeCapModel(cfg, dtype=np.float64)
+            model = SeCapModel(cfg).astype(np.float64)
             params = model.parameters()
             randomize_for_gradcheck(params, seed=0)
             rng = np.random.default_rng([0, 999])
@@ -142,9 +142,8 @@ def test_criterion_2_residual_identities(capsys):
             failures.append(f"encoder block {i}")
 
     for variant in ("attn", "add", "cat"):
-        prompts = Parameter("prm.prompts", trunc_normal(np.random.default_rng(5), (PROMPT_LEN, 64)),
-                            dtype=np.float32)
-        prm = PRM(prompts, variant, 4, 2, rng, np.float32)
+        prompts = Parameter("prm.prompts", trunc_normal(np.random.default_rng(5), (PROMPT_LEN, 64)))
+        prm = PRM(prompts, variant, 4, 2, rng)
         prm.zero_output_projections()
         out = prm(Tensor(rng.standard_normal((3, 64)).astype(np.float32)))
         expected = np.ascontiguousarray(np.broadcast_to(prompts.data, (3, PROMPT_LEN, 64)))
@@ -222,7 +221,7 @@ def test_criterion_3_metric_matches_oracle(capsys):
 
 def test_criterion_4_loss_unit_values(capsys):
     rng = np.random.default_rng(4)
-    clf = Linear("clf", 16, 2, rng, dtype=np.float64)
+    clf = Linear("clf", 16, 2, rng).astype(np.float64)
     clf.zero_()
     ce = id_ce_loss(Tensor(rng.standard_normal((4, 16))), np.array([0, 1, 0, 1]), clf)
     ce_err = abs(ce.data.item() - math.log(2.0))

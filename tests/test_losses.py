@@ -13,7 +13,7 @@ from secap.tensor import Parameter, Tensor, backward, mul, recording, tsum
 
 
 def zero_classifier(d, classes, rng):
-    clf = Linear("clf", d, classes, rng, dtype=np.float64)
+    clf = Linear("clf", d, classes, rng).astype(np.float64)
     clf.zero_()
     return clf
 
@@ -21,7 +21,7 @@ def zero_classifier(d, classes, rng):
 def logit_classifier(log_probs, rng):
     """Identity-consuming classifier whose logits are fixed per class."""
     d = 1
-    clf = Linear("clf", d, len(log_probs), rng, dtype=np.float64)
+    clf = Linear("clf", d, len(log_probs), rng).astype(np.float64)
     clf.weight.assign(np.zeros((d, len(log_probs))))
     clf.bias.assign(np.asarray(log_probs, dtype=np.float64))
     return clf

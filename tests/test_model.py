@@ -88,7 +88,7 @@ class TestRegistry:
 
     @pytest.mark.parametrize("ablate", ABLATIONS)
     def test_every_parameter_receives_gradient(self, ablate, rng):
-        model = SeCapModel(micro_cfg(ablate=ablate), dtype=np.float64)
+        model = SeCapModel(micro_cfg(ablate=ablate)).astype(np.float64)
         images, ids, views = micro_batch(rng)
         with recording():
             total, _ = model.compute_losses(images, ids, views, LossWeights())
@@ -177,13 +177,13 @@ class TestTapeBudget:
     EXPECTED = {
         "add": 15, "attention": 11, "clamp_min": 2, "concat": 3, "gelu": 5,
         "layer_norm": 2, "linear": 60, "log_softmax_lastdim": 3, "mul": 22,
-        "narrow": 7, "neg": 3, "reshape": 6, "softplus": 2, "sub": 5,
+        "narrow": 7, "neg": 3, "reshape": 5, "softplus": 2, "sub": 5,
         "swapaxes": 4, "tabs": 1, "take_pairs": 7, "tsqrt": 2, "tsum": 9,
     }
 
     # bytes of every recorded output; fusion's sa and FFN keep only the output
     # token's row, where the full [out_token; prompts] sequence took 90,908
-    EXPECTED_BYTES = 82_716
+    EXPECTED_BYTES = 82_460
 
     def test_entries_per_op(self, rng):
         images, ids, views = micro_batch(rng)
@@ -191,7 +191,7 @@ class TestTapeBudget:
             SeCapModel(micro_cfg()).compute_losses(images, ids, views, LossWeights())
             counts = Counter(e.backward_rule.__qualname__.split(".")[0] for e in tape().entries)
             assert dict(counts) == self.EXPECTED
-            assert sum(counts.values()) == 169
+            assert sum(counts.values()) == 168
 
     def test_recorded_output_bytes(self, rng):
         images, ids, views = micro_batch(rng)
@@ -208,7 +208,7 @@ class TestMicroBatchGradient:
         # two patches: with one, fusion.ca has a single key and emits identical
         # rows, so fusion.sa's query and key gradients are zero by construction
         enc = EncoderConfig(**{**MICRO_ENC, "image_w": 32})
-        model = SeCapModel(micro_cfg(encoder=enc, **cfg), dtype=np.float64)
+        model = SeCapModel(micro_cfg(encoder=enc, **cfg)).astype(np.float64)
         randomize_for_gradcheck(model.parameters(), seed=2)
         images = rng.standard_normal((2, 3, 16, 32))
         ids = np.array([0, 1])

@@ -67,6 +67,34 @@ class TestModule:
         assert overrides == []
         assert not hasattr(secap.nn, "collect_parameters")
 
+    def test_no_layer_constructor_takes_a_dtype(self):
+        """Layers are built in float32; Module.astype is the one precision switch."""
+        src = Path(secap.nn.__file__).parent
+        takers = []
+        for path in src.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ClassDef):
+                    takers += [f"{path.name}:{node.name}" for item in node.body
+                               if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                               and "dtype" in [a.arg for a in item.args.args + item.args.kwonlyargs]]
+        assert takers == ["tensor.py:Tensor", "tensor.py:Parameter"]
+
+    def test_astype_converts_each_parameter_once_and_returns_the_layer(self, rng):
+        class Tied(Module):
+            def __init__(self):
+                self.first = Linear("first", 3, 2, rng)
+                self.second = Linear("second", 3, 2, rng)
+                self.second.weight = self.first.weight
+
+        layer = Tied()
+        before = {p.name: p.data.copy() for p in layer.parameters()}
+        assert all(p.dtype == np.float32 for p in layer.parameters())
+        assert layer.astype(np.float64) is layer
+        for p in layer.parameters():
+            assert p.dtype == np.float64
+            assert p.data.tobytes() == before[p.name].astype(np.float64).tobytes()
+        assert layer.second.weight is layer.first.weight
+
 
 class TestLinearLayer:
     @pytest.mark.parametrize("with_bias", [True, False])
@@ -83,7 +111,6 @@ class TestLinearLayer:
 class TestMultiHeadAttention:
     def test_four_projections_and_one_attention_entry(self, rng):
         mha = MultiHeadAttention("attn", 8, 2, rng)
-        mha.capture_attention = True
         x = Tensor(rng.standard_normal((2, 3, 8)).astype(np.float32))
         kv = Tensor(rng.standard_normal((2, 5, 8)).astype(np.float32))
         with recording():
@@ -91,5 +118,3 @@ class TestMultiHeadAttention:
             ops = [e.backward_rule.__qualname__.split(".")[0] for e in tape().entries]
             assert ops == ["linear", "linear", "linear", "attention", "linear"]
         assert out.shape == (2, 3, 8)
-        assert mha.last_attention.shape == (2, 2, 3, 5)
-        np.testing.assert_allclose(mha.last_attention.sum(axis=-1), 1.0, rtol=1e-6)

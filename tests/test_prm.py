@@ -13,12 +13,12 @@ from secap.tensor import Parameter, Tensor, add, backward, concat, mul, narrow, 
 L, D, HEADS = 8, 16, 2
 
 
-def make_prompts(length=L, seed=5, dtype=np.float32):
-    return Parameter("prm.prompts", trunc_normal(np.random.default_rng(seed), (length, D)), dtype=dtype)
+def make_prompts(length=L, seed=5):
+    return Parameter("prm.prompts", trunc_normal(np.random.default_rng(seed), (length, D)))
 
 
 def make_prm(variant, rng, dtype=np.float32, seed=5):
-    return PRM(make_prompts(L, seed, dtype), variant, HEADS, 2, rng, dtype)
+    return PRM(make_prompts(L, seed), variant, HEADS, 2, rng).astype(dtype)
 
 
 def model_prompts(seed, prompt_len=L):
@@ -136,7 +136,7 @@ class TestCatMatchesFullSequence:
     @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
     @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
     def test_output(self, b, length, heads, dtype, rtol, rng):
-        prm = PRM(make_prompts(length, dtype=dtype), "cat", heads, 2, rng, dtype)
+        prm = PRM(make_prompts(length), "cat", heads, 2, rng).astype(dtype)
         x_inv = Tensor(rng.standard_normal((b, D)).astype(dtype))
         out = prm(x_inv)
         assert out.shape == (b, length, D) and out.dtype == dtype
@@ -144,7 +144,7 @@ class TestCatMatchesFullSequence:
 
     @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
     def test_gradients(self, b, length, heads, rng):
-        prm = PRM(make_prompts(length, dtype=np.float64), "cat", heads, 2, rng, np.float64)
+        prm = PRM(make_prompts(length), "cat", heads, 2, rng).astype(np.float64)
         x_inv = Tensor(rng.standard_normal((b, D)), requires_grad=True)
         probe = Tensor(rng.standard_normal((b, length, D)))
         with recording():
@@ -166,7 +166,7 @@ class TestAttnCollapse:
     @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
     @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
     def test_output_is_bank_plus_one_vector_per_image(self, b, length, heads, dtype, rtol, rng):
-        prm = PRM(make_prompts(length, dtype=dtype), "attn", heads, 2, rng, dtype)
+        prm = PRM(make_prompts(length), "attn", heads, 2, rng).astype(dtype)
         x_inv = Tensor(rng.standard_normal((b, D)).astype(dtype))
         g = prm.ffn(prm.sa.wo(prm.sa.wv(prm.ca.wo(prm.ca.wv(x_inv))))).data
         oracle = prm.prompts.data[None, :, :] + g[:, None, :]

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -13,7 +14,6 @@ import pytest
 from secap import cli
 from secap.data import (
     PROTOCOLS,
-    AugmentPolicy,
     SynthConfig,
     build_protocol,
     generate_synthetic,
@@ -105,6 +105,15 @@ class TestTrainLoop:
         line = format_epoch_line(3, values, 1.6e-06)
         assert line.startswith("epoch=3 loss_total=0.1 ")
         assert line.endswith("lr=1.6e-06")
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_augment_flag_decides_whether_images_are_augmented(self, corpus, monkeypatch, enabled):
+        train_mod = importlib.import_module("secap.train")  # `secap.train` is also the function
+        calls = []
+        real = train_mod.augment
+        monkeypatch.setattr(train_mod, "augment", lambda image, seed: calls.append(seed) or real(image, seed))
+        result = train(corpus, micro_train_cfg(epochs=1, augment=enabled))
+        assert len(calls) == (result.total_steps * 8 if enabled else 0)
 
     def test_checkpoint_cadence(self, corpus, tmp_path):
         result = train(corpus, micro_train_cfg(epochs=5, checkpoint_every=2), out_dir=str(tmp_path))
@@ -205,11 +214,11 @@ class TestHeldOutOrthogonality:
             held_out_orthogonality(model, corpus, num_batches=1, p=4, k=2, seed=0)
 
     def test_encoder_without_view_token_has_no_view_branch(self, corpus):
-        # the encoder's vdt_enabled alone decides the view branch, whatever `ablate` says
-        model_cfg = ModelConfig(encoder=EncoderConfig(**MICRO_ENC, vdt_enabled=False), prompt_len=4, seed=1)
-        assert model_cfg.ablate == "none" and not model_cfg.uses_vdt
+        # `ablate` alone decides the view branch: no view token, head or view terms
+        model_cfg = ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, ablate="no-vdt", seed=1)
+        assert not model_cfg.uses_vdt
         result = train(corpus, micro_train_cfg(model=model_cfg, epochs=1))
-        assert result.model.heads.view is None
+        assert result.model.encoder.view_token is None and result.model.heads.view is None
         assert np.isfinite(result.history[0]["loss_total"])
         assert result.history[0]["loss_view"] == 0.0 and result.history[0]["loss_orth"] == 0.0
         with pytest.raises(ContractError):
@@ -231,6 +240,14 @@ class TestCliUsage:
         rc = cli.main(["gen-data", "--out", str(tmp_path / "c"), "--ids", "0"])
         assert rc == cli.EXIT_USAGE
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--embed-dim=0", "--embed-dim=-4", "--depth=-1"])
+    def test_non_positive_width_or_depth_is_usage(self, tmp_path, capsys, flag):
+        rc = cli.main(["train", "--manifest", _tiny_manifest(tmp_path), "--out", str(tmp_path / "out"),
+                       "--epochs", "1", flag])
+        assert rc == cli.EXIT_USAGE
+        assert "embed_dim and depth must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCliGenData:
@@ -272,6 +289,17 @@ def cli_pipeline(tmp_path_factory):
     return {"manifest": manifest, "checkpoint": str(ckpt_dir / "checkpoint-0002.ckpt"), "root": root}
 
 
+def with_pre_derivation_encoder_keys(meta: dict, vdt_enabled: bool) -> dict:
+    """Checkpoint metadata as written while the encoder section also held
+    `stride` and `vdt_enabled`, in that release's key order."""
+    enc = meta["encoder"]
+    old = {key: enc[key] for key in ("image_h", "image_w", "patch")}
+    old["stride"] = 12 if enc["olp_enabled"] else 16
+    old.update({key: enc[key] for key in ("embed_dim", "depth", "heads", "ffn_mult", "olp_enabled")})
+    old["vdt_enabled"] = vdt_enabled
+    return {**meta, "encoder": old}
+
+
 class TestCliPipeline:
     def test_train_wrote_checkpoint_and_logs(self, cli_pipeline, capsys):
         capsys.readouterr()
@@ -297,6 +325,17 @@ class TestCliPipeline:
         designated = reports[2]["num_queries"] + reports[2]["num_excluded"]
         assert reports[2]["num_gallery"] == (
             reports[0]["num_gallery"] + reports[1]["num_gallery"] - designated)
+
+    def test_checkpoint_with_pre_derivation_encoder_keys_evaluates_the_same(self, cli_pipeline, tmp_path, capsys):
+        model, meta = model_from_checkpoint(cli_pipeline["checkpoint"])
+        old = str(tmp_path / "old.ckpt")
+        save_checkpoint(old, model.parameters(), with_pre_derivation_encoder_keys(meta, vdt_enabled=True))
+        reports = []
+        for ckpt in (cli_pipeline["checkpoint"], old):
+            assert cli.main(["eval", "--checkpoint", ckpt, "--manifest", cli_pipeline["manifest"],
+                             "--protocol", "all", "--queries-per-view", "1"]) == cli.EXIT_OK
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1] and reports[0].count("\n") == 3
 
     def test_eval_all_encodes_each_image_once(self, cli_pipeline, capsys, monkeypatch):
         argv = ["eval", "--checkpoint", cli_pipeline["checkpoint"], "--manifest", cli_pipeline["manifest"],
@@ -361,6 +400,18 @@ def micro_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("micro-ckpt") / "micro.ckpt"
     save_checkpoint(str(path), model.parameters(), checkpoint_metadata(model, None, 0, [0, 1]))
     return str(path)
+
+
+def test_no_vdt_checkpoint_with_pre_derivation_keys_rebuilds_without_view_token(tmp_path):
+    model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2,
+                                   ablate="no-vdt", seed=1))
+    meta = with_pre_derivation_encoder_keys(checkpoint_metadata(model, None, 0, [0, 1]), vdt_enabled=False)
+    path = str(tmp_path / "old-no-vdt.ckpt")
+    save_checkpoint(path, model.parameters(), meta)
+    loaded, _ = model_from_checkpoint(path)
+    assert loaded.encoder.view_token is None and loaded.cfg.ablate == "no-vdt"
+    assert [p.name for p in loaded.parameters()] == [p.name for p in model.parameters()]
+    assert all(a.data.tobytes() == b.data.tobytes() for a, b in zip(loaded.parameters(), model.parameters()))
 
 
 class TestCliErrors:
@@ -443,8 +494,8 @@ class TestCliErrors:
 
     @pytest.mark.parametrize("section, key, value", [
         ("encoder", "depth", "1"), ("encoder", "embed_dim", 16.0), ("encoder", "embed_dim", -16),
-        ("model", "prm_variant", "mean"),
-    ], ids=["string-depth", "float-width", "negative-width", "unknown-variant"])
+        ("encoder", "depth", 0), ("encoder", "embed_dim", 0), ("model", "prm_variant", "mean"),
+    ], ids=["string-depth", "float-width", "negative-width", "zero-depth", "zero-width", "unknown-variant"])
     def test_malformed_geometry_metadata_is_io(self, tmp_path, capsys, section, key, value):
         model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2, seed=1))
         meta = checkpoint_metadata(model, None, 0, [0, 1])
@@ -581,7 +632,7 @@ class TestCliErrors:
 
 
 # flags that feed no config dataclass field
-NON_CONFIG_DESTS = {"help", "out", "manifest", "no_augment", "coords", "tol"}
+NON_CONFIG_DESTS = {"out", "manifest", "coords", "tol"}
 DESK_ENCODER = dict(image_h=64, image_w=32, embed_dim=64, depth=2, heads=4)
 
 
@@ -601,11 +652,24 @@ class TestCliConfigSchema:
         ("train", (EncoderConfig, ModelConfig, TrainConfig, LossWeights)),
         ("grad-check", (EncoderConfig, ModelConfig)),
     ])
-    def test_every_dest_names_a_config_field(self, command, configs):
-        # cli._config drops a dest that names no field, so a misspelt one would go unnoticed
-        fields = {f.name for cls in configs for f in dataclasses.fields(cls)}
+    def test_every_dest_names_a_config_field(self, command, configs, tmp_path, monkeypatch, capsys):
+        # cli._config drops a dest that names no field of the class it builds,
+        # so a misspelt or orphaned flag would go unnoticed
+        built = []
+        real = cli._config
+        monkeypatch.setattr(cli, "_config", lambda cls, args, **given: built.append(cls) or real(cls, args, **given))
+        monkeypatch.setattr(cli, "generate_synthetic", lambda cfg, out: None)
+        monkeypatch.setattr(cli, "train", lambda manifest, cfg, **kw: None)
+        monkeypatch.setattr(cli, "check_parameter_gradients", lambda *a, **kw: (0.0, "none", None))
+        required = {"gen-data": ["--out", str(tmp_path / "c")], "grad-check": [],
+                    "train": ["--manifest", _tiny_manifest(tmp_path), "--out", str(tmp_path / "out")]}
+        assert cli.main([command] + required[command]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert sorted(cls.__name__ for cls in built) == sorted(cls.__name__ for cls in configs)
+        fields = {f.name for cls in built for f in dataclasses.fields(cls)}
         for action in _subparser(command)._actions:
-            assert action.dest in fields | NON_CONFIG_DESTS, (command, action.option_strings)
+            if not isinstance(action, argparse._HelpAction):
+                assert action.dest in fields | NON_CONFIG_DESTS, (command, action.option_strings)
 
     def capture_train(self, monkeypatch, argv):
         seen = []
@@ -619,7 +683,7 @@ class TestCliConfigSchema:
         desk = ModelConfig(encoder=EncoderConfig(**DESK_ENCODER), prompt_len=8)
         assert cfg == TrainConfig(model=desk)
         assert cfg.weights == LossWeights()
-        assert cfg.augment_policy == AugmentPolicy()
+        assert cfg.augment
 
     def test_train_flags_reach_their_fields(self, tmp_path, monkeypatch):
         argv = ["--manifest", _tiny_manifest(tmp_path), "--out", str(tmp_path / "out"),
@@ -629,7 +693,7 @@ class TestCliConfigSchema:
         assert cfg.weights == LossWeights(lam=0.01)
         assert cfg.model.prm_variant == "cat"
         assert cfg.model.encoder.olp_enabled and cfg.model.encoder.stride == 12
-        assert not cfg.augment_policy.enabled
+        assert not cfg.augment
 
     @pytest.mark.parametrize("flags, stride", [([], 16), (["--olp"], 12)])
     def test_grad_check_model(self, capsys, monkeypatch, flags, stride):
