@@ -43,8 +43,8 @@ class EncoderConfig:
         if self.embed_dim % self.heads != 0:
             raise ConfigurationError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
-        if self.patch < 1:
-            raise ConfigurationError(f"patch must be positive, got {self.patch}")
+        if self.patch < self.stride:  # windows would skip the pixels between them
+            raise ConfigurationError(f"patch {self.patch} is smaller than its stride {self.stride}")
         if self.image_h < self.patch or self.image_w < self.patch:
             raise ConfigurationError(
                 f"image {self.image_h}x{self.image_w} smaller than one {self.patch}px patch")

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError
 from .nn import FeedForward, Module, MultiHeadAttention, expand_rows
-from .tensor import Parameter, Tensor, add, concat, reshape
+from .tensor import Parameter, Tensor, add, concat, narrow, reshape
 
 VARIANTS = ("attn", "add", "cat")
 
@@ -37,11 +37,17 @@ class PRM(Module):
         if x_inv.ndim != 2 or x_inv.shape[1] != d:
             raise DimensionError(f"expected x_inv of shape B x {d}, got {x_inv.shape}")
         b = x_inv.shape[0]
-        prompts = expand_rows(reshape(self.prompts, (1, length, d)), b)
+        bank = reshape(self.prompts, (1, length, d))
         x_row = reshape(x_inv, (b, 1, d))
+        if self.variant == "attn":
+            # ca has one key, so every prompt row gets the same update and sa then
+            # sees identical rows: calibrate one row per image, broadcast it to L
+            h = self.ca(expand_rows(narrow(bank, 1, 0, 1), b), x_row)
+            return add(self.ffn(self.sa(h, h)), bank)
+        prompts = expand_rows(bank, b)
         if self.variant == "cat":  # prompts attend over [prompts; x_inv]; no x_inv row is kept
             h = self.sa(prompts, concat([prompts, x_row], axis=1))
         else:
-            h = self.ca(prompts, x_row) if self.variant == "attn" else add(prompts, x_row)
+            h = add(prompts, x_row)
             h = self.sa(h, h)
         return add(self.ffn(h), prompts)

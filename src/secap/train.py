@@ -170,7 +170,9 @@ def train(
                 total, parts = model.compute_losses(images, id_labels, view_labels, cfg.weights)
                 value = total.data.item()
                 if not np.isfinite(value):
-                    raise NumericError(f"non-finite loss {value} at epoch {epoch} step {s}")
+                    bad = [f"{part}={v}" for part, v in parts.scalars().items() if not np.isfinite(v)]
+                    raise NumericError(f"non-finite loss {value} at epoch {epoch} step {s}; "
+                                       f"non-finite parts: {', '.join(bad) or 'none'}")
                 backward(total)
             lr = cosine_lr(step, total_steps, cfg.lr_max, cfg.lr_min, cfg.warmup_steps)
             opt.lr = lr

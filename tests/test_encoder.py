@@ -35,9 +35,9 @@ class TestConfig:
 
     def test_token_count_closed_form_sweep(self, rng):
         for _ in range(50):
-            patch = int(rng.integers(4, 17))
             olp = bool(rng.integers(0, 2))
             stride = 12 if olp else 16
+            patch = stride + int(rng.integers(0, 9))
             h = patch + int(rng.integers(0, 40))
             w = patch + int(rng.integers(0, 40))
             cfg = EncoderConfig(image_h=h, image_w=w, patch=patch, olp_enabled=olp,
@@ -46,6 +46,11 @@ class TestConfig:
             nh = (h - patch) // stride + 1
             nw = (w - patch) // stride + 1
             assert cfg.num_patches == nh * nw
+
+    @pytest.mark.parametrize("patch, olp", [(8, False), (15, False), (11, True), (0, True)])
+    def test_patch_smaller_than_stride_rejected(self, patch, olp):
+        with pytest.raises(ConfigurationError, match=f"patch {patch} is smaller than its stride"):
+            EncoderConfig(image_h=64, image_w=32, patch=patch, olp_enabled=olp, embed_dim=8, heads=2)
 
     def test_image_smaller_than_patch_rejected(self):
         with pytest.raises(ConfigurationError):

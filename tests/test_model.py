@@ -173,17 +173,19 @@ class TestInference:
 
 class TestTapeBudget:
     # one micro forward: 11 attention calls (1 encoder, 2 PRM, 8 LFRM), each
-    # four linear entries and one attention entry, with no head split or softmax
+    # four linear entries and one attention entry, with no head split or softmax;
+    # PRM `attn` narrows the bank to the one prompt row that queries ca
     EXPECTED = {
         "add": 15, "attention": 11, "clamp_min": 2, "concat": 3, "gelu": 5,
         "layer_norm": 2, "linear": 60, "log_softmax_lastdim": 3, "mul": 22,
-        "narrow": 7, "neg": 3, "reshape": 5, "softplus": 2, "sub": 5,
+        "narrow": 8, "neg": 3, "reshape": 5, "softplus": 2, "sub": 5,
         "swapaxes": 4, "tabs": 1, "take_pairs": 7, "tsqrt": 2, "tsum": 9,
     }
 
     # bytes of every recorded output; fusion's sa and FFN keep only the output
-    # token's row, where the full [out_token; prompts] sequence took 90,908
-    EXPECTED_BYTES = 82_460
+    # token's row, where the full [out_token; prompts] sequence took 90,908, and
+    # PRM `attn` calibrates one row per image, where all L rows took 82,460
+    EXPECTED_BYTES = 71_772
 
     def test_entries_per_op(self, rng):
         images, ids, views = micro_batch(rng)
@@ -191,7 +193,7 @@ class TestTapeBudget:
             SeCapModel(micro_cfg()).compute_losses(images, ids, views, LossWeights())
             counts = Counter(e.backward_rule.__qualname__.split(".")[0] for e in tape().entries)
             assert dict(counts) == self.EXPECTED
-            assert sum(counts.values()) == 168
+            assert sum(counts.values()) == 169
 
     def test_recorded_output_bytes(self, rng):
         images, ids, views = micro_batch(rng)

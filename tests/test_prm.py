@@ -153,6 +153,36 @@ class TestCatMatchesFullSequence:
         assert relative_error(new, old) <= 1e-12
 
 
+def full_bank_attn(prm, x_inv):
+    """Oracle: calibrate all L prompt rows of every image, B x L rows in all."""
+    b, d = x_inv.shape
+    length = prm.prompts.shape[0]
+    prompts = expand_rows(reshape(prm.prompts, (1, length, d)), b)
+    h = prm.ca(prompts, reshape(x_inv, (b, 1, d)))
+    return add(prm.ffn(prm.sa(h, h)), prompts)
+
+
+class TestAttnMatchesFullBank:
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
+    def test_output(self, b, length, heads, dtype, rtol, rng):
+        prm = PRM(make_prompts(length), "attn", heads, 2, rng).astype(dtype)
+        x_inv = Tensor(rng.standard_normal((b, D)).astype(dtype))
+        out = prm(x_inv)
+        assert out.shape == (b, length, D) and out.dtype == dtype
+        assert relative_error(out.data, full_bank_attn(prm, x_inv).data) <= rtol
+
+    @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
+    def test_gradients(self, b, length, heads, rng):
+        prm = PRM(make_prompts(length), "attn", heads, 2, rng).astype(np.float64)
+        x_inv = Tensor(rng.standard_normal((b, D)), requires_grad=True)
+        probe = Tensor(rng.standard_normal((b, length, D)))
+        with recording():
+            new = gradients(prm, x_inv, prm(x_inv), probe)
+            old = gradients(prm, x_inv, full_bank_attn(prm, x_inv), probe)
+        assert relative_error(new, old) <= 1e-12
+
+
 class TestAttnCollapse:
     """PRM `attn` cross-attends the prompts to x_inv alone: one key, so every
     softmax weight is 1 and every prompt row gets the same update. The

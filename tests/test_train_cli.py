@@ -29,7 +29,7 @@ from secap.model import ModelConfig, SeCapModel
 from secap.storage import (
     CKPT_MAGIC, CKPT_METADATA_OFFSET, CKPT_VERSION, load_checkpoint, load_rten, save_checkpoint, save_rten,
 )
-from secap.tensor import tape
+from secap.tensor import Tensor, mul, tape
 from secap.train import (
     LOG_KEYS,
     TrainConfig,
@@ -150,6 +150,16 @@ class TestTrainLoop:
             train(manifest, micro_train_cfg(epochs=1))
         assert tape().entries == []
 
+    def test_nan_loss_names_the_part(self, corpus, monkeypatch):
+        model_mod = importlib.import_module("secap.model")
+        real = model_mod.orthogonality_loss
+        monkeypatch.setattr(model_mod, "orthogonality_loss",
+                            lambda x_inv, view_feat: mul(real(x_inv, view_feat), Tensor(np.float32(np.nan))))
+        with pytest.raises(NumericError, match=r"^non-finite loss nan at epoch 1 step 0; "
+                                               r"non-finite parts: orth=nan$"):
+            train(corpus, micro_train_cfg(epochs=1))
+        assert tape().entries == []
+
     def test_tape_empty_after_every_step(self, corpus, monkeypatch):
         import secap.optim as optim_mod
 
@@ -247,6 +257,13 @@ class TestCliUsage:
                        "--epochs", "1", flag])
         assert rc == cli.EXIT_USAGE
         assert "embed_dim and depth must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_patch_smaller_than_stride_is_usage(self, tmp_path, capsys):
+        rc = cli.main(["train", "--manifest", _tiny_manifest(tmp_path), "--out", str(tmp_path / "out"),
+                       "--epochs", "1", "--patch", "8"])
+        assert rc == cli.EXIT_USAGE
+        assert "patch 8 is smaller than its stride 16" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -495,7 +512,9 @@ class TestCliErrors:
     @pytest.mark.parametrize("section, key, value", [
         ("encoder", "depth", "1"), ("encoder", "embed_dim", 16.0), ("encoder", "embed_dim", -16),
         ("encoder", "depth", 0), ("encoder", "embed_dim", 0), ("model", "prm_variant", "mean"),
-    ], ids=["string-depth", "float-width", "negative-width", "zero-depth", "zero-width", "unknown-variant"])
+        ("encoder", "patch", 8),
+    ], ids=["string-depth", "float-width", "negative-width", "zero-depth", "zero-width", "unknown-variant",
+            "patch-below-stride"])
     def test_malformed_geometry_metadata_is_io(self, tmp_path, capsys, section, key, value):
         model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2, seed=1))
         meta = checkpoint_metadata(model, None, 0, [0, 1])
