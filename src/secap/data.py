@@ -66,15 +66,7 @@ class SampleRecord:
 class Manifest:
     """Ordered record collection; paths unique, records sorted by path."""
 
-    def __init__(
-        self,
-        records: Iterable[SampleRecord],
-        *,
-        name: str = "dataset",
-        num_views: Optional[int] = None,
-        image_size: Optional[Tuple[int, int]] = None,
-        root: Optional[str] = None,
-    ):
+    def __init__(self, records: Iterable[SampleRecord], *, root: Optional[str] = None):
         recs = sorted(records, key=lambda r: r.path)
         seen = set()
         for r in recs:
@@ -82,11 +74,6 @@ class Manifest:
                 raise ConfigurationError(f"duplicate path in manifest: {r.path!r}")
             seen.add(r.path)
         self.records: Tuple[SampleRecord, ...] = tuple(recs)
-        self.name = name
-        if num_views is None:
-            num_views = max((r.view for r in recs), default=0) + 1
-        self.num_views = num_views
-        self.image_size = image_size
         self.root = root
 
     def __len__(self) -> int:
@@ -107,13 +94,7 @@ class Manifest:
         return out
 
     def subset(self, records: Iterable[SampleRecord]) -> "Manifest":
-        return Manifest(
-            records,
-            name=self.name,
-            num_views=self.num_views,
-            image_size=self.image_size,
-            root=self.root,
-        )
+        return Manifest(records, root=self.root)
 
     def resolve(self, record: SampleRecord) -> str:
         return os.path.join(self.root, record.path) if self.root else record.path
@@ -132,23 +113,14 @@ def load_images(manifest: Manifest, records: Sequence[SampleRecord]) -> np.ndarr
 
 def write_manifest(manifest: Manifest, path) -> None:
     lines = [MANIFEST_HEADER]
-    lines.append(f"#meta name={manifest.name}")
-    lines.append(f"#meta num_views={manifest.num_views}")
-    if manifest.image_size is not None:
-        lines.append(f"#meta image_size={manifest.image_size[0]}x{manifest.image_size[1]}")
     for r in manifest.records:
         lines.append(f"{r.path}\t{r.identity}\t{r.camera}\t{r.view}\t{r.frame}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _meta_int(path, text: str, offset: int) -> int:
-    if not text.isdecimal():
-        raise ParseError(f"{path}: non-integer #meta value {text!r}", offset)
-    return int(text)
-
-
 def read_manifest(path) -> Manifest:
+    """Parse a manifest; every `#` line after the header is a comment."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -159,24 +131,11 @@ def read_manifest(path) -> Manifest:
     if not lines or lines[0] != MANIFEST_HEADER:
         raise ParseError(f"{path}: missing header {MANIFEST_HEADER!r}", 0)
     offset = len(lines[0].encode("utf-8")) + 1
-    name, num_views, image_size = "dataset", None, None
     records: List[SampleRecord] = []
     for line in lines[1:]:
         line_start = offset
         offset += len(line.encode("utf-8")) + 1
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[len("#meta ") :] if line.startswith("#meta ") else ""
-            value_at = line_start + len("#meta ")
-            if body.startswith("name="):
-                name = body[5:]
-            elif body.startswith("num_views="):
-                num_views = _meta_int(path, body[10:], value_at + 10)
-            elif body.startswith("image_size="):
-                h, _, w = body[11:].partition("x")
-                w_at = value_at + 12 + len(h.encode("utf-8"))
-                image_size = (_meta_int(path, h, value_at + 11), _meta_int(path, w, w_at))
+        if not line or line.startswith("#"):
             continue
         fields = line.split("\t")
         if len(fields) != 5:
@@ -199,7 +158,7 @@ def read_manifest(path) -> Manifest:
             raise ParseError(f"{path}: {exc}", line_start) from exc
     root = os.path.dirname(os.path.abspath(path))
     try:
-        return Manifest(records, name=name, num_views=num_views, image_size=image_size, root=root)
+        return Manifest(records, root=root)
     except ConfigurationError as exc:
         raise ParseError(f"{path}: {exc}", 0) from exc
 
@@ -576,12 +535,6 @@ def generate_synthetic(cfg: SynthConfig, out_dir) -> Tuple[Manifest, Dict[str, n
         path = format_image_name(9000 + d, camera, 0)
         emit(path, -1, camera, v, 0, latent, rng)
 
-    manifest = Manifest(
-        records,
-        name="synthetic",
-        num_views=cfg.num_views,
-        image_size=(cfg.image_h, cfg.image_w),
-        root=str(out_dir),
-    )
+    manifest = Manifest(records, root=str(out_dir))
     write_manifest(manifest, os.path.join(out_dir, "manifest.tsv"))
     return manifest, latents

@@ -82,8 +82,6 @@ def tokenize(images: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
     if h != cfg.image_h or w != cfg.image_w:
         raise DimensionError(
             f"image size {h}x{w} does not match configured {cfg.image_h}x{cfg.image_w}")
-    if h < cfg.patch or w < cfg.patch:
-        raise DimensionError(f"image {h}x{w} smaller than one {cfg.patch}px patch")
     windows = np.lib.stride_tricks.sliding_window_view(
         images, (cfg.patch, cfg.patch), axis=(2, 3))[:, :, ::cfg.stride, ::cfg.stride]
     nh, nw = cfg.grid

@@ -94,7 +94,11 @@ def _read_array(cur: _Cursor) -> np.ndarray:
     for d in shape:
         count *= d
     raw = cur.take(count * _CODE_TO_DTYPE[code].itemsize, "payload")
-    arr = np.frombuffer(raw, dtype=_CODE_TO_DTYPE[code]).reshape(shape)
+    flat = np.frombuffer(raw, dtype=_CODE_TO_DTYPE[code])
+    try:  # an empty payload passes take() even beside a dim numpy cannot hold
+        arr = flat.reshape(shape)
+    except ValueError as exc:
+        raise ParseError(f"{cur.label}: shape {shape} does not fit an array ({exc})", at) from None
     return arr.astype(_CODE_TO_NATIVE[code])
 
 

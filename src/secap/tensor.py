@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import erf as _erf
 
-from . import runtime
 from .errors import ContractError, DimensionError, NumericError
 
 __all__ = [
@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 DEFAULT_DTYPE = np.float32
+
+# scan every op result for NaN/Inf and name the op that made it; off by default
+_debug_checks = os.environ.get("SECAP_DEBUG_NAN", "") not in ("", "0")
 
 
 class TapeEntry:
@@ -80,11 +83,9 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif not (isinstance(data, np.ndarray) and arr.dtype in (np.float32, np.float64)):
+        if not (isinstance(data, np.ndarray) and arr.dtype in (np.float32, np.float64)):
             # numpy float arrays keep their precision; everything else lands in f32
             arr = arr.astype(DEFAULT_DTYPE)
         # own the buffer: callers mutating their array must not alias tensor state
@@ -125,8 +126,8 @@ class Parameter(Tensor):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str, data, dtype=None):
-        super().__init__(data, requires_grad=True, dtype=dtype)
+    def __init__(self, name: str, data):
+        super().__init__(data, requires_grad=True)
         self.name = name
 
     def assign(self, value: np.ndarray) -> None:
@@ -149,7 +150,7 @@ def _post(arr: np.ndarray, op: str) -> None:
 
 
 def _make(data: np.ndarray, inputs: Sequence[Tensor], backward_rule) -> Tensor:
-    if runtime.debug_checks_enabled():  # op name: `tsqrt.<locals>.<lambda>` is tsqrt
+    if _debug_checks:  # op name: `tsqrt.<locals>.<lambda>` is tsqrt
         _post(data, backward_rule.__qualname__.split(".")[0])
     out = Tensor.__new__(Tensor)
     out.data = np.ascontiguousarray(data)

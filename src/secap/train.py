@@ -73,7 +73,6 @@ class TrainConfig:
 class TrainResult:
     model: SeCapModel
     history: List[Dict[str, float]]
-    label_map: Dict[int, int]
     total_steps: int
     checkpoint_paths: List[str]
 
@@ -192,7 +191,6 @@ def train(
     return TrainResult(
         model=model,
         history=history,
-        label_map=label_map,
         total_steps=total_steps,
         checkpoint_paths=checkpoint_paths,
     )

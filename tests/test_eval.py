@@ -246,8 +246,7 @@ class TestExtractFeatures:
     def test_missing_image_names_path(self, micro_corpus, tmp_path):
         model = self.model()
         ghost = SampleRecord(path="0099_C00_000000.rten", identity=99, camera=0, view=0, frame=0)
-        bad = Manifest(list(micro_corpus.records) + [ghost],
-                       num_views=2, image_size=(16, 16), root=micro_corpus.root)
+        bad = Manifest(list(micro_corpus.records) + [ghost], root=micro_corpus.root)
         with pytest.raises(FileNotFoundError, match="0099_C00_000000"):
             extract_features(model, bad)
 

@@ -178,7 +178,7 @@ class TestTotalLoss:
 
     def test_zero_lambda_zeroes_view_gradients(self, rng):
         with recording():
-            w = Parameter("viewpart", rng.standard_normal(3), dtype=np.float64)
+            w = Parameter("viewpart", rng.standard_normal(3))
             parts = LossParts(id_g=const_part(1.0), tri_g=const_part(1.0),
                               view=tsum(mul(w, w)), orth=const_part(0.5))
             backward(total_loss(parts, LossWeights(lam=0.0)))

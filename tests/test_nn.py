@@ -68,7 +68,7 @@ class TestModule:
         assert not hasattr(secap.nn, "collect_parameters")
 
     def test_no_layer_constructor_takes_a_dtype(self):
-        """Layers are built in float32; Module.astype is the one precision switch."""
+        """Layers and tensors take no dtype; Module.astype is the one precision switch."""
         src = Path(secap.nn.__file__).parent
         takers = []
         for path in src.glob("*.py"):
@@ -77,7 +77,7 @@ class TestModule:
                     takers += [f"{path.name}:{node.name}" for item in node.body
                                if isinstance(item, ast.FunctionDef) and item.name == "__init__"
                                and "dtype" in [a.arg for a in item.args.args + item.args.kwonlyargs]]
-        assert takers == ["tensor.py:Tensor", "tensor.py:Parameter"]
+        assert takers == []
 
     def test_astype_converts_each_parameter_once_and_returns_the_layer(self, rng):
         class Tied(Module):

@@ -1,10 +1,17 @@
 """Raw tensor files, checkpoints, and the PPM reader."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from secap.errors import CheckpointError, ParseError
 from secap.storage import (
+    CKPT_MAGIC,
+    CKPT_VERSION,
     checkpoint_bytes,
     load_checkpoint,
     load_image,
@@ -17,6 +24,15 @@ from secap.storage import (
     save_rten,
 )
 from secap.tensor import Parameter
+
+
+def array_record(code, dims, payload=b""):
+    """One raw array record as .rten files and checkpoints store it."""
+    return struct.pack(f"<BB{len(dims)}Q", code, len(dims), *dims) + payload
+
+
+# an empty payload next to a dim numpy cannot hold
+UNHOLDABLE = (0, 2**62)
 
 
 class TestRten:
@@ -95,6 +111,28 @@ class TestRten:
     def test_integer_arrays_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="dtype"):
             rten_bytes(np.arange(4))
+
+    def test_shape_numpy_cannot_hold(self, tmp_path):
+        p = tmp_path / "x.rten"
+        p.write_bytes(b"RTEN\x01" + array_record(0, UNHOLDABLE))
+        with pytest.raises(ParseError, match="does not fit") as exc:
+            load_rten(p)
+        assert exc.value.offset == 5
+        with pytest.raises(ParseError, match="does not fit"):
+            load_image(p)
+
+    @settings(derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(code=st.one_of(st.sampled_from([0, 1]), st.integers(0, 255)),  # half the draws valid
+           dims=st.lists(st.sampled_from([0, 1, 3, 2**31, 2**62, 2**64 - 1]), max_size=4),
+           payload=st.binary(max_size=64))
+    def test_any_header_loads_or_raises_parse_error(self, tmp_path, code, dims, payload):
+        p = tmp_path / "x.rten"
+        p.write_bytes(b"RTEN\x01" + array_record(code, dims, payload))
+        try:
+            arr = load_rten(p)
+        except ParseError:
+            return
+        assert arr.shape == tuple(dims) and arr.dtype in (np.float32, np.float64)
 
 
 def _params(rng, dtype=np.float32):
@@ -175,6 +213,14 @@ class TestCheckpoint:
         params = _params(rng) + [Parameter("enc.w", np.zeros((1,), dtype=np.float32))]
         with pytest.raises(CheckpointError, match="duplicate"):
             checkpoint_bytes(params, {})
+
+    def test_parameter_shape_numpy_cannot_hold(self, tmp_path):
+        meta = json.dumps({}).encode()
+        p = tmp_path / "bad.ckpt"
+        p.write_bytes(CKPT_MAGIC + struct.pack("<HQ", CKPT_VERSION, len(meta)) + meta
+                      + struct.pack("<QH", 1, 1) + b"w" + array_record(0, UNHOLDABLE))
+        with pytest.raises(CheckpointError, match="does not fit"):
+            load_checkpoint(p)
 
     def test_dtype_preserved(self, tmp_path, rng):
         params = [Parameter("w", rng.standard_normal((2, 2)))]  # float64

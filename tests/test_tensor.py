@@ -1,5 +1,8 @@
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,6 @@ import secap.tensor
 from secap.errors import ConfigurationError, ContractError, DimensionError, NumericError
 from secap.gradcheck import check_parameter_gradients, finite_diff_check
 from secap.optim import SGD, cosine_lr
-from secap.runtime import set_debug_checks
 from secap.tensor import (
     Parameter, Tensor, _make, add, attention, backward, clamp_min, concat, gelu, layer_norm,
     linear, log_softmax_lastdim, mul, narrow, neg, recording, reshape, softplus, sub,
@@ -57,9 +59,6 @@ class TestConstruction:
 
     def test_numpy_float64_is_preserved(self):
         assert Tensor(np.zeros(3, dtype=np.float64)).dtype == np.float64
-
-    def test_explicit_dtype_wins(self):
-        assert Tensor([1.0], dtype=np.float64).dtype == np.float64
 
     def test_item_rejects_non_scalar(self):
         with pytest.raises(ContractError):
@@ -393,7 +392,8 @@ class TestGelu:
         np.testing.assert_array_equal(out, x * phi)
         np.testing.assert_array_equal(gelu(Tensor(x)).data, out)
 
-    def test_float32_special_values_match_float64_path(self):
+    def test_float32_special_values_match_float64_path(self, monkeypatch):
+        monkeypatch.setattr(secap.tensor, "_debug_checks", False)
         x = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0], dtype=np.float64)
         with np.errstate(invalid="ignore"):
             got = gelu(Tensor(x.astype(np.float32))).data
@@ -420,14 +420,11 @@ class TestGelu:
             assert len(tape().entries) == 1
             assert tape().entries[0].backward_rule.__qualname__.startswith("gelu.")
 
-    def test_float32_nan_is_named_under_debug_checks(self):
-        set_debug_checks(True)
-        try:
-            with np.errstate(invalid="ignore"), \
-                    pytest.raises(NumericError, match=r"op 'gelu' at index \(1,\)"):
-                gelu(Tensor(np.array([1.0, np.nan], dtype=np.float32)))
-        finally:
-            set_debug_checks(False)
+    def test_float32_nan_is_named_under_debug_checks(self, monkeypatch):
+        monkeypatch.setattr(secap.tensor, "_debug_checks", True)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericError, match=r"op 'gelu' at index \(1,\)"):
+            gelu(Tensor(np.array([1.0, np.nan], dtype=np.float32)))
 
 
 class TestBackward:
@@ -588,13 +585,13 @@ class TestParameter:
         assert isinstance(p, Tensor) and p.requires_grad and p.name == "w"
 
     def test_assign_rejects_a_shape_change(self):
-        p = Parameter("w", np.zeros((2, 3)), dtype=np.float32)
+        p = Parameter("w", np.zeros((2, 3), dtype=np.float32))
         with pytest.raises(DimensionError, match="parameter w"):
             p.assign(np.zeros((3, 2)))
         assert p.shape == (2, 3)
 
     def test_assign_casts_to_the_parameter_dtype(self):
-        p = Parameter("w", np.zeros(3), dtype=np.float32)
+        p = Parameter("w", np.zeros(3, dtype=np.float32))
         p.assign(np.array([0.1, 1e-3, -2.5], dtype=np.float64))
         assert p.dtype == np.float32
         assert p.data.tobytes() == np.array([0.1, 1e-3, -2.5], dtype=np.float32).tobytes()
@@ -819,8 +816,8 @@ class TestPerOpGradients:
 
 class TestParameterGradientSweep:
     def test_two_parameter_model(self, rng):
-        w = Parameter("w", rng.standard_normal((3, 2)), dtype=np.float64)
-        b = Parameter("b", rng.standard_normal(2), dtype=np.float64)
+        w = Parameter("w", rng.standard_normal((3, 2)))
+        b = Parameter("b", rng.standard_normal(2))
         x = Tensor(rng.standard_normal((5, 3)).astype(np.float64))
 
         def loss_fn():
@@ -834,33 +831,38 @@ class TestParameterGradientSweep:
         assert name in per_param
 
     def test_float32_parameters_rejected(self):
-        w = Parameter("w", np.zeros(2), dtype=np.float32)
+        w = Parameter("w", np.zeros(2, dtype=np.float32))
         with pytest.raises(ContractError):
             check_parameter_gradients([w], lambda: tsum(w))
 
 
 class TestDebugChecks:
-    def test_nan_raises_when_enabled(self):
-        set_debug_checks(True)
-        try:
-            with np.errstate(invalid="ignore"), \
-                    pytest.raises(NumericError, match=r"op 'tsqrt' at index \(1,\)"):
-                tsqrt(Tensor([1.0, -1.0]))
-        finally:
-            set_debug_checks(False)
+    def test_nan_raises_when_enabled(self, monkeypatch):
+        monkeypatch.setattr(secap.tensor, "_debug_checks", True)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericError, match=r"op 'tsqrt' at index \(1,\)"):
+            tsqrt(Tensor([1.0, -1.0]))
 
-    def test_nan_query_names_attention(self, rng):
+    def test_nan_query_names_attention(self, rng, monkeypatch):
         q = rng.standard_normal((1, 3, 4))
         q[0, 2, 1] = np.nan
         kv = Tensor(rng.standard_normal((1, 5, 4)))
-        set_debug_checks(True)
-        try:
-            with pytest.raises(NumericError, match=r"op 'attention' at index \(0, 2, 0\)"):
-                attention(Tensor(q), kv, kv, 2)
-        finally:
-            set_debug_checks(False)
+        monkeypatch.setattr(secap.tensor, "_debug_checks", True)
+        with pytest.raises(NumericError, match=r"op 'attention' at index \(0, 2, 0\)"):
+            attention(Tensor(q), kv, kv, 2)
 
-    def test_nan_passes_silently_when_disabled(self):
+    def test_nan_passes_silently_when_disabled(self, monkeypatch):
+        monkeypatch.setattr(secap.tensor, "_debug_checks", False)
         with np.errstate(invalid="ignore"):
             out = tsqrt(Tensor([-1.0]))
         assert np.isnan(out.data[0])
+
+    def test_environment_variable_enables_the_check(self):
+        src = str(Path(secap.tensor.__file__).parents[1])
+        code = ("import numpy as np; from secap.tensor import Tensor, tsqrt\n"
+                "with np.errstate(invalid='ignore'): tsqrt(Tensor([-1.0]))")
+        for value, fails in (("1", True), ("0", False)):
+            env = {**os.environ, "SECAP_DEBUG_NAN": value, "PYTHONPATH": src}
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+            assert (proc.returncode != 0) == fails, proc.stderr
+            assert ("op 'tsqrt'" in proc.stderr) == fails

@@ -448,9 +448,9 @@ class TestCliErrors:
         capsys.readouterr()
 
     @pytest.mark.parametrize("manifest_bytes", [
-        b"#secap-manifest v1\n#meta num_views=two\n",
+        b"#secap-manifest v1\na.rten\tx\t0\t0\t0\n",
         b"#secap-manifest v1\n\xff\xfe.rten\t0\t0\t0\t0\n",
-    ], ids=["non-integer-num-views", "not-utf8"])
+    ], ids=["non-integer-field", "not-utf8"])
     def test_malformed_manifest_is_io(self, micro_checkpoint, tmp_path, capsys, manifest_bytes):
         manifest = tmp_path / "m.tsv"
         manifest.write_bytes(manifest_bytes)
@@ -553,6 +553,31 @@ class TestCliErrors:
         assert odd in err and "(3, 24, 16)" in err and "(3, 16, 16)" in err
         with pytest.raises(ParseError, match=r"\(3, 24, 16\)"):
             extract_features(SeCapModel(micro_train_cfg().model), manifest)
+
+    def test_unholdable_image_shape_in_training_is_io(self, tmp_path, capsys):
+        cfg = SynthConfig(num_ids=4, images_per_id_per_view=2, image_h=16, image_w=16, seed=9)
+        manifest, _ = generate_synthetic(cfg, tmp_path)
+        odd = manifest.resolve(manifest.records[1])
+        with open(odd, "wb") as fh:  # an empty payload beside a dim numpy cannot hold
+            fh.write(b"RTEN\x01" + struct.pack("<BB2Q", 0, 2, 0, 2**62))
+        rc = cli.main(["train", "--manifest", os.path.join(str(tmp_path), "manifest.tsv"),
+                       "--out", str(tmp_path / "out"), "--epochs", "1",
+                       "--p", "4", "--k", "4", "--patch", "16"] + MICRO_FLAGS)
+        assert rc == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert odd in err and "does not fit" in err and "(byte offset 5)" in err
+
+    def test_unholdable_parameter_shape_is_io(self, micro_checkpoint, tmp_path, capsys):
+        raw = open(micro_checkpoint, "rb").read()
+        end = raw.index(b"encoder.proj.weight") + len(b"encoder.proj.weight")
+        ckpt = tmp_path / "bad-shape.ckpt"
+        ckpt.write_bytes(raw[:end] + struct.pack("<BB2Q", 0, 2, 0, 2**62))
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("#secap-manifest v1\n")
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)])
+        assert rc == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "does not fit" in err and f"(byte offset {end})" in err
 
     @pytest.mark.parametrize("value, code, message", [
         (np.nan, cli.EXIT_IO, "1 non-finite pixels"),
