@@ -4,6 +4,12 @@ image's view-invariant feature.
 Three calibration routes exist (attention, addition, concatenation); all
 end by re-adding the raw prompts, so a zeroed module passes the prompts
 through untouched.
+
+The attention route attends over the single key x_inv, so both softmaxes
+are 1 and each attention reduces to wo(wv(.)): the route is the projection
+chain ca.wv, ca.wo, sa.wv, sa.wo, then the FFN, broadcast over the prompt
+rows. Older `attn` checkpoints also hold the six query and key tensors
+(ATTN_DROPPED_PARAMETERS); loading drops them.
 """
 
 from __future__ import annotations
@@ -12,9 +18,12 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError
 from .nn import FeedForward, Module, MultiHeadAttention, expand_rows
-from .tensor import Parameter, Tensor, add, concat, narrow, reshape
+from .tensor import Parameter, Tensor, add, concat, reshape
 
 VARIANTS = ("attn", "add", "cat")
+
+ATTN_DROPPED_PARAMETERS = ("prm.ca.wq.weight", "prm.ca.wq.bias", "prm.ca.wk.weight",
+                           "prm.sa.wq.weight", "prm.sa.wq.bias", "prm.sa.wk.weight")
 
 
 class PRM(Module):
@@ -28,8 +37,12 @@ class PRM(Module):
         self.variant = variant
         d = prompts.shape[1]
         if variant == "attn":
-            self.ca = MultiHeadAttention(f"{name}.ca", d, heads, rng)
-        self.sa = MultiHeadAttention(f"{name}.sa", d, heads, rng)
+            # wq and wk are drawn and dropped, so every later tensor keeps its initial values
+            ca = MultiHeadAttention(f"{name}.ca", d, heads, rng)
+            sa = MultiHeadAttention(f"{name}.sa", d, heads, rng)
+            self.chain = [ca.wv, ca.wo, sa.wv, sa.wo]
+        else:
+            self.sa = MultiHeadAttention(f"{name}.sa", d, heads, rng)
         self.ffn = FeedForward(f"{name}.ffn", d, ffn_mult, rng)
 
     def __call__(self, x_inv: Tensor) -> Tensor:
@@ -39,11 +52,10 @@ class PRM(Module):
         b = x_inv.shape[0]
         bank = reshape(self.prompts, (1, length, d))
         x_row = reshape(x_inv, (b, 1, d))
-        if self.variant == "attn":
-            # ca has one key, so every prompt row gets the same update and sa then
-            # sees identical rows: calibrate one row per image, broadcast it to L
-            h = self.ca(expand_rows(narrow(bank, 1, 0, 1), b), x_row)
-            return add(self.ffn(self.sa(h, h)), bank)
+        if self.variant == "attn":  # one calibrated row per image, broadcast to all L
+            for layer in self.chain:
+                x_row = layer(x_row)
+            return add(self.ffn(x_row), bank)
         prompts = expand_rows(bank, b)
         if self.variant == "cat":  # prompts attend over [prompts; x_inv]; no x_inv row is kept
             h = self.sa(prompts, concat([prompts, x_row], axis=1))

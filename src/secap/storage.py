@@ -290,6 +290,8 @@ def load_image(path) -> np.ndarray:
             image = load_rten(path).astype(np.float32, copy=False)
         if image.ndim != 3 or image.shape[0] != 3:
             raise ParseError(f"{s}: image tensor must be rank 3 with shape (3, H, W), got {image.shape}", 0)
+        if image.size == 0:
+            raise ParseError(f"{s}: empty image {image.shape[2]}x{image.shape[1]}", 0)
         if not np.isfinite(image).all():
             raise ParseError(f"{s}: {int(np.sum(~np.isfinite(image)))} non-finite pixels", 0)
         return image

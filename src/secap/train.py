@@ -24,6 +24,7 @@ from .errors import CheckpointError, ConfigurationError, ContractError, NumericE
 from .losses import LossParts, LossWeights, orthogonality_loss
 from .model import ModelConfig, SeCapModel
 from .optim import SGD, cosine_lr
+from .prm import ATTN_DROPPED_PARAMETERS
 from .storage import CKPT_METADATA_OFFSET, load_checkpoint, load_into, save_checkpoint
 from .tensor import backward, recording
 
@@ -127,6 +128,9 @@ def model_from_checkpoint(path) -> Tuple[SeCapModel, dict]:
             f"{path}: malformed metadata (byte offset {CKPT_METADATA_OFFSET}): "
             f"{type(exc).__name__} {exc}"
         ) from None
+    if model.prm is not None and model.prm.variant == "attn":  # older checkpoints also hold these
+        for name in ATTN_DROPPED_PARAMETERS:
+            table.pop(name, None)
     load_into(model.parameters(), table)
     return model, meta
 

@@ -21,10 +21,12 @@ def micro_cfg(**kw):
     return ModelConfig(**merged)
 
 
+def _value_output(prefix):
+    return [f"{prefix}.{w}.{k}" for w in ("wv", "wo") for k in ("weight", "bias")]
+
+
 def _attn(prefix):
-    return [f"{prefix}.{w}.{k}" for w, k in (("wq", "weight"), ("wq", "bias"), ("wk", "weight"),
-                                              ("wv", "weight"), ("wv", "bias"),
-                                              ("wo", "weight"), ("wo", "bias"))]
+    return [f"{prefix}.wq.weight", f"{prefix}.wq.bias", f"{prefix}.wk.weight", *_value_output(prefix)]
 
 
 def _ffn(prefix):
@@ -45,7 +47,9 @@ def expected_layout(ablate, variant):
     if lfrm:
         names.append("prm.prompts")
         if ablate != "no-prm":
-            names += [*(_attn("prm.ca") if variant == "attn" else []), *_attn("prm.sa"), *_ffn("prm.ffn")]
+            # PRM `attn` keeps only the value and output projections of its two attentions
+            names += [*(_value_output("prm.ca") + _value_output("prm.sa") if variant == "attn"
+                        else _attn("prm.sa")), *_ffn("prm.ffn")]
         for i in range(2):
             block = f"lfrm.two_way.{i}"
             names += [*_attn(f"{block}.sa"), *_attn(f"{block}.ca_p2i"), *_ffn(f"{block}.ffn_p"),
@@ -172,20 +176,21 @@ class TestInference:
 
 
 class TestTapeBudget:
-    # one micro forward: 11 attention calls (1 encoder, 2 PRM, 8 LFRM), each
-    # four linear entries and one attention entry, with no head split or softmax;
-    # PRM `attn` narrows the bank to the one prompt row that queries ca
+    # one micro forward: 9 attention calls (1 encoder, 8 LFRM), each four linear
+    # entries and one attention entry, with no head split or softmax; PRM `attn`
+    # is a chain of four linear entries, with no bank narrow or row broadcast
     EXPECTED = {
-        "add": 15, "attention": 11, "clamp_min": 2, "concat": 3, "gelu": 5,
-        "layer_norm": 2, "linear": 60, "log_softmax_lastdim": 3, "mul": 22,
-        "narrow": 8, "neg": 3, "reshape": 5, "softplus": 2, "sub": 5,
+        "add": 15, "attention": 9, "clamp_min": 2, "concat": 3, "gelu": 5,
+        "layer_norm": 2, "linear": 56, "log_softmax_lastdim": 3, "mul": 21,
+        "narrow": 7, "neg": 3, "reshape": 5, "softplus": 2, "sub": 5,
         "swapaxes": 4, "tabs": 1, "take_pairs": 7, "tsqrt": 2, "tsum": 9,
     }
 
     # bytes of every recorded output; fusion's sa and FFN keep only the output
     # token's row, where the full [out_token; prompts] sequence took 90,908, and
-    # PRM `attn` calibrates one row per image, where all L rows took 82,460
-    EXPECTED_BYTES = 71_772
+    # PRM `attn` runs its chain on one row per image, where the two attentions
+    # over all L rows took 82,460 and over one row 71,772
+    EXPECTED_BYTES = 69_916
 
     def test_entries_per_op(self, rng):
         images, ids, views = micro_batch(rng)
@@ -193,7 +198,7 @@ class TestTapeBudget:
             SeCapModel(micro_cfg()).compute_losses(images, ids, views, LossWeights())
             counts = Counter(e.backward_rule.__qualname__.split(".")[0] for e in tape().entries)
             assert dict(counts) == self.EXPECTED
-            assert sum(counts.values()) == 169
+            assert sum(counts.values()) == 161
 
     def test_recorded_output_bytes(self, rng):
         images, ids, views = micro_batch(rng)

@@ -6,8 +6,8 @@ from secap.errors import ConfigurationError, DimensionError
 from secap.gradcheck import finite_diff_check
 from secap.losses import LossWeights
 from secap.model import ModelConfig, SeCapModel
-from secap.nn import expand_rows, trunc_normal
-from secap.prm import PRM, VARIANTS
+from secap.nn import MultiHeadAttention, expand_rows, trunc_normal
+from secap.prm import ATTN_DROPPED_PARAMETERS, PRM, VARIANTS
 from secap.tensor import Parameter, Tensor, add, backward, concat, mul, narrow, recording, reshape, tsum
 
 L, D, HEADS = 8, 16, 2
@@ -153,13 +153,26 @@ class TestCatMatchesFullSequence:
         assert relative_error(new, old) <= 1e-12
 
 
-def full_bank_attn(prm, x_inv):
+def full_attention_pair(prm, heads, rng):
+    """The two attentions PRM `attn` stands for: each around the route's own
+    value and output projections, with freshly drawn query and key projections."""
+    d = prm.prompts.shape[1]
+    ca_wv, ca_wo, sa_wv, sa_wo = prm.chain
+    pair = []
+    for name, wv, wo in (("ca", ca_wv, ca_wo), ("sa", sa_wv, sa_wo)):
+        mha = MultiHeadAttention(f"prm.{name}", d, heads, rng).astype(prm.prompts.dtype)
+        mha.wv, mha.wo = wv, wo
+        pair.append(mha)
+    return pair
+
+
+def full_bank_attn(prm, ca, sa, x_inv):
     """Oracle: calibrate all L prompt rows of every image, B x L rows in all."""
     b, d = x_inv.shape
     length = prm.prompts.shape[0]
     prompts = expand_rows(reshape(prm.prompts, (1, length, d)), b)
-    h = prm.ca(prompts, reshape(x_inv, (b, 1, d)))
-    return add(prm.ffn(prm.sa(h, h)), prompts)
+    h = ca(prompts, reshape(x_inv, (b, 1, d)))
+    return add(prm.ffn(sa(h, h)), prompts)
 
 
 class TestAttnMatchesFullBank:
@@ -167,51 +180,70 @@ class TestAttnMatchesFullBank:
     @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
     def test_output(self, b, length, heads, dtype, rtol, rng):
         prm = PRM(make_prompts(length), "attn", heads, 2, rng).astype(dtype)
+        ca, sa = full_attention_pair(prm, heads, rng)
         x_inv = Tensor(rng.standard_normal((b, D)).astype(dtype))
         out = prm(x_inv)
         assert out.shape == (b, length, D) and out.dtype == dtype
-        assert relative_error(out.data, full_bank_attn(prm, x_inv).data) <= rtol
+        assert relative_error(out.data, full_bank_attn(prm, ca, sa, x_inv).data) <= rtol
 
     @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
     def test_gradients(self, b, length, heads, rng):
         prm = PRM(make_prompts(length), "attn", heads, 2, rng).astype(np.float64)
+        ca, sa = full_attention_pair(prm, heads, rng)
         x_inv = Tensor(rng.standard_normal((b, D)), requires_grad=True)
         probe = Tensor(rng.standard_normal((b, length, D)))
         with recording():
             new = gradients(prm, x_inv, prm(x_inv), probe)
-            old = gradients(prm, x_inv, full_bank_attn(prm, x_inv), probe)
+            old = gradients(prm, x_inv, full_bank_attn(prm, ca, sa, x_inv), probe)
         assert relative_error(new, old) <= 1e-12
 
 
 class TestAttnCollapse:
-    """PRM `attn` cross-attends the prompts to x_inv alone: one key, so every
-    softmax weight is 1 and every prompt row gets the same update. The
-    self-attention then sees L identical rows, so the output is the prompts plus
-    one broadcast vector per image, and the query and key projections of both
-    attentions never receive a gradient."""
-
-    DEAD = ["prm.ca.wq.weight", "prm.ca.wq.bias", "prm.ca.wk.weight",
-            "prm.sa.wq.weight", "prm.sa.wq.bias", "prm.sa.wk.weight"]
+    """Full attentions that cross-attend the prompts to x_inv alone have one
+    key, so every softmax weight is 1 and every prompt row gets the same
+    update. The self-attention then sees L identical rows, so the output is the
+    prompts plus one broadcast vector per image, and the query and key
+    projections of both attentions never receive a gradient, whatever their
+    values: PRM `attn` keeps only the projection chain."""
 
     @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
     @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
     def test_output_is_bank_plus_one_vector_per_image(self, b, length, heads, dtype, rtol, rng):
         prm = PRM(make_prompts(length), "attn", heads, 2, rng).astype(dtype)
+        ca, sa = full_attention_pair(prm, heads, rng)
         x_inv = Tensor(rng.standard_normal((b, D)).astype(dtype))
-        g = prm.ffn(prm.sa.wo(prm.sa.wv(prm.ca.wo(prm.ca.wv(x_inv))))).data
+        g = prm.ffn(sa.wo(sa.wv(ca.wo(ca.wv(x_inv))))).data
         oracle = prm.prompts.data[None, :, :] + g[:, None, :]
-        out = prm(x_inv).data
+        out = full_bank_attn(prm, ca, sa, x_inv).data
         assert out.dtype == dtype
         assert relative_error(out, oracle) <= rtol
 
-    def test_desk_step_trains_every_parameter_but_the_six_projections(self, rng):
-        desk = EncoderConfig(image_h=64, image_w=32, embed_dim=64, depth=2, heads=4)
-        model = SeCapModel(ModelConfig(encoder=desk, num_ids=16, prompt_len=8))
-        images = rng.standard_normal((64, 3, 64, 32)).astype(np.float32)
-        ids = np.repeat(np.arange(16), 4)  # P = 16 identities, K = 4 images each
-        views = np.tile([0, 1], 32)
+    @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
+    def test_query_and_key_projections_get_no_gradient(self, b, length, heads, rng):
+        prm = PRM(make_prompts(length), "attn", heads, 2, rng).astype(np.float64)
+        ca, sa = full_attention_pair(prm, heads, rng)
+        x_inv = Tensor(rng.standard_normal((b, D)), requires_grad=True)
+        probe = Tensor(rng.standard_normal((b, length, D)))
         with recording():
-            total, _ = model.compute_losses(images, ids, views, LossWeights())
-            backward(total)
-        dead = [p.name for p in model.parameters() if not np.any(p.grad)]
-        assert dead == self.DEAD
+            backward(tsum(mul(full_bank_attn(prm, ca, sa, x_inv), probe)))
+        dropped = [p for mha in (ca, sa) for p in mha.wq.parameters() + mha.wk.parameters()]
+        assert tuple(p.name for p in dropped) == ATTN_DROPPED_PARAMETERS
+        assert all(p.grad is not None and not np.any(p.grad) for p in dropped)
+
+    def test_chain_holds_the_four_kept_projections(self, rng):
+        names = [p.name for layer in make_prm("attn", rng).chain for p in layer.parameters()]
+        assert names == [f"prm.{a}.{w}.{k}" for a in ("ca", "sa") for w in ("wv", "wo")
+                         for k in ("weight", "bias")]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_desk_step_trains_every_parameter(variant, rng):
+    desk = EncoderConfig(image_h=64, image_w=32, embed_dim=64, depth=2, heads=4)
+    model = SeCapModel(ModelConfig(encoder=desk, num_ids=16, prompt_len=8, prm_variant=variant))
+    images = rng.standard_normal((64, 3, 64, 32)).astype(np.float32)
+    ids = np.repeat(np.arange(16), 4)  # P = 16 identities, K = 4 images each
+    views = np.tile([0, 1], 32)
+    with recording():
+        total, _ = model.compute_losses(images, ids, views, LossWeights())
+        backward(total)
+    assert [p.name for p in model.parameters() if not np.any(p.grad)] == []

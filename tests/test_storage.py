@@ -308,6 +308,13 @@ class TestLoadImage:
         with pytest.raises(ParseError, match=r"\(3, H, W\)"):
             load_image(p)
 
+    @pytest.mark.parametrize("shape, size", [((3, 0, 0), "0x0"), ((3, 64, 0), "0x64"), ((3, 0, 5), "5x0")])
+    def test_rten_empty_image(self, tmp_path, shape, size):
+        p = tmp_path / "a.rten"
+        save_rten(p, np.zeros(shape, dtype=np.float32))
+        with pytest.raises(ParseError, match=f"empty image {size}"):
+            load_image(p)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300])
     def test_rten_non_finite_pixels(self, tmp_path, value):
         """1e300 is a finite float64 that overflows the float32 the model reads."""

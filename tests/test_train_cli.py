@@ -26,10 +26,11 @@ from secap.errors import CheckpointError, ConfigurationError, ContractError, Num
 from secap.evaluate import cmc_map, distance_matrix, extract_features
 from secap.losses import LossWeights
 from secap.model import ModelConfig, SeCapModel
+from secap.prm import ATTN_DROPPED_PARAMETERS
 from secap.storage import (
     CKPT_MAGIC, CKPT_METADATA_OFFSET, CKPT_VERSION, load_checkpoint, load_rten, save_checkpoint, save_rten,
 )
-from secap.tensor import Tensor, mul, tape
+from secap.tensor import Parameter, Tensor, mul, tape
 from secap.train import (
     LOG_KEYS,
     TrainConfig,
@@ -431,6 +432,63 @@ def test_no_vdt_checkpoint_with_pre_derivation_keys_rebuilds_without_view_token(
     assert all(a.data.tobytes() == b.data.tobytes() for a, b in zip(loaded.parameters(), model.parameters()))
 
 
+GOLDEN_ATTN = os.path.join(os.path.dirname(__file__), "data", "attn-49a72f6")
+
+
+class TestOlderAttnCheckpoint:
+    """A PRM `attn` checkpoint written by commit 49a72f6, whose table still holds
+    the six query and key projections the route no longer keeps, with its corpus
+    and its `eval --protocol all` report (see tests/data/README.md)."""
+
+    CKPT = os.path.join(GOLDEN_ATTN, "attn.ckpt")
+    MANIFEST = os.path.join(GOLDEN_ATTN, "corpus", "manifest.tsv")
+
+    def eval_argv(self, ckpt):
+        return ["eval", "--checkpoint", ckpt, "--manifest", self.MANIFEST,
+                "--protocol", "all", "--queries-per-view", "1"]
+
+    def test_evaluates_to_its_committed_report(self, capsys):
+        capsys.readouterr()
+        assert cli.main(self.eval_argv(self.CKPT)) == cli.EXIT_OK
+        with open(os.path.join(GOLDEN_ATTN, "report.jsonl"), encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
+
+    def test_loads_the_stored_table_minus_the_dropped_projections(self):
+        _, table = load_checkpoint(self.CKPT)
+        kept = {name: arr for name, arr in table.items() if name not in ATTN_DROPPED_PARAMETERS}
+        assert len(table) - len(kept) == len(ATTN_DROPPED_PARAMETERS)
+        model, _ = model_from_checkpoint(self.CKPT)
+        assert [p.name for p in model.parameters()] == list(kept)
+        assert all(p.data.tobytes() == kept[p.name].tobytes() for p in model.parameters())
+
+    def test_copy_missing_a_kept_projection_is_io(self, tmp_path, capsys):
+        meta, table = load_checkpoint(self.CKPT)
+        bad = str(tmp_path / "bad.ckpt")
+        save_checkpoint(bad, [Parameter(n, a) for n, a in table.items() if n != "prm.ca.wv.weight"], meta)
+        assert cli.main(self.eval_argv(bad)) == cli.EXIT_IO
+        assert "missing ['prm.ca.wv.weight'], unexpected none" in capsys.readouterr().err
+
+    def test_truncated_copy_is_io(self, tmp_path, capsys):
+        bad = tmp_path / "truncated.ckpt"
+        with open(self.CKPT, "rb") as fh:
+            bad.write_bytes(fh.read()[:-1])
+        assert cli.main(self.eval_argv(str(bad))) == cli.EXIT_IO
+        assert "truncated" in capsys.readouterr().err
+
+
+def test_add_checkpoint_without_a_query_projection_is_io(tmp_path, capsys):
+    """`add` and `cat` use their sa.wq and sa.wk, so their checkpoints match strictly."""
+    model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2,
+                                   prm_variant="add", seed=1))
+    ckpt = str(tmp_path / "add.ckpt")
+    save_checkpoint(ckpt, [p for p in model.parameters() if p.name != "prm.sa.wq.weight"],
+                    checkpoint_metadata(model, None, 0, [0, 1]))
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("#secap-manifest v1\n")
+    assert cli.main(["eval", "--checkpoint", ckpt, "--manifest", str(manifest)]) == cli.EXIT_IO
+    assert "missing ['prm.sa.wq.weight'], unexpected none" in capsys.readouterr().err
+
+
 class TestCliErrors:
     def test_missing_manifest_is_io(self, tmp_path, capsys):
         rc = cli.main(["train", "--manifest", str(tmp_path / "nope.tsv"),
@@ -578,6 +636,23 @@ class TestCliErrors:
         assert rc == cli.EXIT_IO
         err = capsys.readouterr().err
         assert "does not fit" in err and f"(byte offset {end})" in err
+
+    @pytest.mark.parametrize("shape", [(3, 0, 0), (3, 64, 0)])
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_empty_images_are_io(self, micro_checkpoint, tmp_path, capsys, command, shape):
+        cfg = SynthConfig(num_ids=4, images_per_id_per_view=2, image_h=16, image_w=16, seed=9)
+        manifest, _ = generate_synthetic(cfg, tmp_path)
+        for record in manifest.records:
+            save_rten(manifest.resolve(record), np.zeros(shape, dtype=np.float32))
+        argv = [command, "--manifest", str(tmp_path / "manifest.tsv")]
+        if command == "eval":
+            argv += ["--checkpoint", micro_checkpoint]
+        else:
+            argv += ["--out", str(tmp_path / "out"), "--epochs", "1", "--p", "4", "--k", "2",
+                     "--patch", "16"] + MICRO_FLAGS
+        assert cli.main(argv) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert f"empty image {shape[2]}x{shape[1]}" in err and "configuration error" not in err
 
     @pytest.mark.parametrize("value, code, message", [
         (np.nan, cli.EXIT_IO, "1 non-finite pixels"),
