@@ -253,6 +253,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NumericError as exc:
         print(f"secap: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:  # sizes set by flags that no host could allocate
+        print(f"secap: configuration error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entrypoint() -> None:

@@ -466,6 +466,8 @@ class SynthConfig:
             raise ConfigurationError("num_distractors must be >= 0")
         if not math.isfinite(self.view_strength):
             raise ConfigurationError(f"view_strength must be finite, got {self.view_strength}")
+        if self.seed < 0:  # numpy seeds are non-negative
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 def _mode_table(h: int, w: int) -> np.ndarray:

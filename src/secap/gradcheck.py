@@ -6,16 +6,13 @@ many bits in float32 to separate real bugs from roundoff.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ContractError
 from .tensor import Parameter, Tensor, backward, recording
-
-
-def _relative_error(analytic: float, numeric: float) -> float:
-    return abs(analytic - numeric) / (abs(analytic) + abs(numeric) + 1e-12)
 
 
 def randomize_for_gradcheck(params: Sequence[Parameter], seed: int = 0) -> None:
@@ -44,6 +41,34 @@ def randomize_for_gradcheck(params: Sequence[Parameter], seed: int = 0) -> None:
             p.assign(0.25 * noise)
 
 
+def _analytic_gradients(loss_fn: Callable[[], Tensor],
+                        leaves: Sequence[Tensor]) -> list[Optional[np.ndarray]]:
+    """Flat d loss / d leaf from one recorded pass, None where a leaf does not
+    reach the loss; the leaves are left without a gradient."""
+    for t in leaves:
+        t.zero_grad()
+    with recording():
+        out = loss_fn()
+        if out.data.size != 1:
+            raise ContractError(f"checked function must return a scalar, got shape {out.shape}")
+        backward(out)
+    grads = [None if t.grad is None else t.grad.reshape(-1) for t in leaves]
+    for t in leaves:
+        t.zero_grad()
+    return grads
+
+
+def _central_difference(loss_fn: Callable[[], Tensor], flat: np.ndarray, i: int, eps: float) -> float:
+    """(f(x + eps e_i) - f(x - eps e_i)) / (2 eps), perturbing `flat` in place and restoring it."""
+    orig = flat[i]
+    flat[i] = orig + eps
+    f_plus = loss_fn().item()
+    flat[i] = orig - eps
+    f_minus = loss_fn().item()
+    flat[i] = orig
+    return (f_plus - f_minus) / (2.0 * eps)
+
+
 def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor,
                       eps: float = 1e-5,
                       coords: Optional[Sequence[int]] = None) -> float:
@@ -55,28 +80,17 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor,
     if x.dtype != np.float64:
         raise ContractError(f"gradient checking requires float64 input, got {x.dtype}")
     x.requires_grad = True
-    x.zero_grad()
-    with recording():
-        out = f(x)
-        if out.data.size != 1:
-            raise ContractError(f"checked function must return a scalar, got shape {out.shape}")
-        backward(out)
-    if x.grad is None:
+    loss_fn = partial(f, x)
+    analytic, = _analytic_gradients(loss_fn, [x])
+    if analytic is None:
         raise ContractError("analytic gradient missing: input does not reach the output")
-    analytic = x.grad.reshape(-1).copy()
 
     flat = x.data.reshape(-1)
     indices = range(flat.size) if coords is None else coords
     worst = 0.0
     for i in indices:
-        orig = flat[i]
-        flat[i] = orig + eps
-        f_plus = f(x).item()
-        flat[i] = orig - eps
-        f_minus = f(x).item()
-        flat[i] = orig
-        numeric = (f_plus - f_minus) / (2.0 * eps)
-        worst = max(worst, _relative_error(float(analytic[i]), numeric))
+        a, numeric = float(analytic[i]), _central_difference(loss_fn, flat, i, eps)
+        worst = max(worst, abs(a - numeric) / (abs(a) + abs(numeric) + 1e-12))
     return worst
 
 
@@ -100,39 +114,25 @@ def check_parameter_gradients(params: Sequence[Parameter],
     for p in params:
         if p.dtype != np.float64:
             raise ContractError(f"gradient checking requires float64 parameters ({p.name} is {p.dtype})")
-        p.zero_grad()
-
-    with recording():
-        out = loss_fn()
-        if out.data.size != 1:
-            raise ContractError(f"loss function must return a scalar, got shape {out.shape}")
-        backward(out)
-    analytic = {}
-    for p in params:
-        analytic[p.name] = np.zeros(p.size) if p.grad is None else p.grad.reshape(-1).copy()
-        p.zero_grad()
+    grads = _analytic_gradients(loss_fn, params)
 
     rng = np.random.default_rng(seed)
     per_param: dict[str, float] = {}
     worst, worst_name = 0.0, ""
-    for p in params:
+    for p, analytic in zip(params, grads):
         flat = p.data.reshape(-1)
         n = flat.size
+        if analytic is None:
+            analytic = np.zeros(n)
         if coords_per_param <= 0 or coords_per_param >= n:
             indices = np.arange(n)
         else:
             indices = rng.choice(n, size=coords_per_param, replace=False)
         discrepancy = 0.0
-        scale = float(np.abs(analytic[p.name]).max()) if n else 0.0
+        scale = float(np.abs(analytic).max()) if n else 0.0
         for i in indices:
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = loss_fn().item()
-            flat[i] = orig - eps
-            f_minus = loss_fn().item()
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            discrepancy = max(discrepancy, abs(float(analytic[p.name][i]) - numeric))
+            numeric = _central_difference(loss_fn, flat, i, eps)
+            discrepancy = max(discrepancy, abs(float(analytic[i]) - numeric))
             scale = max(scale, abs(numeric))
         err = discrepancy / max(scale, 1e-12)
         per_param[p.name] = err

@@ -52,9 +52,6 @@ class Fusion(Module):
         h = self.sa(narrow(h, 1, 0, 1), h)
         return reshape(self.ffn(h), (b, d))
 
-    def zero_final_ffn(self) -> None:
-        self.ffn.fc2.zero_()
-
 
 class LFRM(Module):
     def __init__(self, dim: int, heads: int, ffn_mult: int,

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigurationError, ContractError, DimensionError
 from .nn import Linear, Module
 from .tensor import (
-    Tensor, add, clamp_min, linear, log_softmax_lastdim, mul, neg, softplus, sub,
+    Tensor, add, clamp_min, linear, log_softmax_lastdim, mul, reshape, softplus, sub,
     swapaxes, tabs, take_pairs, tmean, tsqrt, tsum,
 )
 
@@ -46,7 +46,9 @@ class Heads(Module):
         self.view = Linear("heads.view", dim, num_views, rng) if with_view else None
 
 
-def _mean_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+def ce_loss(features: Tensor, labels: np.ndarray, classifier: Linear) -> Tensor:
+    """Mean softmax cross-entropy of `classifier` on `features`."""
+    logits = classifier(features)
     labels = np.asarray(labels)
     n, num_classes = logits.shape
     if labels.shape != (n,):
@@ -56,33 +58,23 @@ def _mean_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
             f"label outside [0, {num_classes}): {labels.min()}..{labels.max()}")
     logp = log_softmax_lastdim(logits)
     picked = take_pairs(logp, np.arange(n), labels.astype(np.intp))
-    return neg(tmean(picked))
-
-
-def id_ce_loss(features: Tensor, labels: np.ndarray, classifier: Linear) -> Tensor:
-    """Mean softmax cross-entropy of the identity classifier."""
-    return _mean_cross_entropy(classifier(features), labels)
-
-
-def view_ce_loss(view_feat: Tensor, view_labels: np.ndarray, classifier: Linear) -> Tensor:
-    """Mean cross-entropy of the view classifier on the view-related feature."""
-    return _mean_cross_entropy(classifier(view_feat), view_labels)
+    return mul(tsum(picked), Tensor(np.asarray(-1.0 / n, dtype=logp.dtype)))
 
 
 def pairwise_euclidean(features: Tensor) -> Tensor:
     """All-pairs Euclidean distances, differentiably.
 
     The sqrt argument is floored so coincident points cannot produce infinite
-    gradients; the diagonal is masked to exactly zero (value and gradient),
-    keeping self-distances honest.
+    gradients; the diagonal is masked to exactly zero after the sqrt, which
+    zeroes its value and its gradient, keeping self-distances honest.
     """
     b = features.shape[0]
     sq = tsum(mul(features, features), axis=1, keepdims=True)          # B x 1
     cross = linear(features, swapaxes(features, 0, 1))                 # B x B
     d2 = add(sub(sq, mul(cross, Tensor(np.asarray(2.0, dtype=features.dtype)))),
-             swapaxes(sq, 0, 1))
+             reshape(sq, (1, b)))
     off_diag = Tensor((1.0 - np.eye(b)).astype(features.dtype))
-    return mul(tsqrt(clamp_min(mul(d2, off_diag), 1e-12)), off_diag)
+    return mul(tsqrt(clamp_min(d2, 1e-12)), off_diag)
 
 
 def soft_triplet_loss(features: Tensor, labels: np.ndarray) -> Tensor:
@@ -140,24 +132,16 @@ class LossParts:
 def total_loss(parts: LossParts, w: LossWeights) -> Tensor:
     """alpha*(global id + triplet) + beta*(local) + lambda*(view + orthogonality).
 
-    Absent parts (ablated branches) contribute exactly zero.
+    An ablated branch is absent as a pair and contributes exactly zero.
     """
-    def weighted(terms, weight):
-        live = [t for t in terms if t is not None]
-        if not live:
-            return None
-        acc = live[0]
-        for t in live[1:]:
-            acc = add(acc, t)
-        return mul(acc, Tensor(np.asarray(weight, dtype=acc.dtype)))
-
     total = None
-    for group, weight in (((parts.id_g, parts.tri_g), w.alpha),
-                          ((parts.id_l, parts.tri_l), w.beta),
-                          ((parts.view, parts.orth), w.lam)):
-        term = weighted(group, weight)
-        if term is not None:
-            total = term if total is None else add(total, term)
+    for first, second, weight in ((parts.id_g, parts.tri_g, w.alpha),
+                                  (parts.id_l, parts.tri_l, w.beta),
+                                  (parts.view, parts.orth, w.lam)):
+        if first is None:
+            continue
+        term = mul(add(first, second), Tensor(np.asarray(weight, dtype=first.dtype)))
+        total = term if total is None else add(total, term)
     if total is None:
         raise ContractError("no loss terms present")
     return total

@@ -21,8 +21,7 @@ from .encoder import Encoder, EncoderConfig, EncoderOutput
 from .errors import ConfigurationError
 from .lfrm import LFRM
 from .losses import (
-    Heads, LossParts, LossWeights, id_ce_loss, orthogonality_loss,
-    soft_triplet_loss, total_loss, view_ce_loss,
+    Heads, LossParts, LossWeights, ce_loss, orthogonality_loss, soft_triplet_loss, total_loss,
 )
 from .nn import Module, expand_rows, trunc_normal
 from .prm import PRM
@@ -46,6 +45,8 @@ class ModelConfig:
             raise ConfigurationError(f"unknown ablation {self.ablate!r}; pick one of {ABLATIONS}")
         if self.prompt_len < 1:
             raise ConfigurationError(f"prompt length must be positive, got {self.prompt_len}")
+        if self.seed < 0:  # numpy seeds are non-negative
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def uses_vdt(self) -> bool:
@@ -102,14 +103,14 @@ class SeCapModel(Module):
                        ) -> tuple[Tensor, LossParts]:
         out = self.forward(images)
         parts = LossParts(
-            id_g=id_ce_loss(out.x_inv, id_labels, self.heads.id_global),
+            id_g=ce_loss(out.x_inv, id_labels, self.heads.id_global),
             tri_g=soft_triplet_loss(out.x_inv, id_labels),
         )
         if out.local_feat is not None:
-            parts.id_l = id_ce_loss(out.local_feat, id_labels, self.heads.id_local)
+            parts.id_l = ce_loss(out.local_feat, id_labels, self.heads.id_local)
             parts.tri_l = soft_triplet_loss(out.local_feat, id_labels)
         if out.view_feat is not None:
-            parts.view = view_ce_loss(out.view_feat, view_labels, self.heads.view)
+            parts.view = ce_loss(out.view_feat, view_labels, self.heads.view)
             parts.orth = orthogonality_loss(out.x_inv, out.view_feat)
         return total_loss(parts, weights), parts
 

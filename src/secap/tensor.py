@@ -28,7 +28,7 @@ from .errors import ContractError, DimensionError, NumericError
 
 __all__ = [
     "Tensor", "Parameter", "recording", "backward",
-    "add", "sub", "mul", "neg", "linear", "attention", "swapaxes", "reshape",
+    "add", "sub", "mul", "linear", "attention", "swapaxes", "reshape",
     "concat", "narrow", "tsum", "tmean", "log_softmax_lastdim", "layer_norm",
     "gelu", "tsqrt", "tabs", "clamp_min", "softplus", "take_pairs",
 ]
@@ -220,10 +220,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), rule)
 
 
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and shape ops
 # ---------------------------------------------------------------------------
@@ -358,11 +354,8 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def rule(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).astype(g.dtype, copy=True),)
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        if not keepdims:
-            g = np.expand_dims(g, tuple(ax % a.ndim for ax in axes))
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
     return _make(np.asarray(data), (a,), rule)

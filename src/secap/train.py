@@ -122,8 +122,8 @@ def model_from_checkpoint(path) -> Tuple[SeCapModel, dict]:
             raise TypeError(f"train holdout {holdout!r} is not a number in [0, 1)")
         if holdout > 0.0 and not isinstance(run.get("seed"), int):
             raise TypeError(f"train seed {run.get('seed')!r} is not an int")
-        model = SeCapModel(cfg)
-    except (KeyError, TypeError, ValueError) as exc:
+        model = SeCapModel(cfg)  # a geometry too large to allocate is malformed too
+    except (KeyError, TypeError, ValueError, MemoryError) as exc:
         raise CheckpointError(
             f"{path}: malformed metadata (byte offset {CKPT_METADATA_OFFSET}): "
             f"{type(exc).__name__} {exc}"

@@ -29,7 +29,7 @@ from secap.errors import ProtocolError
 from secap.evaluate import FeatureSet, cmc_map, distance_matrix, extract_features, oracle_cmc_map
 from secap.gradcheck import check_parameter_gradients, randomize_for_gradcheck
 from secap.lfrm import LFRM
-from secap.losses import LossWeights, id_ce_loss, orthogonality_loss, soft_triplet_loss
+from secap.losses import LossWeights, ce_loss, orthogonality_loss, soft_triplet_loss
 from secap.model import ModelConfig, SeCapModel
 from secap.nn import Linear, trunc_normal
 from secap.optim import cosine_lr
@@ -161,7 +161,7 @@ def test_criterion_2_residual_identities(capsys):
     if cur_p.data.tobytes() != f_p.data.tobytes() or cur_i.data.tobytes() != f_i.data.tobytes():
         failures.append("two-way blocks")
 
-    lfrm.fusion.zero_final_ffn()
+    lfrm.fusion.ffn.zero_output_projections()
     fused = lfrm.fusion(f_p, f_i)
     if not np.all(fused.data == 0.0):
         failures.append("fusion zero")
@@ -223,7 +223,7 @@ def test_criterion_4_loss_unit_values(capsys):
     rng = np.random.default_rng(4)
     clf = Linear("clf", 16, 2, rng).astype(np.float64)
     clf.zero_()
-    ce = id_ce_loss(Tensor(rng.standard_normal((4, 16))), np.array([0, 1, 0, 1]), clf)
+    ce = ce_loss(Tensor(rng.standard_normal((4, 16))), np.array([0, 1, 0, 1]), clf)
     ce_err = abs(ce.data.item() - math.log(2.0))
 
     orth = orthogonality_loss(Tensor(np.array([[1.0, 2.0]])), Tensor(np.array([[3.0, -4.0]])))

@@ -56,7 +56,7 @@ class TestFusion:
 
     def test_zero_final_layer_gives_exact_zero(self, rng):
         fusion = Fusion("f", D, HEADS, 2, rng)
-        fusion.zero_final_ffn()
+        fusion.ffn.zero_output_projections()
         f_p, f_i = streams(rng)
         out = fusion(f_p, f_i)
         assert not out.data.any()
@@ -163,7 +163,7 @@ class TestLFRM:
         lfrm = LFRM(D, HEADS, 2, rng)
         for block in lfrm.blocks:
             block.zero_output_projections()
-        lfrm.fusion.zero_final_ffn()
+        lfrm.fusion.ffn.zero_output_projections()
         f_p, f_i = streams(rng)
         assert not lfrm(f_p, f_i).data.any()
 

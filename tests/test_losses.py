@@ -5,8 +5,8 @@ import pytest
 
 from secap.errors import ConfigurationError, ContractError, DimensionError
 from secap.losses import (
-    Heads, LossParts, LossWeights, id_ce_loss, orthogonality_loss,
-    pairwise_euclidean, soft_triplet_loss, total_loss, view_ce_loss,
+    Heads, LossParts, LossWeights, ce_loss, orthogonality_loss,
+    pairwise_euclidean, soft_triplet_loss, total_loss,
 )
 from secap.nn import Linear
 from secap.tensor import Parameter, Tensor, backward, mul, recording, tsum
@@ -43,39 +43,39 @@ def brute_force_soft_triplet(features: np.ndarray, labels: np.ndarray) -> float:
 class TestIdentityCE:
     def test_uniform_two_classes(self, rng):
         feats = Tensor(rng.standard_normal((4, 8)))
-        loss = id_ce_loss(feats, np.array([0, 1, 0, 1]), zero_classifier(8, 2, rng))
+        loss = ce_loss(feats, np.array([0, 1, 0, 1]), zero_classifier(8, 2, rng))
         assert abs(loss.item() - math.log(2)) < 1e-6
 
     def test_confident_correct_prediction(self, rng):
         clf = logit_classifier([1000.0, 0.0], rng)
         feats = Tensor(np.ones((3, 1)))
-        loss = id_ce_loss(feats, np.zeros(3, dtype=int), clf)
+        loss = ce_loss(feats, np.zeros(3, dtype=int), clf)
         assert loss.item() < 1e-6
 
     def test_hand_probabilities(self, rng):
         clf = logit_classifier(np.log([0.25, 0.75]), rng)
-        loss = id_ce_loss(Tensor(np.ones((1, 1))), np.array([1]), clf)
+        loss = ce_loss(Tensor(np.ones((1, 1))), np.array([1]), clf)
         assert abs(loss.item() - (-math.log(0.75))) < 1e-6
 
     def test_label_out_of_range(self, rng):
         with pytest.raises(ContractError):
-            id_ce_loss(Tensor(np.ones((1, 4))), np.array([5]), zero_classifier(4, 2, rng))
+            ce_loss(Tensor(np.ones((1, 4))), np.array([5]), zero_classifier(4, 2, rng))
 
 
 class TestViewCE:
     def test_uniform_two_views(self, rng):
-        loss = view_ce_loss(Tensor(np.ones((2, 4))), np.array([0, 1]),
-                            zero_classifier(4, 2, rng))
+        loss = ce_loss(Tensor(np.ones((2, 4))), np.array([0, 1]),
+                       zero_classifier(4, 2, rng))
         assert abs(loss.item() - math.log(2)) < 1e-6
 
     def test_uniform_three_views(self, rng):
-        loss = view_ce_loss(Tensor(np.ones((3, 4))), np.array([0, 1, 2]),
-                            zero_classifier(4, 3, rng))
+        loss = ce_loss(Tensor(np.ones((3, 4))), np.array([0, 1, 2]),
+                       zero_classifier(4, 3, rng))
         assert abs(loss.item() - math.log(3)) < 1e-6
 
     def test_perfect_prediction(self, rng):
         clf = logit_classifier([0.0, 1000.0], rng)
-        loss = view_ce_loss(Tensor(np.ones((2, 1))), np.array([1, 1]), clf)
+        loss = ce_loss(Tensor(np.ones((2, 1))), np.array([1, 1]), clf)
         assert loss.item() < 1e-6
 
 
@@ -131,6 +131,25 @@ class TestSoftTriplet:
         for i in range(5):
             for j in range(5):
                 assert abs(dist[i, j] - math.dist(pts[i], pts[j])) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_diagonal_is_exactly_zero_in_value_and_gradient(self, dtype):
+        # norms near 3e4 and two pairs of duplicate rows: |a|^2 - 2 a.a + |a|^2 rounds
+        # off zero on the diagonal, so only the mask after the sqrt zeroes it
+        pts = (np.random.default_rng(3).standard_normal((6, 8)) * 1e4).astype(dtype)
+        pts[1], pts[4] = pts[0], pts[2]
+        sq = (pts * pts).sum(axis=1)
+        assert (np.diag(sq[:, None] - 2 * (pts @ pts.T) + sq[None, :]) > 1e-12).any()
+        x = Tensor(pts, requires_grad=True)
+        with recording():
+            dist = pairwise_euclidean(x)
+            assert np.all(np.diag(dist.data) == 0.0)
+            backward(tsum(mul(dist, Tensor(np.eye(6, dtype=dtype)))))
+        assert np.all(x.grad == 0.0)
+        x.zero_grad()
+        with recording():
+            backward(tsum(pairwise_euclidean(x)))
+        assert np.isfinite(x.grad).all() and np.abs(x.grad).max() > 0
 
 
 class TestOrthogonality:

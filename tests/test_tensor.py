@@ -15,7 +15,7 @@ from secap.gradcheck import check_parameter_gradients, finite_diff_check
 from secap.optim import SGD, cosine_lr
 from secap.tensor import (
     Parameter, Tensor, _make, add, attention, backward, clamp_min, concat, gelu, layer_norm,
-    linear, log_softmax_lastdim, mul, narrow, neg, recording, reshape, softplus, sub,
+    linear, log_softmax_lastdim, mul, narrow, recording, reshape, softplus, sub,
     swapaxes, tabs, take_pairs, tape, tmean, tsqrt, tsum,
 )
 
@@ -701,7 +701,7 @@ class TestFiniteDiff:
         onehot[np.arange(4), rng.integers(0, 6, 4)] = 1.0
 
         def nll(t):
-            return neg(tsum(mul(log_softmax_lastdim(t), Tensor(onehot))))
+            return tsum(mul(log_softmax_lastdim(t), Tensor(-onehot)))
 
         assert finite_diff_check(nll, logits) < 1e-6
 

@@ -267,6 +267,22 @@ class TestCliUsage:
         assert "patch 8 is smaller than its stride 16" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["gen-data", "train", "grad-check"])
+    def test_negative_seed_is_usage(self, tmp_path, capsys, command):
+        required = {"gen-data": ["--out", str(tmp_path / "c")], "grad-check": [],
+                    "train": ["--manifest", _tiny_manifest(tmp_path), "--out", str(tmp_path / "out")]}
+        assert cli.main([command, "--seed=-1"] + required[command]) == cli.EXIT_USAGE
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists() and not (tmp_path / "out").exists()
+
+    def test_width_too_large_to_allocate_is_usage(self, tmp_path, capsys):
+        # 2**40 asks 6 PiB for the first weight, which fails before anything is allocated
+        rc = cli.main(["train", "--manifest", _tiny_manifest(tmp_path), "--out", str(tmp_path / "out"),
+                       "--epochs", "1", "--p", "2", "--k", "1", f"--embed-dim={2**40}"])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("secap: configuration error: out of memory: ") and err.count("\n") == 1
+
 
 class TestCliGenData:
     def test_writes_corpus_and_prints_manifest(self, tmp_path, capsys):
@@ -476,6 +492,34 @@ class TestOlderAttnCheckpoint:
         assert "truncated" in capsys.readouterr().err
 
 
+GOLDEN_VARIANTS = os.path.join(os.path.dirname(__file__), "data", "variants-7526371")
+
+
+@pytest.mark.parametrize("name", ["add", "cat", "no-prm", "no-vdt", "no-lfrm", "baseline"])
+class TestGoldenVariantCheckpoints:
+    """Checkpoints of the other PRM variants and the four ablations, written by
+    commit 7526371 on the `attn-49a72f6` corpus, with their `eval --protocol all`
+    reports (see tests/data/README.md)."""
+
+    @staticmethod
+    def eval_argv(ckpt):
+        return ["eval", "--checkpoint", ckpt, "--manifest", TestOlderAttnCheckpoint.MANIFEST,
+                "--protocol", "all", "--queries-per-view", "1"]
+
+    def test_evaluates_to_its_committed_report(self, capsys, name):
+        capsys.readouterr()
+        assert cli.main(self.eval_argv(os.path.join(GOLDEN_VARIANTS, f"{name}.ckpt"))) == cli.EXIT_OK
+        with open(os.path.join(GOLDEN_VARIANTS, f"{name}.report.jsonl"), encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
+
+    def test_truncated_copy_is_io(self, tmp_path, capsys, name):
+        bad = tmp_path / "truncated.ckpt"
+        with open(os.path.join(GOLDEN_VARIANTS, f"{name}.ckpt"), "rb") as fh:
+            bad.write_bytes(fh.read()[:-1])
+        assert cli.main(self.eval_argv(str(bad))) == cli.EXIT_IO
+        assert "truncated" in capsys.readouterr().err
+
+
 def test_add_checkpoint_without_a_query_projection_is_io(tmp_path, capsys):
     """`add` and `cat` use their sa.wq and sa.wk, so their checkpoints match strictly."""
     model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2,
@@ -570,9 +614,9 @@ class TestCliErrors:
     @pytest.mark.parametrize("section, key, value", [
         ("encoder", "depth", "1"), ("encoder", "embed_dim", 16.0), ("encoder", "embed_dim", -16),
         ("encoder", "depth", 0), ("encoder", "embed_dim", 0), ("model", "prm_variant", "mean"),
-        ("encoder", "patch", 8),
+        ("encoder", "patch", 8), ("encoder", "embed_dim", 2**40), ("model", "seed", -1),
     ], ids=["string-depth", "float-width", "negative-width", "zero-depth", "zero-width", "unknown-variant",
-            "patch-below-stride"])
+            "patch-below-stride", "unallocatable-width", "negative-seed"])
     def test_malformed_geometry_metadata_is_io(self, tmp_path, capsys, section, key, value):
         model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2, seed=1))
         meta = checkpoint_metadata(model, None, 0, [0, 1])
