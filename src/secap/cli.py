@@ -159,7 +159,6 @@ def cmd_train(args) -> int:
     cfg = _config(TrainConfig, args, model=model_cfg, weights=_config(LossWeights, args))
     if cfg.holdout > 0.0:
         manifest, _ = split_identities(manifest, cfg.holdout, cfg.seed)
-    os.makedirs(args.out, exist_ok=True)
     train(manifest, cfg, out_dir=args.out, log=print)
     return EXIT_OK
 

@@ -79,9 +79,6 @@ class Manifest:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __iter__(self):
-        return iter(self.records)
-
     def identities(self) -> List[int]:
         """Sorted unique non-distractor identities."""
         return sorted({r.identity for r in self.records if r.identity >= 0})

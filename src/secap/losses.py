@@ -15,10 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError, DimensionError
 from .nn import Linear, Module
-from .tensor import (
-    Tensor, add, clamp_min, linear, log_softmax_lastdim, mul, reshape, softplus, sub,
-    swapaxes, tabs, take_pairs, tmean, tsqrt, tsum,
-)
+from .tensor import Tensor, add, mul, record, tabs, tmean, tsum
 
 
 @dataclass(frozen=True)
@@ -47,7 +44,7 @@ class Heads(Module):
 
 
 def ce_loss(features: Tensor, labels: np.ndarray, classifier: Linear) -> Tensor:
-    """Mean softmax cross-entropy of `classifier` on `features`."""
+    """Mean softmax cross-entropy of `classifier` on `features`, as one tape entry."""
     logits = classifier(features)
     labels = np.asarray(labels)
     n, num_classes = logits.shape
@@ -56,29 +53,48 @@ def ce_loss(features: Tensor, labels: np.ndarray, classifier: Linear) -> Tensor:
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ContractError(
             f"label outside [0, {num_classes}): {labels.min()}..{labels.max()}")
-    logp = log_softmax_lastdim(logits)
-    picked = take_pairs(logp, np.arange(n), labels.astype(np.intp))
-    return mul(tsum(picked), Tensor(np.asarray(-1.0 / n, dtype=logp.dtype)))
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    rows, labels = np.arange(n), labels.astype(np.intp)
+    scale = np.asarray(-1.0 / n, dtype=logp.dtype)
+
+    def rule(g):
+        g_logp = np.zeros_like(logp)
+        g_logp[rows, labels] += g * scale
+        return (g_logp - np.exp(logp) * g_logp.sum(axis=-1, keepdims=True),)
+
+    return record(logp[rows, labels].sum() * scale, (logits,), rule)
 
 
-def pairwise_euclidean(features: Tensor) -> Tensor:
-    """All-pairs Euclidean distances, differentiably.
+def pairwise_euclidean(features: np.ndarray):
+    """All-pairs Euclidean distances between the rows of `features`, and their
+    pullback from d loss / d distances to d loss / d features.
 
-    The sqrt argument is floored so coincident points cannot produce infinite
-    gradients; the diagonal is masked to exactly zero after the sqrt, which
-    zeroes its value and its gradient, keeping self-distances honest.
+    Squared distances come from the Gram matrix, |a|^2 - 2 a.b + |b|^2, floored
+    at 1e-12 before the sqrt so coincident points keep a finite gradient; the
+    diagonal is masked to exactly zero after the sqrt.
     """
     b = features.shape[0]
-    sq = tsum(mul(features, features), axis=1, keepdims=True)          # B x 1
-    cross = linear(features, swapaxes(features, 0, 1))                 # B x B
-    d2 = add(sub(sq, mul(cross, Tensor(np.asarray(2.0, dtype=features.dtype)))),
-             reshape(sq, (1, b)))
-    off_diag = Tensor((1.0 - np.eye(b)).astype(features.dtype))
-    return mul(tsqrt(clamp_min(d2, 1e-12)), off_diag)
+    ft = np.ascontiguousarray(features.T)  # contiguous: BLAS picks its kernel, so its rounding, by layout
+    sq = (features * features).sum(axis=1, keepdims=True)
+    two = np.asarray(2.0, dtype=features.dtype)
+    d2 = sq - (features @ ft) * two + sq.reshape(1, b)
+    floored = d2 > 1e-12
+    root = np.sqrt(np.maximum(d2, 1e-12))
+    off_diag = (1.0 - np.eye(b)).astype(features.dtype)
+
+    def pullback(g):  # Gram rows, Gram columns, then the norms' term twice: summed in that order
+        g_d2 = g * off_diag * 0.5 / root * floored
+        g_sq = g_d2.sum(axis=0, keepdims=True).reshape(b, 1) + g_d2.sum(axis=1, keepdims=True)
+        g_gram = -g_d2 * two
+        g_norms = g_sq * features
+        return g_gram @ ft.T, (features.T @ g_gram).T, g_norms, g_norms
+
+    return root * off_diag, pullback
 
 
 def soft_triplet_loss(features: Tensor, labels: np.ndarray) -> Tensor:
-    """Batch-hard mining with the smooth margin ln(1 + exp(d_ap - d_an)).
+    """Batch-hard mining with the smooth margin ln(1 + exp(d_ap - d_an)), as one tape entry.
 
     Hardest positive is the max distance over same-identity rows (the anchor's
     own zero never wins unless it is the only positive, which keeps batches
@@ -92,15 +108,24 @@ def soft_triplet_loss(features: Tensor, labels: np.ndarray) -> Tensor:
     if np.unique(labels).size < 2:
         raise ContractError("triplet mining needs at least two identities in the batch")
 
-    dist = pairwise_euclidean(features)
-    raw = dist.data
+    dist, pullback = pairwise_euclidean(features.data)
     same = labels[:, None] == labels[None, :]
-    pos_idx = np.where(same, raw, -np.inf).argmax(axis=1)
-    neg_idx = np.where(same, np.inf, raw).argmin(axis=1)
+    pos_idx = np.where(same, dist, -np.inf).argmax(axis=1)
+    neg_idx = np.where(same, np.inf, dist).argmin(axis=1)
     anchors = np.arange(b)
-    d_ap = take_pairs(dist, anchors, pos_idx)
-    d_an = take_pairs(dist, anchors, neg_idx)
-    return tmean(softplus(sub(d_ap, d_an)))
+    margin = dist[anchors, pos_idx] - dist[anchors, neg_idx]
+    e = np.exp(-np.abs(margin))  # in (0, 1]: no overflow for any margin
+    softplus = np.maximum(margin, 0.0) + np.log1p(e)
+    inv_b = np.asarray(1.0 / b, dtype=softplus.dtype)
+
+    def rule(g):
+        g_margin = g * inv_b * np.where(margin >= 0, 1.0 / (1.0 + e), e / (1.0 + e))  # sigmoid
+        g_dist = np.zeros_like(dist)
+        g_dist[anchors, pos_idx] += g_margin
+        g_dist[anchors, neg_idx] -= g_margin
+        return pullback(g_dist)
+
+    return record(softplus.sum() * inv_b, (features,) * 4, rule)
 
 
 def orthogonality_loss(x_inv: Tensor, view_feat: Tensor) -> Tensor:

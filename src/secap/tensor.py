@@ -27,10 +27,9 @@ from scipy.special import erf as _erf
 from .errors import ContractError, DimensionError, NumericError
 
 __all__ = [
-    "Tensor", "Parameter", "recording", "backward",
-    "add", "sub", "mul", "linear", "attention", "swapaxes", "reshape",
-    "concat", "narrow", "tsum", "tmean", "log_softmax_lastdim", "layer_norm",
-    "gelu", "tsqrt", "tabs", "clamp_min", "softplus", "take_pairs",
+    "Tensor", "Parameter", "recording", "backward", "record",
+    "add", "sub", "mul", "linear", "attention", "reshape",
+    "concat", "narrow", "tsum", "tmean", "layer_norm", "gelu", "tabs",
 ]
 
 DEFAULT_DTYPE = np.float32
@@ -149,8 +148,11 @@ def _post(arr: np.ndarray, op: str) -> None:
         raise NumericError(f"non-finite value {arr[index]} produced by op {op!r} at index {index}")
 
 
-def _make(data: np.ndarray, inputs: Sequence[Tensor], backward_rule) -> Tensor:
-    if _debug_checks:  # op name: `tsqrt.<locals>.<lambda>` is tsqrt
+def record(data: np.ndarray, inputs: Sequence[Tensor], backward_rule) -> Tensor:
+    """The op output holding `data`, and one tape entry if recording and an input
+    needs a gradient. `backward_rule` maps the output's gradient to one gradient
+    (or None) per input; an input listed twice gets each, summed in list order."""
+    if _debug_checks:  # op name: `gelu.<locals>.rule` is gelu
         _post(data, backward_rule.__qualname__.split(".")[0])
     out = Tensor.__new__(Tensor)
     out.data = np.ascontiguousarray(data)
@@ -197,7 +199,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
                 _unbroadcast(g, b.shape) if b.requires_grad else None)
 
-    return _make(data, (a, b), rule)
+    return record(data, (a, b), rule)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -207,7 +209,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
                 _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
-    return _make(data, (a, b), rule)
+    return record(data, (a, b), rule)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -217,7 +219,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
                 _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
-    return _make(data, (a, b), rule)
+    return record(data, (a, b), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +249,7 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         return gx, gw, (_column_sums(g2) if b.requires_grad else None)
 
     inputs = (x, w) if b is None else (x, w, b)
-    return _make(out.reshape(*x.shape[:-1], d_out), inputs, rule)
+    return record(out.reshape(*x.shape[:-1], d_out), inputs, rule)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
@@ -287,17 +289,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
             gk = merge(np.matmul(gs.swapaxes(-1, -2), qh)) if k.requires_grad else None
         return gq, gk, gv
 
-    return _make(merge(np.matmul(p, vh)), (q, k, v), rule), p
-
-
-def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    return _make(np.swapaxes(a.data, ax1, ax2), (a,), lambda g: (np.swapaxes(g, ax1, ax2),))
+    return record(merge(np.matmul(p, vh)), (q, k, v), rule), p
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     old = a.shape
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
+    return record(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -323,7 +321,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             grads.append(g[tuple(idx)] if t.requires_grad else None)
         return tuple(grads)
 
-    return _make(data, tuple(tensors), rule)
+    return record(data, tuple(tensors), rule)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -343,7 +341,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         full[idx] = g
         return (full,)
 
-    return _make(a.data[idx].copy(), (a,), rule)
+    return record(a.data[idx].copy(), (a,), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +356,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
-    return _make(np.asarray(data), (a,), rule)
+    return record(np.asarray(data), (a,), rule)
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -374,17 +372,6 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 # nonlinearities
 # ---------------------------------------------------------------------------
-
-def log_softmax_lastdim(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    y = shifted - lse
-
-    def rule(g):
-        return (g - np.exp(y) * g.sum(axis=-1, keepdims=True),)
-
-    return _make(y, (a,), rule)
-
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each last-dim slice to zero mean / unit variance, then affine."""
@@ -406,7 +393,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         g_beta = _column_sums(g.reshape(-1, d)) if beta.requires_grad else None
         return gx, g_gamma, g_beta
 
-    return _make(xhat * gamma.data + beta.data, (x, gamma, beta), rule)
+    return record(xhat * gamma.data + beta.data, (x, gamma, beta), rule)
 
 
 # Eigen's float32 rational erf (generic_fast_erf_float, which XLA also uses):
@@ -476,49 +463,11 @@ def gelu(a: Tensor) -> Tensor:
         t *= g
         return (t,)
 
-    return _make(data, (a,), rule)
-
-
-def tsqrt(a: Tensor) -> Tensor:
-    data = np.sqrt(a.data)
-    return _make(data, (a,), lambda g: (g * 0.5 / data,))
+    return record(data, (a,), rule)
 
 
 def tabs(a: Tensor) -> Tensor:
-    return _make(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
-
-
-def clamp_min(a: Tensor, floor: float) -> Tensor:
-    # gradient is zero on the clamped region, including the boundary
-    mask = a.data > floor
-    return _make(np.maximum(a.data, floor), (a,), lambda g: (g * mask,))
-
-
-def softplus(a: Tensor) -> Tensor:
-    """ln(1 + e^x), computed stably for large |x|."""
-    x = a.data
-    data = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-    def rule(g):
-        sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
-        return (g * sig.astype(x.dtype),)
-
-    return _make(data, (a,), rule)
-
-
-def take_pairs(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-    """Gather a[rows[i], cols[i]] into a vector; indices are constants."""
-    if a.ndim != 2:
-        raise DimensionError(f"take_pairs needs a matrix, got shape {a.shape}")
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-
-    def rule(g):
-        full = np.zeros(a.shape, dtype=g.dtype)
-        np.add.at(full, (rows, cols), g)
-        return (full,)
-
-    return _make(a.data[rows, cols].copy(), (a,), rule)
+    return record(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,8 @@ class TrainConfig:
         if not (0.0 <= self.momentum < 1.0 and 0.0 <= self.weight_decay < np.inf):
             raise ConfigurationError(f"need momentum in [0, 1), weight_decay in [0, inf); "
                                      f"got {self.momentum}, {self.weight_decay}")
-        if self.p < 1 or self.k < 1:
-            raise ConfigurationError(f"P and K must be >= 1, got P={self.p} K={self.k}")
+        if self.p < 2 or self.k < 1:  # every step mines triplets across two identities
+            raise ConfigurationError(f"need P >= 2 and K >= 1, got P={self.p} K={self.k}")
         if self.checkpoint_every < 1:
             raise ConfigurationError("checkpoint_every must be >= 1")
         if not 0.0 <= self.holdout < 1.0:  # the range model_from_checkpoint accepts
@@ -189,6 +189,7 @@ def train(
         if log is not None:
             log(format_epoch_line(epoch, means, lr))
         if out_dir is not None and (epoch % cfg.checkpoint_every == 0 or epoch == cfg.epochs):
+            os.makedirs(out_dir, exist_ok=True)  # only now: a run that fails earlier leaves nothing
             path = os.path.join(out_dir, f"checkpoint-{epoch:04d}.ckpt")
             save_checkpoint(path, params, checkpoint_metadata(model, cfg, epoch, ids))
             checkpoint_paths.append(path)

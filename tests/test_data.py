@@ -87,6 +87,15 @@ class TestManifest:
         assert read_manifest(old).records == read_manifest(plain).records
         assert len(read_manifest(old)) == 2
 
+    def test_manifest_with_meta_lines_from_85400b3_reads_to_the_same_records(self):
+        # the same gen-data corpus, written before and after the #meta lines went
+        data = os.path.join(os.path.dirname(__file__), "data")
+        old = os.path.join(data, "manifest-85400b3", "manifest.tsv")
+        with open(old, encoding="utf-8") as fh:
+            assert "#meta num_views=2\n" in fh.read()
+        new = read_manifest(os.path.join(data, "attn-49a72f6", "corpus", "manifest.tsv"))
+        assert len(new) == 32 and read_manifest(old).records == new.records
+
     def test_write_is_deterministic(self, tmp_path):
         m = Manifest([rec("a.rten", 0), rec("b.rten", 1)])
         write_manifest(m, tmp_path / "m1.tsv")

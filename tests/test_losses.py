@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from secap.errors import ConfigurationError, ContractError, DimensionError
+from secap.gradcheck import check_parameter_gradients, finite_diff_check
 from secap.losses import (
     Heads, LossParts, LossWeights, ce_loss, orthogonality_loss,
     pairwise_euclidean, soft_triplet_loss, total_loss,
 )
 from secap.nn import Linear
-from secap.tensor import Parameter, Tensor, backward, mul, recording, tsum
+from secap.tensor import Parameter, Tensor, backward, mul, recording, tape, tsum
 
 
 def zero_classifier(d, classes, rng):
@@ -60,6 +61,30 @@ class TestIdentityCE:
     def test_label_out_of_range(self, rng):
         with pytest.raises(ContractError):
             ce_loss(Tensor(np.ones((1, 4))), np.array([5]), zero_classifier(4, 2, rng))
+
+    # labels at both ends of the class range, one class twice
+    LABELS = np.array([0, 4, 2, 4, 0])
+
+    def test_one_entry_after_the_classifier(self, rng):
+        feats = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        with recording():
+            ce_loss(feats, self.LABELS, Linear("clf", 3, 5, rng))
+            assert [e.backward_rule.__qualname__.split(".")[0] for e in tape().entries] == [
+                "linear", "ce_loss"]
+
+    def test_feature_gradient_matches_central_differences(self, rng):
+        clf = Linear("clf", 3, 5, rng).astype(np.float64)
+        feats = Tensor(rng.standard_normal((5, 3)) * 2.0)
+        assert finite_diff_check(lambda t: ce_loss(t, self.LABELS, clf), feats) < 1e-7
+
+    def test_classifier_gradients_match_central_differences(self, rng):
+        clf = Linear("clf", 3, 5, rng).astype(np.float64)
+        clf.weight.assign(rng.standard_normal((3, 5)))
+        clf.bias.assign(rng.standard_normal(5))
+        feats = Tensor(rng.standard_normal((5, 3)))
+        worst, name, _ = check_parameter_gradients(
+            clf.parameters(), lambda: ce_loss(feats, self.LABELS, clf), coords_per_param=0)
+        assert worst < 1e-7, name
 
 
 class TestViewCE:
@@ -118,6 +143,62 @@ class TestSoftTriplet:
         with pytest.raises(ContractError):
             soft_triplet_loss(Tensor(np.zeros((4, 2))), np.array([3, 3, 3, 3]))
 
+    @staticmethod
+    def check(pts, labels, **kw):
+        return finite_diff_check(lambda t: soft_triplet_loss(t, labels), Tensor(pts), **kw)
+
+    def test_gradient_matches_central_differences(self, rng):
+        pts = rng.standard_normal((9, 4))
+        assert self.check(pts, np.repeat([0, 1, 2], 3)) < 1e-7
+
+    def test_lone_image_identity_gradient(self, rng):
+        # anchor 0's hardest positive is its own zero distance
+        pts = rng.standard_normal((5, 3))
+        assert self.check(pts, np.array([0, 1, 1, 2, 2])) < 1e-7
+
+    def test_coincident_points_under_the_floor(self, rng):
+        # rows 0 and 1 coincide and are each other's hardest positive: their
+        # squared distance sits under the 1e-12 floor, so that pair carries no
+        # gradient; probes of 1e-7 keep it under the floor. Identities 1 and 2
+        # are each other's nearest negatives, so the duplicates tie in no mining
+        pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.1, 0.0], [1.1, -0.1, 0.05],
+                        [1.3, 0.0, 0.1], [1.2, 0.2, -0.1]]) + 0.02 * rng.standard_normal((6, 3))
+        pts[1] = pts[0]
+        dist, _ = pairwise_euclidean(pts)
+        assert dist[0, 1] == dist[1, 0] == 1e-6
+        assert self.check(pts, np.array([0, 0, 1, 1, 2, 2]), eps=1e-7) < 1e-6
+
+    def test_tied_distances_in_mining(self, rng):
+        # rows 3 and 4 are duplicates of identity 1, so each anchor of identity 0
+        # sees them tied as negatives; the first row wins, and the loss has no
+        # derivative along either duplicate alone
+        pts = rng.standard_normal((6, 3))
+        pts[3:5] = pts[0] + 0.1 * rng.standard_normal(3)  # the nearest negatives of anchor 0
+        labels = np.array([0, 0, 0, 1, 1, 2])
+        dist, _ = pairwise_euclidean(pts)
+        assert dist[0, 3] == dist[0, 4]
+        untied = [i for i in range(pts.size) if i // 3 not in (3, 4)]
+        assert self.check(pts, labels, coords=untied) < 1e-7
+        # moving both duplicates together keeps the tie: that derivative exists,
+        # and the two rows' gradients sum to it
+        x = Tensor(pts, requires_grad=True)
+        with recording():
+            backward(soft_triplet_loss(x, labels))
+        eps = 1e-5
+        for k in range(3):
+            step = np.zeros_like(pts)
+            step[3:5, k] = eps
+            numeric = (soft_triplet_loss(Tensor(pts + step), labels).item()
+                       - soft_triplet_loss(Tensor(pts - step), labels).item()) / (2 * eps)
+            assert abs(x.grad[3, k] + x.grad[4, k] - numeric) < 1e-8
+
+    def test_one_entry_listing_the_features_once_per_gradient_term(self, rng):
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        with recording():
+            soft_triplet_loss(x, np.array([0, 0, 1, 1]))
+            entry, = tape().entries
+            assert entry.inputs == (x,) * 4
+
     def test_gradient_flows_through_mined_pairs(self):
         pts = Tensor(np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0], [-2.0, 5.0]]),
                      requires_grad=True)
@@ -127,28 +208,26 @@ class TestSoftTriplet:
 
     def test_pairwise_distances_match_scipy_style_loops(self, rng):
         pts = rng.standard_normal((5, 3))
-        dist = pairwise_euclidean(Tensor(pts)).data
+        dist, _ = pairwise_euclidean(pts)
         for i in range(5):
             for j in range(5):
                 assert abs(dist[i, j] - math.dist(pts[i], pts[j])) < 1e-6
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_diagonal_is_exactly_zero_in_value_and_gradient(self, dtype):
-        # norms near 3e4 and two pairs of duplicate rows: |a|^2 - 2 a.a + |a|^2 rounds
-        # off zero on the diagonal, so only the mask after the sqrt zeroes it
+    def test_coincident_features_give_a_finite_triplet_gradient(self, dtype):
+        # norms near 3e4 and two pairs of duplicate rows: |a|^2 - 2 a.b + |b|^2 rounds
+        # off zero between coincident rows, and the mask after the sqrt is all that
+        # zeroes the diagonal
         pts = (np.random.default_rng(3).standard_normal((6, 8)) * 1e4).astype(dtype)
         pts[1], pts[4] = pts[0], pts[2]
         sq = (pts * pts).sum(axis=1)
         assert (np.diag(sq[:, None] - 2 * (pts @ pts.T) + sq[None, :]) > 1e-12).any()
+        dist, _ = pairwise_euclidean(pts)
+        assert np.all(np.diag(dist) == 0.0)
         x = Tensor(pts, requires_grad=True)
         with recording():
-            dist = pairwise_euclidean(x)
-            assert np.all(np.diag(dist.data) == 0.0)
-            backward(tsum(mul(dist, Tensor(np.eye(6, dtype=dtype)))))
-        assert np.all(x.grad == 0.0)
-        x.zero_grad()
-        with recording():
-            backward(tsum(pairwise_euclidean(x)))
+            backward(soft_triplet_loss(x, np.array([0, 0, 1, 2, 1, 2])))
+        assert x.grad.dtype == dtype
         assert np.isfinite(x.grad).all() and np.abs(x.grad).max() > 0
 
 

@@ -179,21 +179,20 @@ class TestTapeBudget:
     # one micro forward: 9 attention calls (1 encoder, 8 LFRM), each four linear
     # entries and one attention entry, with no head split or softmax; PRM `attn`
     # is a chain of four linear entries, with no bank narrow or row broadcast.
-    # Each cross-entropy scales its sum by -1/n in one mul, and each
-    # pairwise_euclidean masks its diagonal once, after the sqrt, and lays its
-    # squared norms out as a row with a reshape
+    # Each cross-entropy and each soft triplet is one entry after its classifier,
+    # where their composed chains took 4 and 17
     EXPECTED = {
-        "add": 15, "attention": 9, "clamp_min": 2, "concat": 3, "gelu": 5,
-        "layer_norm": 2, "linear": 56, "log_softmax_lastdim": 3, "mul": 19,
-        "narrow": 7, "reshape": 7, "softplus": 2, "sub": 5,
-        "swapaxes": 2, "tabs": 1, "take_pairs": 7, "tsqrt": 2, "tsum": 9,
+        "add": 13, "attention": 9, "ce_loss": 3, "concat": 3, "gelu": 5,
+        "layer_norm": 2, "linear": 54, "mul": 8, "narrow": 7, "reshape": 5,
+        "soft_triplet_loss": 2, "sub": 1, "tabs": 1, "tsum": 2,
     }
 
     # bytes of every recorded output; fusion's sa and FFN keep only the output
-    # token's row, where the full [out_token; prompts] sequence took 90,908, and
+    # token's row, where the full [out_token; prompts] sequence took 90,908;
     # PRM `attn` runs its chain on one row per image, where the two attentions
-    # over all L rows took 82,460 and over one row 71,772
-    EXPECTED_BYTES = 69_776
+    # over all L rows took 82,460 and over one row 71,772; the composed losses
+    # took 69,776
+    EXPECTED_BYTES = 67_500
 
     def test_entries_per_op(self, rng):
         images, ids, views = micro_batch(rng)
@@ -201,7 +200,7 @@ class TestTapeBudget:
             SeCapModel(micro_cfg()).compute_losses(images, ids, views, LossWeights())
             counts = Counter(e.backward_rule.__qualname__.split(".")[0] for e in tape().entries)
             assert dict(counts) == self.EXPECTED
-            assert sum(counts.values()) == 156
+            assert sum(counts.values()) == 115
 
     def test_recorded_output_bytes(self, rng):
         images, ids, views = micro_batch(rng)

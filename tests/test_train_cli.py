@@ -84,6 +84,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError):
             micro_train_cfg(checkpoint_every=0)
 
+    def test_one_identity_per_batch_rejected(self):
+        # P=1 would reach triplet mining at step 0 with a single identity
+        with pytest.raises(ConfigurationError, match="P >= 2"):
+            micro_train_cfg(p=1)
+
 
 class TestTrainLoop:
     def test_log_lines_match_history(self, corpus):
@@ -176,10 +181,14 @@ class TestTrainLoop:
         assert held == [0] * result.total_steps
         assert tape().entries == []
 
-    def test_raising_step_leaves_tape_empty(self, corpus):
-        # P=1 puts one identity in the batch: triplet mining raises mid-loss
-        with pytest.raises(ContractError, match="two identities"):
-            train(corpus, micro_train_cfg(p=1))
+    def test_raising_step_leaves_tape_empty(self, corpus, monkeypatch):
+        def broken(*args):  # raises mid-loss, after the forward recorded its entries
+            assert tape().entries
+            raise ContractError("loss raised")
+
+        monkeypatch.setattr("secap.model.orthogonality_loss", broken)
+        with pytest.raises(ContractError, match="loss raised"):
+            train(corpus, micro_train_cfg())
         assert tape().entries == [] and not tape().recording
 
     def test_too_few_identities(self, corpus):
@@ -282,6 +291,15 @@ class TestCliUsage:
         assert rc == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("secap: configuration error: out of memory: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()  # a failed build leaves no checkpoint directory
+
+    def test_one_identity_per_batch_is_usage_before_any_step(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "train", lambda *a, **kw: pytest.fail("train() started"))
+        rc = cli.main(["train", "--manifest", _tiny_manifest(tmp_path), "--out", str(tmp_path / "out"),
+                       "--epochs", "1", "--p", "1", "--k", "2"])
+        assert rc == cli.EXIT_USAGE
+        assert "need P >= 2 and K >= 1, got P=1 K=2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCliGenData:
@@ -517,6 +535,34 @@ class TestGoldenVariantCheckpoints:
         with open(os.path.join(GOLDEN_VARIANTS, f"{name}.ckpt"), "rb") as fh:
             bad.write_bytes(fh.read()[:-1])
         assert cli.main(self.eval_argv(str(bad))) == cli.EXIT_IO
+        assert "truncated" in capsys.readouterr().err
+
+
+GOLDEN_ADD_9602BAC = os.path.join(os.path.dirname(__file__), "data", "add-9602bac")
+
+
+class TestGoldenAddCheckpointWithEncoderKeys:
+    """A PRM `add` checkpoint written by commit 9602bac, whose encoder metadata
+    still holds the `stride` and `vdt_enabled` keys that are now derived, with
+    its `eval --protocol all` report (see tests/data/README.md)."""
+
+    CKPT = os.path.join(GOLDEN_ADD_9602BAC, "add.ckpt")
+
+    def test_metadata_holds_the_derived_keys(self):
+        meta, _ = load_checkpoint(self.CKPT)
+        assert meta["encoder"]["stride"] == 16 and meta["encoder"]["vdt_enabled"] is True
+
+    def test_evaluates_to_its_committed_report(self, capsys):
+        capsys.readouterr()
+        assert cli.main(TestGoldenVariantCheckpoints.eval_argv(self.CKPT)) == cli.EXIT_OK
+        with open(os.path.join(GOLDEN_ADD_9602BAC, "report.jsonl"), encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
+
+    def test_truncated_copy_is_io(self, tmp_path, capsys):
+        bad = tmp_path / "truncated.ckpt"
+        with open(self.CKPT, "rb") as fh:
+            bad.write_bytes(fh.read()[:-1])
+        assert cli.main(TestGoldenVariantCheckpoints.eval_argv(str(bad))) == cli.EXIT_IO
         assert "truncated" in capsys.readouterr().err
 
 
