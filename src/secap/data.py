@@ -22,6 +22,7 @@ from .errors import ConfigurationError, ContractError, ParseError, ProtocolError
 from .storage import load_image, save_rten
 
 MANIFEST_HEADER = "#secap-manifest v1"
+_INT64 = np.iinfo(np.int64)  # integer fields land in int64 arrays
 
 AERIAL = 0
 GROUND_FRONTAL = 1
@@ -137,20 +138,18 @@ def read_manifest(path) -> Manifest:
         fields = line.split("\t")
         if len(fields) != 5:
             raise ParseError(f"{path}: expected 5 tab-separated fields, got {len(fields)}", line_start)
+        values = []
         for i, f in enumerate(fields[1:], start=1):
-            if not f.removeprefix("-").isdecimal():
+            digits = f.removeprefix("-")
+            # 19 digits hold every int64 and stay far below int()'s digit limit
+            value = int(f) if digits.isdecimal() and len(digits) <= 19 else None
+            if value is None or not _INT64.min <= value <= _INT64.max:
                 col = line_start + len("\t".join(fields[:i]).encode("utf-8")) + 1
-                raise ParseError(f"{path}: non-integer field {f!r}", col)
+                what = "field beyond int64" if digits.isdecimal() else "non-integer field"
+                raise ParseError(f"{path}: {what} {f[:24]!r}", col)
+            values.append(value)
         try:
-            records.append(
-                SampleRecord(
-                    path=fields[0],
-                    identity=int(fields[1]),
-                    camera=int(fields[2]),
-                    view=int(fields[3]),
-                    frame=int(fields[4]),
-                )
-            )
+            records.append(SampleRecord(fields[0], *values))
         except ConfigurationError as exc:
             raise ParseError(f"{path}: {exc}", line_start) from exc
     root = os.path.dirname(os.path.abspath(path))
@@ -364,11 +363,10 @@ def _rank_pool(descriptors: np.ndarray) -> List[int]:
         return [0]
     dist = cdist(descriptors, descriptors)
     k = min(3, n - 1)
+    others = dist.copy()
+    np.fill_diagonal(others, np.inf)  # an image is not its own neighbour
     adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        order = np.argsort(dist[i], kind="stable")
-        picked = [j for j in order if j != i][:k]
-        adj[i, picked] = True
+    adj[np.arange(n)[:, None], np.argsort(others, axis=1, kind="stable")[:, :k]] = True
     adj |= adj.T
     # label each image with the lowest index it is connected to; then the
     # largest component with the lowest label is the one with the earliest member

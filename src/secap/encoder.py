@@ -18,7 +18,7 @@ from .errors import ConfigurationError, ContractError, DimensionError
 from .nn import (
     FeedForward, LayerNorm, Linear, Module, MultiHeadAttention, expand_rows, trunc_normal,
 )
-from .tensor import Parameter, Tensor, add, concat, narrow, reshape, sub
+from .tensor import Parameter, Tensor, add, concat, narrow, record, reshape
 
 DEFAULT_STRIDE = 16
 OLP_STRIDE = 12
@@ -106,13 +106,18 @@ class EncoderBlock(Module):
 
 
 def decouple_step(x: Tensor) -> Tensor:
-    """Cls <- Cls - View; the view and patch tokens pass through unchanged."""
+    """Cls <- Cls - View as one tape entry; the view and patch tokens pass through unchanged."""
     if x.ndim != 3 or x.shape[1] < 2:
         raise ContractError(f"decoupling needs at least [Cls, View] tokens, got shape {x.shape}")
-    cls_tok = narrow(x, 1, 0, 1)
-    view_tok = narrow(x, 1, 1, 1)
-    rest = narrow(x, 1, 2, x.shape[1] - 2)
-    return concat([sub(cls_tok, view_tok), view_tok, rest], axis=1)
+    out = x.data.copy()
+    out[:, 0] -= x.data[:, 1]
+
+    def rule(g):
+        gx = g.copy()
+        gx[:, 1] -= g[:, 0]
+        return (gx,)
+
+    return record(out, (x,), rule)
 
 
 class Encoder(Module):

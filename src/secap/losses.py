@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError, DimensionError
 from .nn import Linear, Module
-from .tensor import Tensor, add, mul, record, tabs, tmean, tsum
+from .tensor import Tensor, add, mul, record
 
 
 @dataclass(frozen=True)
@@ -129,11 +129,19 @@ def soft_triplet_loss(features: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def orthogonality_loss(x_inv: Tensor, view_feat: Tensor) -> Tensor:
-    """Mean over the batch of the L1 overlap between the two features."""
+    """Mean over the batch of the L1 overlap between the two features, as one tape entry."""
     if x_inv.shape != view_feat.shape:
         raise DimensionError(
             f"feature shapes disagree: {x_inv.shape} vs {view_feat.shape}")
-    return tmean(tsum(tabs(mul(x_inv, view_feat)), axis=1))
+    prod = x_inv.data * view_feat.data
+    inv_b = np.asarray(1.0 / x_inv.shape[0], dtype=prod.dtype)
+
+    def rule(g):  # broadcast, times sign, times the other input: the composed chain's order
+        g_prod = np.broadcast_to(g * inv_b, prod.shape) * np.sign(prod)
+        return (g_prod * view_feat.data if x_inv.requires_grad else None,
+                g_prod * x_inv.data if view_feat.requires_grad else None)
+
+    return record(np.abs(prod).sum(axis=1).sum() * inv_b, (x_inv, view_feat), rule)
 
 
 @dataclass

@@ -158,6 +158,10 @@ def _parse_metadata(raw: bytes, *, label: str) -> dict:
     except json.JSONDecodeError as exc:
         bad = at + len(text[: exc.pos].encode("utf-8"))
         raise ParseError(f"{label}: metadata is not JSON ({exc.msg})", bad) from None
+    except ValueError:  # the one other ValueError: an integer beyond int()'s digit limit
+        raise ParseError(f"{label}: metadata holds an integer of too many digits", at) from None
+    except RecursionError:
+        raise ParseError(f"{label}: metadata nests too deeply", at) from None
     if not isinstance(meta, dict):
         raise ParseError(f"{label}: metadata is not a JSON object", at)
     return meta

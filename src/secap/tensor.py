@@ -28,8 +28,8 @@ from .errors import ContractError, DimensionError, NumericError
 
 __all__ = [
     "Tensor", "Parameter", "recording", "backward", "record",
-    "add", "sub", "mul", "linear", "attention", "reshape",
-    "concat", "narrow", "tsum", "tmean", "layer_norm", "gelu", "tabs",
+    "add", "mul", "linear", "attention", "reshape",
+    "concat", "narrow", "tsum", "layer_norm", "gelu",
 ]
 
 DEFAULT_DTYPE = np.float32
@@ -202,16 +202,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return record(data, (a, b), rule)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = _broadcast_binary(a, b, np.subtract, "sub")
-
-    def rule(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.shape) if b.requires_grad else None)
-
-    return record(data, (a, b), rule)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = _broadcast_binary(a, b, np.multiply, "mul")
 
@@ -359,16 +349,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return record(np.asarray(data), (a,), rule)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = int(np.prod([a.shape[ax % a.ndim] for ax in axes]))
-    s = tsum(a, axis=axis, keepdims=keepdims)
-    return mul(s, Tensor(np.asarray(1.0 / count, dtype=a.data.dtype)))
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 # ---------------------------------------------------------------------------
@@ -464,10 +444,6 @@ def gelu(a: Tensor) -> Tensor:
         return (t,)
 
     return record(data, (a,), rule)
-
-
-def tabs(a: Tensor) -> Tensor:
-    return record(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
 
 
 # ---------------------------------------------------------------------------

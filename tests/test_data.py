@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import secap.data
 from secap.data import (
@@ -131,6 +133,28 @@ class TestManifest:
         with pytest.raises(ParseError, match="UTF-8") as exc:
             read_manifest(p)
         assert exc.value.offset == len(raw) + 1
+
+    # values, not bytes: int64 edges and one past them, 2**70, 5,000 digits,
+    # signs, non-ASCII decimal digits and empty fields
+    EDGES = [-2**63 - 1, -2**63, -2**63 + 1, -1, 2**63 - 2, 2**63 - 1, 2**63, 2**70]
+    FIELD = st.one_of(
+        st.sampled_from(["0", "1", "2"]),  # valid in every column, so records get built
+        st.sampled_from(EDGES).map(str),
+        st.tuples(st.sampled_from(["", "-", "+", "--"]),
+                  st.one_of(st.text("0123456789\u0660\u0663\u0969\uff11", max_size=21),
+                            st.sampled_from(["7" * 5000, "0" * 5000]))).map("".join),
+    )
+
+    @settings(derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fields=st.lists(FIELD, min_size=4, max_size=4))
+    def test_any_integer_fields_read_as_int64_or_raise_parse_error(self, tmp_path, fields):
+        p = tmp_path / "m.tsv"
+        p.write_text("#secap-manifest v1\na.rten\t" + "\t".join(fields) + "\n", encoding="utf-8")
+        try:
+            r, = read_manifest(p).records
+        except ParseError:
+            return
+        assert all(-2**63 <= v < 2**63 for v in (r.identity, r.camera, r.view, r.frame))
 
     def test_identities_excludes_distractors(self):
         m = Manifest([rec("a.rten", 3), rec("b.rten", -1, 1), rec("c.rten", 0, 2)])

@@ -3,8 +3,8 @@ import pytest
 
 from secap.encoder import Encoder, EncoderConfig, decouple_step, tokenize
 from secap.errors import ConfigurationError, ContractError, DimensionError
-from secap.gradcheck import check_parameter_gradients
-from secap.tensor import Tensor, add, mul, tsum
+from secap.gradcheck import check_parameter_gradients, finite_diff_check
+from secap.tensor import Tensor, add, mul, recording, tape, tsum
 
 TOY = dict(image_h=64, image_w=32, embed_dim=64, depth=2, heads=4)
 
@@ -163,6 +163,19 @@ class TestDecoupleStep:
     def test_too_few_tokens(self):
         with pytest.raises(ContractError):
             decouple_step(Tensor(np.zeros((1, 1, 4))))
+
+    @pytest.mark.parametrize("tokens", [2, 5])
+    def test_gradient_matches_central_differences(self, rng, tokens):
+        readout = Tensor(rng.standard_normal((2, tokens, 3)))
+        x = Tensor(rng.standard_normal((2, tokens, 3)))
+        assert finite_diff_check(lambda t: tsum(mul(decouple_step(t), readout)), x) < 1e-8
+
+    def test_one_tape_entry(self, rng):
+        x = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
+        with recording():
+            decouple_step(x)
+            entry, = tape().entries
+            assert entry.inputs == (x,)
 
 
 class TestEncode:

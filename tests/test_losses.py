@@ -261,6 +261,30 @@ class TestOrthogonality:
         with pytest.raises(DimensionError):
             orthogonality_loss(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
 
+    @staticmethod
+    def away_from_zero(rng, shape):
+        """Entries at least 0.5 from zero, so no product sits on |.|'s kink."""
+        x = rng.standard_normal(shape)
+        return np.sign(x) * (0.5 + np.abs(x))
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_gradient_matches_central_differences(self, rng, slot):
+        other = Tensor(self.away_from_zero(rng, (4, 3)))
+        x = Tensor(self.away_from_zero(rng, (4, 3)))
+
+        def f(t):
+            return orthogonality_loss(*((t, other) if slot == 0 else (other, t)))
+
+        assert finite_diff_check(f, x) < 1e-8
+
+    def test_one_entry_over_both_features(self, rng):
+        a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        b = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        with recording():
+            orthogonality_loss(a, b)
+            entry, = tape().entries
+            assert entry.inputs == (a, b)
+
 
 def const_part(value):
     return Tensor(np.asarray(value, dtype=np.float64))

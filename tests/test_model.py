@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import secap.tensor
 from secap.encoder import EncoderConfig
 from secap.errors import ConfigurationError
 from secap.gradcheck import check_parameter_gradients
@@ -180,19 +181,22 @@ class TestTapeBudget:
     # entries and one attention entry, with no head split or softmax; PRM `attn`
     # is a chain of four linear entries, with no bank narrow or row broadcast.
     # Each cross-entropy and each soft triplet is one entry after its classifier,
-    # where their composed chains took 4 and 17
+    # where their composed chains took 4 and 17. The view decoupling and the
+    # orthogonality loss are one entry each, where their chains took 5 each
+    # (3 narrow, sub, concat; mul, tabs, tsum, and tmean's tsum and mul)
     EXPECTED = {
-        "add": 13, "attention": 9, "ce_loss": 3, "concat": 3, "gelu": 5,
-        "layer_norm": 2, "linear": 54, "mul": 8, "narrow": 7, "reshape": 5,
-        "soft_triplet_loss": 2, "sub": 1, "tabs": 1, "tsum": 2,
+        "add": 13, "attention": 9, "ce_loss": 3, "concat": 2, "decouple_step": 1,
+        "gelu": 5, "layer_norm": 2, "linear": 54, "mul": 6, "narrow": 4,
+        "orthogonality_loss": 1, "reshape": 5, "soft_triplet_loss": 2,
     }
 
     # bytes of every recorded output; fusion's sa and FFN keep only the output
     # token's row, where the full [out_token; prompts] sequence took 90,908;
     # PRM `attn` runs its chain on one row per image, where the two attentions
     # over all L rows took 82,460 and over one row 71,772; the composed losses
-    # took 69,776
-    EXPECTED_BYTES = 67_500
+    # took 69,776; the composed decoupling (1,792) and orthogonality chain (536)
+    # took 67,500, where their single entries hold 768 and 4
+    EXPECTED_BYTES = 65_944
 
     def test_entries_per_op(self, rng):
         images, ids, views = micro_batch(rng)
@@ -200,13 +204,27 @@ class TestTapeBudget:
             SeCapModel(micro_cfg()).compute_losses(images, ids, views, LossWeights())
             counts = Counter(e.backward_rule.__qualname__.split(".")[0] for e in tape().entries)
             assert dict(counts) == self.EXPECTED
-            assert sum(counts.values()) == 115
+            assert sum(counts.values()) == 107
 
     def test_recorded_output_bytes(self, rng):
         images, ids, views = micro_batch(rng)
         with recording():
             SeCapModel(micro_cfg()).compute_losses(images, ids, views, LossWeights())
             assert sum(e.output.data.nbytes for e in tape().entries) == self.EXPECTED_BYTES
+
+
+def test_every_tensor_op_is_recorded_by_some_micro_model(rng):
+    """An op that no model configuration records is dead code. Exempt: the
+    plumbing, which is no op, and `tsum`, which the gradient tests reduce with."""
+    exempt = {"Tensor", "Parameter", "recording", "backward", "record", "tsum"}
+    images, ids, views = micro_batch(rng)
+    recorded = set()
+    for variant, ablate in [(v, "none") for v in VARIANTS] + [("attn", a) for a in ABLATIONS]:
+        with recording():
+            SeCapModel(micro_cfg(prm_variant=variant, ablate=ablate)).compute_losses(
+                images, ids, views, LossWeights())
+            recorded.update(e.backward_rule.__qualname__.split(".")[0] for e in tape().entries)
+    assert sorted(set(secap.tensor.__all__) - exempt - recorded) == []
 
 
 class TestMicroBatchGradient:

@@ -595,10 +595,16 @@ class TestCliErrors:
         assert rc == cli.EXIT_IO
         capsys.readouterr()
 
+    # a value no int64 holds, and a field beyond int()'s 4,300-digit limit
+    BEYOND_INT64 = b"#secap-manifest v1\na.rten\t0\t%d\t0\t0\n" % 2 ** 70
+    FIVE_THOUSAND_DIGITS = b"#secap-manifest v1\na.rten\t0\t0\t0\t" + b"7" * 5000 + b"\n"
+
     @pytest.mark.parametrize("manifest_bytes", [
         b"#secap-manifest v1\na.rten\tx\t0\t0\t0\n",
         b"#secap-manifest v1\n\xff\xfe.rten\t0\t0\t0\t0\n",
-    ], ids=["non-integer-field", "not-utf8"])
+        BEYOND_INT64,
+        FIVE_THOUSAND_DIGITS,
+    ], ids=["non-integer-field", "not-utf8", "camera-2**70", "5000-digit-frame"])
     def test_malformed_manifest_is_io(self, micro_checkpoint, tmp_path, capsys, manifest_bytes):
         manifest = tmp_path / "m.tsv"
         manifest.write_bytes(manifest_bytes)
@@ -606,8 +612,19 @@ class TestCliErrors:
         assert rc == cli.EXIT_IO
         assert "byte offset" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("metadata", [b"{not json", b'{"format": "secap-checkpoint"}'],
-                             ids=["metadata-not-json", "metadata-without-encoder"])
+    def test_manifest_field_beyond_int64_fails_train(self, tmp_path, capsys):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_bytes(self.BEYOND_INT64)
+        rc = cli.main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                       "--epochs", "1"] + MICRO_FLAGS)
+        assert rc == cli.EXIT_IO
+        assert "byte offset 28" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("metadata", [b"{not json", b'{"format": "secap-checkpoint"}',
+                                          b'{"seed": ' + b"9" * 5000 + b"}", b"[" * 100_000],
+                             ids=["metadata-not-json", "metadata-without-encoder", "5000-digit-integer",
+                                  "nested-100000-deep"])
     def test_malformed_checkpoint_metadata_is_io(self, tmp_path, capsys, metadata):
         ckpt = tmp_path / "bad.ckpt"
         ckpt.write_bytes(CKPT_MAGIC + struct.pack("<HQ", CKPT_VERSION, len(metadata)) + metadata
