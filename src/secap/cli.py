@@ -17,6 +17,7 @@ import numpy as np
 
 from .data import (
     PROTOCOLS,
+    PROTOCOL_SIDES,
     SynthConfig,
     build_protocol,
     generate_synthetic,
@@ -169,8 +170,8 @@ def cmd_eval(args) -> int:
     holdout = meta.get("train", {}).get("holdout", 0.0)
     if holdout:
         _, manifest = split_identities(manifest, holdout, meta["train"]["seed"])
-    queries = select_queries(manifest, per_view=args.queries_per_view)
     names = list(PROTOCOLS) if args.protocol == "all" else [args.protocol]
+    queries = select_queries(manifest, args.queries_per_view, {PROTOCOL_SIDES[name][0] for name in names})
     splits = [build_protocol(manifest, name, queries=queries) for name in names]
     # one pass over every image some protocol needs, in manifest (path) order
     needed = sorted({r for s in splits for r in s.query + s.gallery}, key=lambda r: r.path)

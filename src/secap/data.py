@@ -33,7 +33,7 @@ DEFAULT_VIEW_MAP = {AERIAL: 0, GROUND_FRONTAL: 1, GROUND_OBLIQUE: 1}
 
 PROTOCOLS = ("a2g", "g2a", "g2ag")
 # protocol -> (query side, gallery sides)
-_PROTOCOL_SIDES = {"a2g": (0, (1,)), "g2a": (1, (0,)), "g2ag": (1, (0, 1))}
+PROTOCOL_SIDES = {"a2g": (0, (1,)), "g2a": (1, (0,)), "g2ag": (1, (0, 1))}
 
 
 def derive_seed(*parts) -> int:
@@ -195,9 +195,9 @@ def build_protocol(
     single-view protocols that subtraction never intersects. Queries whose
     identity never occurs in the gallery are dropped with a warning.
     """
-    if protocol_name not in _PROTOCOL_SIDES:
+    if protocol_name not in PROTOCOL_SIDES:
         raise ProtocolError(f"unknown protocol {protocol_name!r}; expected one of {PROTOCOLS}")
-    q_side, g_sides = _PROTOCOL_SIDES[protocol_name]
+    q_side, g_sides = PROTOCOL_SIDES[protocol_name]
     query_pool = [r for r in manifest.records if r.identity >= 0 and DEFAULT_VIEW_MAP[r.view] == q_side]
     if queries is None:
         query = list(query_pool)
@@ -313,9 +313,26 @@ def augment(image: np.ndarray, seed) -> np.ndarray:
 # Gradient-histogram descriptor and representative-query selection
 
 
+def _orientation_bins(dy: np.ndarray, dx: np.ndarray, bins: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Magnitude and orientation bin of each gradient (see hog_descriptor)."""
+    mag = np.sqrt(dx * dx + dy * dy)
+    cos = np.divide(dx, np.copysign(mag, dy), out=np.ones_like(mag), where=dy != 0)
+    bin_idx = np.zeros(mag.shape, dtype=np.min_scalar_type(bins - 1))  # narrow counters add fastest
+    for edge in np.cos(np.arange(1, bins) * np.pi / bins):
+        bin_idx += cos <= edge
+    return mag, bin_idx
+
+
 def hog_descriptor(images: np.ndarray, cell: int = 8, bins: int = 9) -> np.ndarray:
     """Orientation-binned gradient histograms of a stack (N, C, H, W): square
     cells, 2x2 block L2 norm; returns (N, D), one descriptor per image.
+
+    Bin k holds unsigned orientations theta in [k pi / bins, (k+1) pi / bins).
+    Folded into the upper half-plane, a gradient has cos(theta) =
+    dx / copysign(mag, dy), so its bin is the count of edge cosines
+    cos(k pi / bins), k >= 1, at or above that; dy == 0 is bin 0, as in
+    mod(arctan2(+-0, dx), pi). On float32 images dx^2 + dy^2 can neither
+    overflow nor underflow in float64, so mag needs no hypot.
 
     Each row is bit-equal to the descriptor of that image alone: the
     histogram adds pixels in raster order, and block norms are BLAS dots.
@@ -329,9 +346,7 @@ def hog_descriptor(images: np.ndarray, cell: int = 8, bins: int = 9) -> np.ndarr
         raise ContractError(f"image {h}x{w} smaller than one {cell}x{cell} cell")
     gray = gray[:, : hc * cell, : wc * cell]
     dy, dx = np.gradient(gray, axis=(1, 2))
-    mag = np.hypot(dy, dx)
-    ang = np.mod(np.arctan2(dy, dx), np.pi)  # unsigned orientation
-    bin_idx = np.minimum((ang / np.pi * bins).astype(np.int64), bins - 1)
+    mag, bin_idx = _orientation_bins(dy, dx, bins)
     cell_y = (np.arange(hc * cell) // cell)[None, :, None]
     cell_x = (np.arange(wc * cell) // cell)[None, None, :]
     image = np.arange(n)[:, None, None]
@@ -385,17 +400,13 @@ def _rank_pool(descriptors: np.ndarray) -> List[int]:
     return ranked + rest
 
 
-def select_queries(
-    manifest: Manifest,
-    per_view: int = 1,
-) -> List[SampleRecord]:
-    """Pick per_view representative images per identity per collapsed view."""
+def select_queries(manifest: Manifest, per_view: int = 1, sides: Iterable[int] = (0, 1)) -> List[SampleRecord]:
+    """Pick per_view representative images per identity on each collapsed side in `sides`."""
     if per_view < 1:
         raise ContractError(f"per_view must be >= 1, got {per_view}")
-    sides = sorted(set(DEFAULT_VIEW_MAP.values()))
     selected: List[SampleRecord] = []
     for identity, recs in sorted(manifest.by_identity().items()):
-        for s in sides:
+        for s in sorted(sides):
             pool = [r for r in recs if DEFAULT_VIEW_MAP[r.view] == s]
             if not pool:
                 warnings.warn(f"identity {identity} has no image on side {s}; skipped")

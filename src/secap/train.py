@@ -122,6 +122,9 @@ def model_from_checkpoint(path) -> Tuple[SeCapModel, dict]:
             raise TypeError(f"train holdout {holdout!r} is not a number in [0, 1)")
         if holdout > 0.0 and not isinstance(run.get("seed"), int):
             raise TypeError(f"train seed {run.get('seed')!r} is not an int")
+        blocks = {name.split(".")[2] for name in table if name.startswith("encoder.blocks.")}
+        if enc.depth != len(blocks):  # checked before building: a huge depth would build until memory runs out
+            raise ValueError(f"encoder depth {enc.depth} but {len(blocks)} encoder blocks in the table")
         model = SeCapModel(cfg)  # a geometry too large to allocate is malformed too
     except (KeyError, TypeError, ValueError, MemoryError) as exc:
         raise CheckpointError(

@@ -4,6 +4,7 @@ query selection, and the synthetic generator."""
 import hashlib
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import secap.data
 from secap.data import (
+    DEFAULT_VIEW_MAP,
     Manifest,
     SampleRecord,
     SynthConfig,
@@ -21,6 +23,7 @@ from secap.data import (
     format_image_name,
     generate_synthetic,
     hog_descriptor,
+    load_images,
     pk_sample,
     read_manifest,
     select_queries,
@@ -360,16 +363,30 @@ class TestAugment:
         assert len(outs) > 1
 
 
-def per_image_hog(image, cell=8, bins=9):
-    """The one-image descriptor as it was written before batching: the oracle."""
+def searchsorted_bins(dy, dx, bins):
+    """Magnitudes, and bins as the count of edge cosines at or above each
+    folded gradient's cosine, found by a binary search of the edges."""
+    mag = np.sqrt(dx * dx + dy * dy)
+    cos = np.divide(dx, np.copysign(mag, dy), out=np.ones_like(mag), where=dy != 0)
+    ascending = np.cos(np.arange(bins - 1, 0, -1) * np.pi / bins)
+    return mag, bins - 1 - np.searchsorted(ascending, cos, side="left")
+
+
+def arctan2_bins(dy, dx, bins):
+    """Magnitudes and bins as the descriptor took them before the edge cosines."""
+    ang = np.mod(np.arctan2(dy, dx), np.pi)
+    return np.hypot(dy, dx), np.minimum((ang / np.pi * bins).astype(np.int64), bins - 1)
+
+
+def per_image_hog(image, cell=8, bins=9, orientation=searchsorted_bins):
+    """The one-image descriptor as it was written before batching: the oracle.
+    With `orientation=arctan2_bins` it is the descriptor before the edge cosines."""
     gray = np.asarray(image, dtype=np.float64).mean(axis=0)
     h, w = gray.shape
     hc, wc = h // cell, w // cell
     gray = gray[: hc * cell, : wc * cell]
     dy, dx = np.gradient(gray)
-    mag = np.hypot(dy, dx)
-    ang = np.mod(np.arctan2(dy, dx), np.pi)
-    bin_idx = np.minimum((ang / np.pi * bins).astype(np.int64), bins - 1)
+    mag, bin_idx = orientation(dy, dx, bins)
     cell_y = (np.arange(hc * cell) // cell)[:, None]
     cell_x = (np.arange(wc * cell) // cell)[None, :]
     hist = np.zeros((hc, wc, bins))
@@ -383,6 +400,22 @@ def per_image_hog(image, cell=8, bins=9):
             v = hist[by : by + 2, bx : bx + 2].ravel()
             blocks.append(v / (np.linalg.norm(v) + 1e-12))
     return np.concatenate(blocks)
+
+
+F32 = np.finfo(np.float32)
+EDGES = np.arange(10) * np.pi / 9  # bin edges of the unsigned orientation, 0 and pi included
+COMPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, float(F32.max), -float(F32.max),
+                     float(F32.smallest_subnormal), -float(F32.smallest_subnormal)]),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),  # float32 subnormals to +-3.4e38
+)
+GRADIENT = st.one_of(
+    st.tuples(COMPONENT, COMPONENT),  # (dy, dx)
+    st.tuples(COMPONENT, st.sampled_from([0.0, -0.0])),  # axis-aligned
+    st.tuples(st.sampled_from([0.0, -0.0]), COMPONENT),
+    st.tuples(st.integers(0, 9), COMPONENT).map(  # exact bin-edge directions
+        lambda kr: (kr[1] * np.sin(kr[0] * np.pi / 9), kr[1] * np.cos(kr[0] * np.pi / 9))),
+)
 
 
 class TestHog:
@@ -418,6 +451,36 @@ class TestHog:
         d = hog_descriptor(images)
         for i in range(n):
             assert np.array_equal(d[i], per_image_hog(images[i]))
+
+    # arctan2's angle in [-pi, pi] carries an absolute error of about one ulp of
+    # pi, and `mod` adds pi to the negative half, so near an edge the reference
+    # bin itself is uncertain: bins may differ only within two ulps of pi of an
+    # edge (the worst disagreement seen on 10M near-edge directions was 1.125 ulps)
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(gradients=st.lists(GRADIENT, min_size=1, max_size=32))
+    def test_edge_cosine_bins_match_arctan2(self, gradients):
+        dy, dx = np.array(gradients, dtype=np.float64).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mag, bins = secap.data._orientation_bins(dy, dx, 9)
+        ref_mag, ref_bins = arctan2_bins(dy, dx, 9)
+        ang = np.mod(np.arctan2(dy, dx), np.pi)
+        near_edge = np.abs(ang[:, None] - EDGES).min(axis=1) <= 2 * np.spacing(np.pi)
+        assert np.array_equal(bins[~near_edge], ref_bins[~near_edge])
+        assert np.all((bins >= 0) & (bins <= 8)) and np.all(bins[dy == 0] == 0)
+        assert np.all(np.abs(mag - ref_mag) <= np.spacing(ref_mag))
+
+    def test_extreme_pixels_give_finite_descriptors(self, rng):
+        images = np.full((5, 3, 16, 16), 0.5, dtype=np.float32)  # image 0 is constant
+        images[1] = rng.choice([F32.max, -F32.max], size=(3, 16, 16))
+        images[2] = F32.max
+        images[3] = rng.choice([F32.smallest_subnormal, -F32.smallest_subnormal, 0.0], size=(3, 16, 16))
+        images[4] = rng.uniform(-1.0, 1.0, size=(3, 16, 16)) * F32.smallest_normal  # all subnormal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = hog_descriptor(images)
+        assert d.shape == (5, 9 * 4) and np.all(np.isfinite(d))
+        assert np.all(d[[0, 2]] == 0.0) and abs(np.linalg.norm(d[1]) - 1.0) < 1e-9
 
     def test_too_small(self):
         with pytest.raises(ContractError, match="cell"):
@@ -498,6 +561,23 @@ class TestSelectQueries:
     def test_requires_positive_count(self, tmp_path):
         with pytest.raises(ContractError):
             select_queries(Manifest([]), per_view=0)
+
+    # pools of 2 always tie, so these pools hold 8 to 12 images
+    @pytest.mark.parametrize("cfg", [
+        SynthConfig(num_ids=6, images_per_id_per_view=8, image_h=64, image_w=32, seed=5),
+        SynthConfig(num_ids=4, images_per_id_per_view=4, num_views=3, image_h=64, image_w=32, seed=8),
+        SynthConfig(num_ids=5, images_per_id_per_view=6, num_views=3, image_h=16, image_w=16, seed=7),
+    ], ids=["64x32", "64x32-three-views", "16x16-three-views"])
+    def test_full_ranking_matches_arctan2_descriptor(self, tmp_path, cfg):
+        m, _ = generate_synthetic(cfg, tmp_path)
+        expected = []
+        for _, recs in sorted(m.by_identity().items()):
+            for side in (0, 1):
+                pool = [r for r in recs if DEFAULT_VIEW_MAP[r.view] == side]
+                desc = np.stack([per_image_hog(img, orientation=arctan2_bins) for img in load_images(m, pool)])
+                expected += [pool[i] for i in secap.data._rank_pool(desc)]
+        largest_pool = cfg.images_per_id_per_view * (cfg.num_views - 1)
+        assert select_queries(m, per_view=largest_pool) == expected
 
 
 class TestSplitIdentities:

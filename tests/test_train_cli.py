@@ -11,8 +11,11 @@ import struct
 import numpy as np
 import pytest
 
+import secap.data
+import secap.encoder
 from secap import cli
 from secap.data import (
+    DEFAULT_VIEW_MAP,
     PROTOCOLS,
     SynthConfig,
     build_protocol,
@@ -389,6 +392,35 @@ class TestCliPipeline:
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1] and reports[0].count("\n") == 3
 
+    def test_eval_a2g_selects_queries_on_the_aerial_side_only(self, cli_pipeline, capsys, monkeypatch):
+        argv = ["eval", "--checkpoint", cli_pipeline["checkpoint"], "--manifest", cli_pipeline["manifest"],
+                "--protocol", "a2g", "--queries-per-view", "1"]
+        # the report as it was when every run selected queries on both sides
+        monkeypatch.setattr(cli, "select_queries", lambda m, per_view, sides: select_queries(m, per_view))
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_OK
+        both_sides = capsys.readouterr().out
+        monkeypatch.undo()
+
+        pool_sides, hog_calls = [], []
+        real_load, real_hog = secap.data.load_images, secap.data.hog_descriptor
+
+        def loading(manifest, records):
+            pool_sides.append({DEFAULT_VIEW_MAP[r.view] for r in records})
+            return real_load(manifest, records)
+
+        def hog(images):
+            hog_calls.append(len(images))
+            return real_hog(images)
+
+        monkeypatch.setattr(secap.data, "load_images", loading)  # extract_features holds its own reference
+        monkeypatch.setattr(secap.data, "hog_descriptor", hog)
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().out == both_sides and both_sides.count("\n") == 1
+        _, mtest = split_identities(read_manifest(cli_pipeline["manifest"]), 0.25, 3)
+        aerial_pools = sum(any(DEFAULT_VIEW_MAP[r.view] == 0 for r in recs) for recs in mtest.by_identity().values())
+        assert pool_sides == [{0}] * aerial_pools and len(hog_calls) == aerial_pools
+
     def test_eval_all_encodes_each_image_once(self, cli_pipeline, capsys, monkeypatch):
         argv = ["eval", "--checkpoint", cli_pipeline["checkpoint"], "--manifest", cli_pipeline["manifest"],
                 "--protocol", "all", "--queries-per-view", "1", "--batch-size", "5"]
@@ -691,6 +723,21 @@ class TestCliErrors:
         rc = cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)])
         assert rc == cli.EXIT_IO
         assert f"malformed metadata (byte offset {CKPT_METADATA_OFFSET})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth", [10**7, 2], ids=["depth-10**7", "depth-one-beyond-the-table"])
+    def test_depth_beyond_the_table_is_io_before_any_block_is_built(self, tmp_path, capsys, monkeypatch, depth):
+        model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2, seed=1))
+        meta = checkpoint_metadata(model, None, 0, [0, 1])
+        meta["encoder"] = {**meta["encoder"], "depth": depth}
+        ckpt = tmp_path / "deep.ckpt"
+        save_checkpoint(str(ckpt), model.parameters(), meta)
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("#secap-manifest v1\n")
+        monkeypatch.setattr(secap.encoder, "EncoderBlock", lambda *args: pytest.fail("an encoder block was built"))
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)])
+        assert rc == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert f"encoder depth {depth} but 1 encoder blocks" in err and "byte offset" in err
 
     def test_mixed_image_sizes_in_training_is_io(self, tmp_path, capsys):
         cfg = SynthConfig(num_ids=4, images_per_id_per_view=2, image_h=16, image_w=16, seed=9)
