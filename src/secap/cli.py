@@ -122,7 +122,6 @@ def build_parser() -> _Parser:
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--manifest", required=True)
     e.add_argument("--protocol", choices=PROTOCOLS + ("all",), default="a2g")
-    e.add_argument("--batch-size", type=int, default=32)
     e.add_argument("--queries-per-view", type=int, default=2)
 
     c = sub.add_parser("grad-check", help="finite-difference check of the full loss", **config_sub)
@@ -138,7 +137,6 @@ def build_parser() -> _Parser:
     x.add_argument("--checkpoint", required=True)
     x.add_argument("--manifest", required=True)
     x.add_argument("--out", required=True, help="base path; writes <out>.rten and <out>.tsv")
-    x.add_argument("--batch-size", type=int, default=32)
     return parser
 
 
@@ -175,7 +173,7 @@ def cmd_eval(args) -> int:
     splits = [build_protocol(manifest, name, queries=queries) for name in names]
     # one pass over every image some protocol needs, in manifest (path) order
     needed = sorted({r for s in splits for r in s.query + s.gallery}, key=lambda r: r.path)
-    features = extract_features(model, manifest, needed, batch_size=args.batch_size)
+    features = extract_features(model, manifest, needed)
     for split in splits:
         qfs = features.select(split.query)
         gfs = features.select(split.gallery)
@@ -215,7 +213,7 @@ def cmd_grad_check(args) -> int:
 def cmd_export_features(args) -> int:
     model, _ = model_from_checkpoint(args.checkpoint)
     manifest = read_manifest(args.manifest)
-    fs = extract_features(model, manifest, batch_size=args.batch_size)
+    fs = extract_features(model, manifest)
     save_rten(args.out + ".rten", fs.features)
     with open(args.out + ".tsv", "w", encoding="utf-8", newline="\n") as fh:
         for i in range(len(fs)):

@@ -183,17 +183,17 @@ class ProtocolSplit:
 def build_protocol(
     manifest: Manifest,
     protocol_name: str,
-    queries: Optional[Iterable] = None,
+    queries: Optional[Iterable[SampleRecord]] = None,
 ) -> ProtocolSplit:
     """Build query/gallery record lists for one cross-view protocol.
 
-    `queries` optionally designates the query images (records or path strings,
-    typically from select_queries, and may span both views; entries of the
-    other view are ignored). Without it, every non-distractor image of the
-    query view is a query. The gallery holds all images of the gallery
-    view(s), distractors included, minus the designated query images; for the
-    single-view protocols that subtraction never intersects. Queries whose
-    identity never occurs in the gallery are dropped with a warning.
+    `queries` optionally designates the query records (typically from
+    select_queries; they may span both views, and the other view's are
+    ignored). Without it, every non-distractor image of the query view is a
+    query. The gallery holds all images of the gallery view(s), distractors
+    included, minus the designated query images; for the single-view
+    protocols that subtraction never intersects. Queries whose identity never
+    occurs in the gallery are dropped with a warning.
     """
     if protocol_name not in PROTOCOL_SIDES:
         raise ProtocolError(f"unknown protocol {protocol_name!r}; expected one of {PROTOCOLS}")
@@ -202,10 +202,7 @@ def build_protocol(
     if queries is None:
         query = list(query_pool)
     else:
-        paths = set()
-        for q in queries:
-            p = q.path if isinstance(q, SampleRecord) else str(q)
-            paths.add(p)
+        paths = {q.path for q in queries}
         known = {r.path: r for r in manifest.records}
         for p in sorted(paths):
             if p not in known:
@@ -312,25 +309,28 @@ def augment(image: np.ndarray, seed) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Gradient-histogram descriptor and representative-query selection
 
+HOG_CELL = 8  # pixels per side of a square histogram cell
+HOG_BINS = 9  # unsigned orientation bins over [0, pi)
 
-def _orientation_bins(dy: np.ndarray, dx: np.ndarray, bins: int) -> Tuple[np.ndarray, np.ndarray]:
+
+def _orientation_bins(dy: np.ndarray, dx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Magnitude and orientation bin of each gradient (see hog_descriptor)."""
     mag = np.sqrt(dx * dx + dy * dy)
     cos = np.divide(dx, np.copysign(mag, dy), out=np.ones_like(mag), where=dy != 0)
-    bin_idx = np.zeros(mag.shape, dtype=np.min_scalar_type(bins - 1))  # narrow counters add fastest
-    for edge in np.cos(np.arange(1, bins) * np.pi / bins):
+    bin_idx = np.zeros(mag.shape, dtype=np.uint8)  # narrow counters add fastest
+    for edge in np.cos(np.arange(1, HOG_BINS) * np.pi / HOG_BINS):
         bin_idx += cos <= edge
     return mag, bin_idx
 
 
-def hog_descriptor(images: np.ndarray, cell: int = 8, bins: int = 9) -> np.ndarray:
+def hog_descriptor(images: np.ndarray) -> np.ndarray:
     """Orientation-binned gradient histograms of a stack (N, C, H, W): square
     cells, 2x2 block L2 norm; returns (N, D), one descriptor per image.
 
-    Bin k holds unsigned orientations theta in [k pi / bins, (k+1) pi / bins).
+    Bin k of B = HOG_BINS holds orientations theta in [k pi / B, (k+1) pi / B).
     Folded into the upper half-plane, a gradient has cos(theta) =
     dx / copysign(mag, dy), so its bin is the count of edge cosines
-    cos(k pi / bins), k >= 1, at or above that; dy == 0 is bin 0, as in
+    cos(k pi / B), k >= 1, at or above that; dy == 0 is bin 0, as in
     mod(arctan2(+-0, dx), pi). On float32 images dx^2 + dy^2 can neither
     overflow nor underflow in float64, so mag needs no hypot.
 
@@ -341,24 +341,24 @@ def hog_descriptor(images: np.ndarray, cell: int = 8, bins: int = 9) -> np.ndarr
         raise ContractError(f"expected (N, C, H, W) images, got shape {images.shape}")
     gray = np.asarray(images, dtype=np.float64).mean(axis=1)
     n, h, w = gray.shape
-    hc, wc = h // cell, w // cell
+    hc, wc = h // HOG_CELL, w // HOG_CELL
     if hc < 1 or wc < 1:
-        raise ContractError(f"image {h}x{w} smaller than one {cell}x{cell} cell")
-    gray = gray[:, : hc * cell, : wc * cell]
+        raise ContractError(f"image {h}x{w} smaller than one {HOG_CELL}x{HOG_CELL} cell")
+    gray = gray[:, : hc * HOG_CELL, : wc * HOG_CELL]
     dy, dx = np.gradient(gray, axis=(1, 2))
-    mag, bin_idx = _orientation_bins(dy, dx, bins)
-    cell_y = (np.arange(hc * cell) // cell)[None, :, None]
-    cell_x = (np.arange(wc * cell) // cell)[None, None, :]
+    mag, bin_idx = _orientation_bins(dy, dx)
+    cell_y = (np.arange(hc * HOG_CELL) // HOG_CELL)[None, :, None]
+    cell_x = (np.arange(wc * HOG_CELL) // HOG_CELL)[None, None, :]
     image = np.arange(n)[:, None, None]
-    flat = ((image * hc + cell_y) * wc + cell_x) * bins + bin_idx
-    hist = np.bincount(flat.ravel(), weights=mag.ravel(), minlength=n * hc * wc * bins)
-    hist = hist.reshape(n, hc, wc, bins)
+    flat = ((image * hc + cell_y) * wc + cell_x) * HOG_BINS + bin_idx
+    hist = np.bincount(flat.ravel(), weights=mag.ravel(), minlength=n * hc * wc * HOG_BINS)
+    hist = hist.reshape(n, hc, wc, HOG_BINS)
     if hc < 2 or wc < 2:
         v = hist.reshape(n, -1)
     else:
         # 2x2 cells per block, raveled (row, column, bin); blocks in raster order
         v = np.stack([hist[:, :-1, :-1], hist[:, :-1, 1:], hist[:, 1:, :-1], hist[:, 1:, 1:]], axis=3)
-        v = v.reshape(n, hc - 1, wc - 1, 4 * bins)
+        v = v.reshape(n, hc - 1, wc - 1, 4 * HOG_BINS)
     # a (1, k) @ (k, 1) matmul is the BLAS dot np.linalg.norm uses, so the bits match
     norm = np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0]
     return (v / (norm + 1e-12)).reshape(n, -1)

@@ -9,7 +9,7 @@ shrinks to [Cls, patches...] and no decoupling happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -24,6 +24,15 @@ DEFAULT_STRIDE = 16
 OLP_STRIDE = 12
 
 
+def check_field_types(cfg) -> None:
+    """Require each int or bool field of a config dataclass to hold exactly
+    that type: a float or a bool is refused as an int, a string as a flag."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type in ("int", "bool") and type(value).__name__ != f.type:
+            raise ConfigurationError(f"{f.name} must be of type {f.type}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     image_h: int = 256
@@ -36,6 +45,7 @@ class EncoderConfig:
     olp_enabled: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         if self.embed_dim < 1 or self.depth < 1:
             raise ConfigurationError(f"embed_dim and depth must be >= 1, got {self.embed_dim} and {self.depth}")
         if self.heads < 1 or self.ffn_mult < 1:

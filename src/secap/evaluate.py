@@ -14,7 +14,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .data import Manifest, SampleRecord, load_images
-from .errors import ContractError, DimensionError, NumericError, ProtocolError
+from .errors import DimensionError, NumericError, ProtocolError
+
+FEATURE_CHUNK = 32  # images per inference pass
+MIN_CHUNK_ROWS = 4  # fewest images an inference pass runs on
 
 
 @dataclass(frozen=True)
@@ -68,19 +71,20 @@ class FeatureSet:
         return out
 
 
-def extract_features(model, manifest: Manifest, records: Optional[Sequence[SampleRecord]] = None, batch_size: int = 32) -> FeatureSet:
-    """Run inference over records (no augmentation); features are [global, local]."""
-    if records is None:
-        records = manifest.records
-    records = list(records)
+def extract_features(model, manifest: Manifest, records: Optional[Sequence[SampleRecord]] = None) -> FeatureSet:
+    """Run inference over records (no augmentation); features are [global, local].
+
+    Inference over 1 or 2 images rounds apart from the same images in a larger
+    chunk, so a short chunk repeats its last image to MIN_CHUNK_ROWS, rows dropped.
+    """
+    records = list(manifest.records if records is None else records)
     if not records:
         raise ProtocolError("no records to extract features from")
-    if batch_size < 1:
-        raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     chunks: List[np.ndarray] = []
-    for start in range(0, len(records), batch_size):
-        batch = records[start : start + batch_size]
-        chunks.append(model.inference_features(load_images(manifest, batch)))
+    for start in range(0, len(records), FEATURE_CHUNK):
+        batch = records[start : start + FEATURE_CHUNK]
+        padded = batch + batch[-1:] * (MIN_CHUNK_ROWS - len(batch))
+        chunks.append(model.inference_features(load_images(manifest, padded))[: len(batch)])
     feats = np.concatenate(chunks, axis=0)
     bad = ~np.isfinite(feats).all(axis=1)
     if bad.any():

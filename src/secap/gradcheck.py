@@ -96,7 +96,6 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor,
 
 def check_parameter_gradients(params: Sequence[Parameter],
                               loss_fn: Callable[[], Tensor],
-                              eps: float = 1e-5,
                               coords_per_param: int = 6,
                               seed: int = 0) -> tuple[float, str, dict[str, float]]:
     """Check every parameter of a model against central differences.
@@ -131,7 +130,7 @@ def check_parameter_gradients(params: Sequence[Parameter],
         discrepancy = 0.0
         scale = float(np.abs(analytic).max()) if n else 0.0
         for i in indices:
-            numeric = _central_difference(loss_fn, flat, i, eps)
+            numeric = _central_difference(loss_fn, flat, i, 1e-5)
             discrepancy = max(discrepancy, abs(float(analytic[i]) - numeric))
             scale = max(scale, abs(numeric))
         err = discrepancy / max(scale, 1e-12)

@@ -54,11 +54,10 @@ class Fusion(Module):
 
 
 class LFRM(Module):
-    def __init__(self, dim: int, heads: int, ffn_mult: int,
-                 rng: np.random.Generator, name: str = "lfrm"):
-        self.blocks = [TwoWayBlock(f"{name}.two_way.{i}", dim, heads, ffn_mult, rng)
+    def __init__(self, dim: int, heads: int, ffn_mult: int, rng: np.random.Generator):
+        self.blocks = [TwoWayBlock(f"lfrm.two_way.{i}", dim, heads, ffn_mult, rng)
                        for i in range(NUM_TWO_WAY_BLOCKS)]
-        self.fusion = Fusion(f"{name}.fusion", dim, heads, ffn_mult, rng)
+        self.fusion = Fusion("lfrm.fusion", dim, heads, ffn_mult, rng)
 
     def __call__(self, p_re: Tensor, x_local: Tensor) -> Tensor:
         f_p, f_i = p_re, x_local

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .encoder import Encoder, EncoderConfig, EncoderOutput
+from .encoder import Encoder, EncoderConfig, EncoderOutput, check_field_types
 from .errors import ConfigurationError
 from .lfrm import LFRM
 from .losses import (
@@ -41,6 +41,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.ablate not in ABLATIONS:
             raise ConfigurationError(f"unknown ablation {self.ablate!r}; pick one of {ABLATIONS}")
         if self.prompt_len < 1:

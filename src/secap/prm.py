@@ -27,8 +27,7 @@ ATTN_DROPPED_PARAMETERS = ("prm.ca.wq.weight", "prm.ca.wq.bias", "prm.ca.wk.weig
 
 
 class PRM(Module):
-    def __init__(self, prompts: Parameter, variant: str, heads: int, ffn_mult: int,
-                 rng: np.random.Generator, name: str = "prm"):
+    def __init__(self, prompts: Parameter, variant: str, heads: int, ffn_mult: int, rng: np.random.Generator):
         if prompts.ndim != 2 or prompts.shape[0] < 1:
             raise ConfigurationError(f"prompts must be an L x d matrix, got {prompts.shape}")
         if variant not in VARIANTS:
@@ -38,12 +37,12 @@ class PRM(Module):
         d = prompts.shape[1]
         if variant == "attn":
             # wq and wk are drawn and dropped, so every later tensor keeps its initial values
-            ca = MultiHeadAttention(f"{name}.ca", d, heads, rng)
-            sa = MultiHeadAttention(f"{name}.sa", d, heads, rng)
+            ca = MultiHeadAttention("prm.ca", d, heads, rng)
+            sa = MultiHeadAttention("prm.sa", d, heads, rng)
             self.chain = [ca.wv, ca.wo, sa.wv, sa.wo]
         else:
-            self.sa = MultiHeadAttention(f"{name}.sa", d, heads, rng)
-        self.ffn = FeedForward(f"{name}.ffn", d, ffn_mult, rng)
+            self.sa = MultiHeadAttention("prm.sa", d, heads, rng)
+        self.ffn = FeedForward("prm.ffn", d, ffn_mult, rng)
 
     def __call__(self, x_inv: Tensor) -> Tensor:
         length, d = self.prompts.shape

@@ -353,14 +353,14 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # nonlinearities
 # ---------------------------------------------------------------------------
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize each last-dim slice to zero mean / unit variance, then affine."""
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match feature dim {d}")
     xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    inv_std = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
     xhat = xc * inv_std
 
     def rule(g):

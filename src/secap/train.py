@@ -122,9 +122,23 @@ def model_from_checkpoint(path) -> Tuple[SeCapModel, dict]:
             raise TypeError(f"train holdout {holdout!r} is not a number in [0, 1)")
         if holdout > 0.0 and not isinstance(run.get("seed"), int):
             raise TypeError(f"train seed {run.get('seed')!r} is not an int")
+        # checked before building: a geometry the table does not hold could build until memory runs out
         blocks = {name.split(".")[2] for name in table if name.startswith("encoder.blocks.")}
-        if enc.depth != len(blocks):  # checked before building: a huge depth would build until memory runs out
+        if enc.depth != len(blocks):
             raise ValueError(f"encoder depth {enc.depth} but {len(blocks)} encoder blocks in the table")
+        d = enc.embed_dim
+        shapes = {"encoder.proj.weight": (3 * enc.patch * enc.patch, d),
+                  "encoder.pos": (enc.num_patches + 1 + cfg.uses_vdt, d),
+                  "encoder.blocks.0.ffn.fc1.weight": (d, d * enc.ffn_mult),
+                  "heads.id_global.weight": (d, cfg.num_ids)}
+        if cfg.uses_lfrm:
+            shapes["prm.prompts"] = (cfg.prompt_len, d)
+        if cfg.uses_vdt:
+            shapes["heads.view.weight"] = (d, cfg.num_views)
+        for name, shape in shapes.items():
+            held = table[name].shape if name in table else "no entry"
+            if held != shape:
+                raise ValueError(f"metadata geometry gives {name} shape {shape}, but the table holds {held}")
         model = SeCapModel(cfg)  # a geometry too large to allocate is malformed too
     except (KeyError, TypeError, ValueError, MemoryError) as exc:
         raise CheckpointError(

@@ -72,7 +72,7 @@ def experiments(tmp_path_factory):
         queries = select_queries(mtest, per_view=2)
         splits = [build_protocol(mtest, proto, queries=queries) for proto in ("a2g", "g2a")]
         needed = sorted({r for s in splits for r in s.query + s.gallery}, key=lambda r: r.path)
-        features = extract_features(result.model, mtest, needed, batch_size=64)
+        features = extract_features(result.model, mtest, needed)
         rank1, maps = {}, {}
         for split in splits:
             qf, gf = features.select(split.query), features.select(split.gallery)

@@ -213,11 +213,17 @@ class TestBuildProtocol:
 
     def test_unknown_designated_path(self):
         with pytest.raises(ProtocolError, match="not in the manifest"):
-            build_protocol(toy_manifest(), "a2g", queries=["missing.rten"])
+            build_protocol(toy_manifest(), "a2g", queries=[rec("missing.rten", 0, 0, 0, 0)])
 
     def test_distractor_designated_as_query(self):
+        distractor = next(r for r in toy_manifest().records if r.path == "9000_C01_000000.rten")
         with pytest.raises(ProtocolError, match="distractor"):
-            build_protocol(toy_manifest(), "a2g", queries=["9000_C01_000000.rten"])
+            build_protocol(toy_manifest(), "a2g", queries=[distractor])
+
+    def test_path_string_queries_are_refused(self):
+        m = toy_manifest()
+        with pytest.raises(AttributeError, match="path"):
+            build_protocol(m, "a2g", queries=[r.path for r in m.records if r.identity >= 0])
 
     def test_empty_gallery(self):
         records = [rec(format_image_name(i, 0, i), i, 0, 0, i) for i in range(2)]
@@ -462,7 +468,7 @@ class TestHog:
         dy, dx = np.array(gradients, dtype=np.float64).T
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mag, bins = secap.data._orientation_bins(dy, dx, 9)
+            mag, bins = secap.data._orientation_bins(dy, dx)
         ref_mag, ref_bins = arctan2_bins(dy, dx, 9)
         ang = np.mod(np.arctan2(dy, dx), np.pi)
         near_edge = np.abs(ang[:, None] - EDGES).min(axis=1) <= 2 * np.spacing(np.pi)

@@ -1,9 +1,11 @@
 """Feature extraction, cosine distances, and CMC/mAP scoring vs the oracle."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from secap.data import Manifest, SampleRecord, SynthConfig, generate_synthetic
+from secap.data import Manifest, SampleRecord, SynthConfig, generate_synthetic, hog_descriptor
 from secap.encoder import EncoderConfig
 from secap.errors import DimensionError, ProtocolError
 from secap.evaluate import (
@@ -14,7 +16,10 @@ from secap.evaluate import (
     extract_features,
     oracle_cmc_map,
 )
+from secap.lfrm import LFRM
 from secap.model import ModelConfig, SeCapModel
+from secap.prm import PRM
+from secap.tensor import layer_norm
 
 MICRO_ENC = dict(image_h=16, image_w=16, embed_dim=16, depth=1, heads=2, ffn_mult=2)
 
@@ -223,24 +228,32 @@ class TestExtractFeatures:
         return SeCapModel(cfg)
 
     def test_feature_dim_is_twice_embed(self, micro_corpus):
-        fs = extract_features(self.model(), micro_corpus, batch_size=8)
+        fs = extract_features(self.model(), micro_corpus)
         assert fs.features.shape == (len(micro_corpus), 32)
         assert fs.paths == [r.path for r in micro_corpus.records]
 
     def test_baseline_dim_is_embed(self, micro_corpus):
-        fs = extract_features(self.model("baseline"), micro_corpus, batch_size=8)
+        fs = extract_features(self.model("baseline"), micro_corpus)
         assert fs.features.shape == (len(micro_corpus), 16)
 
-    def test_batch_size_independence(self, micro_corpus):
+    def test_rows_do_not_depend_on_grouping(self, micro_corpus):
+        # every record again inside subsets that run padded (1-3 images), as one
+        # short chunk (5), one full chunk (32) and two (64); subsets wrap around
         model = self.model()
-        a = extract_features(model, micro_corpus, batch_size=1)
-        b = extract_features(model, micro_corpus, batch_size=64)
-        assert np.max(np.abs(a.features - b.features)) < 1e-5
+        records = micro_corpus.records
+        full = extract_features(model, micro_corpus)
+        row_of = {r.path: i for i, r in enumerate(records)}
+        for size in (1, 2, 3, 5, 32, 64):
+            for start in range(len(records)):
+                subset = [records[(start + j) % len(records)] for j in range(size)]
+                fs = extract_features(model, micro_corpus, subset)
+                for row, r in zip(fs.features, subset):
+                    assert np.array_equal(row, full.features[row_of[r.path]]), (size, start, r.path)
 
     def test_deterministic(self, micro_corpus):
         model = self.model()
-        a = extract_features(model, micro_corpus, batch_size=4)
-        b = extract_features(model, micro_corpus, batch_size=4)
+        a = extract_features(model, micro_corpus)
+        b = extract_features(model, micro_corpus)
         assert np.array_equal(a.features, b.features)
 
     def test_missing_image_names_path(self, micro_corpus, tmp_path):
@@ -254,5 +267,13 @@ class TestExtractFeatures:
         model = self.model()
         recs = [micro_corpus.records[0], micro_corpus.records[0]]
         # duplicate paths are fine at extraction level (no Manifest constraint)
-        fs = extract_features(model, micro_corpus, records=recs, batch_size=2)
+        fs = extract_features(model, micro_corpus, records=recs)
         assert np.array_equal(fs.features[0], fs.features[1])
+
+
+@pytest.mark.parametrize("function, parameter", [
+    (extract_features, "batch_size"), (hog_descriptor, "cell"), (hog_descriptor, "bins"),
+    (layer_norm, "eps"), (PRM, "name"), (LFRM, "name"),
+])
+def test_single_valued_options_are_constants(function, parameter):
+    assert parameter not in inspect.signature(function).parameters

@@ -26,7 +26,7 @@ from secap.data import (
 )
 from secap.encoder import EncoderConfig
 from secap.errors import CheckpointError, ConfigurationError, ContractError, NumericError, ParseError
-from secap.evaluate import cmc_map, distance_matrix, extract_features
+from secap.evaluate import FEATURE_CHUNK, MIN_CHUNK_ROWS, cmc_map, distance_matrix, extract_features
 from secap.losses import LossWeights
 from secap.model import ModelConfig, SeCapModel
 from secap.prm import ATTN_DROPPED_PARAMETERS
@@ -135,8 +135,8 @@ class TestTrainLoop:
         result = train(corpus, micro_train_cfg(), out_dir=str(tmp_path))
         loaded, meta = model_from_checkpoint(result.checkpoint_paths[-1])
         assert meta["epoch"] == 2
-        a = extract_features(result.model, corpus, batch_size=8)
-        b = extract_features(loaded, corpus, batch_size=8)
+        a = extract_features(result.model, corpus)
+        b = extract_features(loaded, corpus)
         assert np.array_equal(a.features, b.features)
 
     def test_two_runs_identical(self, corpus, tmp_path):
@@ -423,7 +423,7 @@ class TestCliPipeline:
 
     def test_eval_all_encodes_each_image_once(self, cli_pipeline, capsys, monkeypatch):
         argv = ["eval", "--checkpoint", cli_pipeline["checkpoint"], "--manifest", cli_pipeline["manifest"],
-                "--protocol", "all", "--queries-per-view", "1", "--batch-size", "5"]
+                "--protocol", "all", "--queries-per-view", "1"]
         # the per-protocol recipe: one extraction each for the query and the gallery
         model, meta = model_from_checkpoint(cli_pipeline["checkpoint"])
         _, mtest = split_identities(read_manifest(cli_pipeline["manifest"]), 0.25, 3)
@@ -431,8 +431,8 @@ class TestCliPipeline:
         expected, needed = [], set()
         for name in PROTOCOLS:
             split = build_protocol(mtest, name, queries=queries)
-            qfs = extract_features(model, mtest, split.query, batch_size=5)
-            gfs = extract_features(model, mtest, split.gallery, batch_size=5)
+            qfs = extract_features(model, mtest, split.query)
+            gfs = extract_features(model, mtest, split.gallery)
             expected.append(cmc_map(distance_matrix(qfs, gfs), qfs, gfs, protocol=name).to_json_line())
             needed.update(r.path for r in split.query + split.gallery)
         assert meta["train"]["holdout"] == 0.25 and meta["train"]["seed"] == 3
@@ -448,7 +448,9 @@ class TestCliPipeline:
         capsys.readouterr()
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == "".join(line + "\n" for line in expected)
-        assert sum(rows) == len(needed)
+        # a last chunk of 1 to 3 images is padded to MIN_CHUNK_ROWS with repeats
+        tail = len(needed) % FEATURE_CHUNK
+        assert sum(rows) == len(needed) + (MIN_CHUNK_ROWS - tail if 0 < tail < MIN_CHUNK_ROWS else 0)
 
     def test_export_features_row_aligned(self, cli_pipeline, capsys):
         base = str(cli_pipeline["root"] / "feats")
@@ -465,16 +467,22 @@ class TestCliPipeline:
         assert [int(first[0]), int(first[1]), int(first[2])] == [
             manifest.records[0].identity, manifest.records[0].camera, manifest.records[0].view]
 
-    @pytest.mark.parametrize("command, flag", [
-        ("eval", "--batch-size"), ("export-features", "--batch-size"), ("eval", "--queries-per-view"),
-    ], ids=["eval-batch-size", "export-batch-size", "eval-queries-per-view"])
+    @pytest.mark.parametrize("command, flag", [("eval", "--queries-per-view")], ids=["eval-queries-per-view"])
     def test_zero_count_flag_is_usage(self, cli_pipeline, capsys, command, flag):
         argv = [command, "--checkpoint", cli_pipeline["checkpoint"],
                 "--manifest", cli_pipeline["manifest"], flag, "0"]
-        if command == "export-features":
-            argv += ["--out", str(cli_pipeline["root"] / "zero")]
         assert cli.main(argv) == cli.EXIT_USAGE
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "export-features"])
+    def test_batch_size_flag_is_unknown(self, cli_pipeline, capsys, command):
+        argv = [command, "--checkpoint", cli_pipeline["checkpoint"], "--manifest", cli_pipeline["manifest"],
+                "--batch-size", "8"]
+        if command == "export-features":
+            argv += ["--out", str(cli_pipeline["root"] / "unused")]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert "unrecognized arguments: --batch-size 8" in capsys.readouterr().err
+        assert not os.path.exists(str(cli_pipeline["root"] / "unused.rten"))
 
 
 @pytest.fixture(scope="module")
@@ -710,8 +718,11 @@ class TestCliErrors:
         ("encoder", "depth", "1"), ("encoder", "embed_dim", 16.0), ("encoder", "embed_dim", -16),
         ("encoder", "depth", 0), ("encoder", "embed_dim", 0), ("model", "prm_variant", "mean"),
         ("encoder", "patch", 8), ("encoder", "embed_dim", 2**40), ("model", "seed", -1),
+        ("encoder", "heads", 2.0), ("encoder", "olp_enabled", "yes"), ("encoder", "depth", True),
+        ("encoder", "olp_enabled", 0), ("model", "prompt_len", 4.0),
     ], ids=["string-depth", "float-width", "negative-width", "zero-depth", "zero-width", "unknown-variant",
-            "patch-below-stride", "unallocatable-width", "negative-seed"])
+            "patch-below-stride", "unallocatable-width", "negative-seed", "float-heads", "string-flag",
+            "bool-depth", "int-flag", "float-prompt-len"])
     def test_malformed_geometry_metadata_is_io(self, tmp_path, capsys, section, key, value):
         model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2, seed=1))
         meta = checkpoint_metadata(model, None, 0, [0, 1])
@@ -738,6 +749,36 @@ class TestCliErrors:
         assert rc == cli.EXIT_IO
         err = capsys.readouterr().err
         assert f"encoder depth {depth} but 1 encoder blocks" in err and "byte offset" in err
+
+    # a geometry the table does not hold is refused before SeCapModel is called:
+    # ffn_mult 10**6 alone allocates five 1 GB FFN weights
+    @pytest.mark.parametrize("section, key, value, entry", [
+        ("encoder", "ffn_mult", 10**6, "encoder.blocks.0.ffn.fc1.weight"),
+        ("encoder", "ffn_mult", 3, "encoder.blocks.0.ffn.fc1.weight"),
+        ("encoder", "embed_dim", 2**20, "encoder.proj.weight"),
+        ("encoder", "image_h", 10**6, "encoder.pos"),
+        ("model", "ablate", "no-vdt", "encoder.pos"),
+        ("model", "prompt_len", 10**8, "prm.prompts"),
+        ("model", "num_ids", 10**8, "heads.id_global.weight"),
+        ("model", "num_views", 10**8, "heads.view.weight"),
+    ], ids=["ffn-mult-10**6", "ffn-mult-3", "width-2**20", "height-10**6", "no-vdt", "prompt-len-10**8",
+            "num-ids-10**8", "num-views-10**8"])
+    def test_geometry_beyond_the_table_is_io_before_any_layer_is_built(
+            self, tmp_path, capsys, monkeypatch, section, key, value, entry):
+        model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2, seed=1))
+        meta = checkpoint_metadata(model, None, 0, [0, 1])
+        meta[section] = {**meta[section], key: value}
+        ckpt = tmp_path / "wide.ckpt"
+        save_checkpoint(str(ckpt), model.parameters(), meta)
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("#secap-manifest v1\n")
+        # the package's `train` attribute is the function, so reach the module by name
+        monkeypatch.setattr(importlib.import_module("secap.train"), "SeCapModel",
+                            lambda *args: pytest.fail("a model was built"))
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)])
+        assert rc == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert f"gives {entry} shape" in err and "byte offset" in err
 
     def test_mixed_image_sizes_in_training_is_io(self, tmp_path, capsys):
         cfg = SynthConfig(num_ids=4, images_per_id_per_view=2, image_h=16, image_w=16, seed=9)
