@@ -160,13 +160,13 @@ def read_manifest(path) -> Manifest:
 
 
 # ---------------------------------------------------------------------------
-# Image file naming: <id>_C<camera>_<frame>.<ext>
+# Image file naming: <id>_C<camera>_<frame>.rten
 
 
-def format_image_name(identity: int, camera: int, frame: int, ext: str = "rten") -> str:
+def format_image_name(identity: int, camera: int, frame: int) -> str:
     if identity < 0 or camera < 0 or frame < 0:
         raise ConfigurationError("image names encode non-negative fields only")
-    return f"{identity:04d}_C{camera:02d}_{frame:06d}.{ext}"
+    return f"{identity:04d}_C{camera:02d}_{frame:06d}.rten"
 
 
 # ---------------------------------------------------------------------------

@@ -144,11 +144,7 @@ class Encoder(Module):
 
     def embed(self, tokens: np.ndarray) -> Tensor:
         """Project raster patches and prepend the learned special tokens."""
-        b, p, _ = tokens.shape
-        if p + self.num_special != self.pos.data.shape[0]:
-            raise ConfigurationError(
-                f"{p} patch tokens do not fit a positional table of "
-                f"{self.pos.data.shape[0]} rows; re-derive positions for this stride")
+        b = tokens.shape[0]
         patch_emb = self.proj(Tensor(tokens.astype(self.proj.weight.dtype, copy=False)))
         parts = [expand_rows(self.cls_token, b)]
         if self.view_token is not None:

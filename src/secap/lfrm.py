@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
 from .nn import FeedForward, Module, MultiHeadAttention, expand_rows, trunc_normal
 from .tensor import Parameter, Tensor, add, concat, narrow, reshape
 
@@ -24,9 +23,6 @@ class TwoWayBlock(Module):
         self.ca_i2p = MultiHeadAttention(f"{name}.ca_i2p", dim, heads, rng)
 
     def __call__(self, f_p: Tensor, f_local: Tensor) -> tuple[Tensor, Tensor]:
-        if f_p.shape[-1] != f_local.shape[-1]:
-            raise DimensionError(
-                f"prompt and local feature dims disagree: {f_p.shape} vs {f_local.shape}")
         h = self.sa(f_p, f_p)
         h = self.ca_p2i(h, f_local)
         f_p_out = add(self.ffn_p(h), f_p)

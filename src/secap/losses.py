@@ -34,10 +34,6 @@ class Heads(Module):
 
     def __init__(self, dim: int, num_ids: int, num_views: int,
                  rng: np.random.Generator, with_local: bool = True, with_view: bool = True):
-        if num_ids < 1:
-            raise ConfigurationError(f"need at least one identity class, got {num_ids}")
-        if with_view and num_views < 2:
-            raise ConfigurationError(f"need at least two view classes, got {num_views}")
         self.id_global = Linear("heads.id_global", dim, num_ids, rng)
         self.id_local = Linear("heads.id_local", dim, num_ids, rng) if with_local else None
         self.view = Linear("heads.view", dim, num_views, rng) if with_view else None

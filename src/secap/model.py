@@ -24,7 +24,7 @@ from .losses import (
     Heads, LossParts, LossWeights, ce_loss, orthogonality_loss, soft_triplet_loss, total_loss,
 )
 from .nn import Module, expand_rows, trunc_normal
-from .prm import PRM
+from .prm import PRM, VARIANTS
 from .tensor import Parameter, Tensor, reshape
 
 ABLATIONS = ("none", "no-prm", "no-vdt", "no-lfrm", "baseline")
@@ -44,6 +44,12 @@ class ModelConfig:
         check_field_types(self)
         if self.ablate not in ABLATIONS:
             raise ConfigurationError(f"unknown ablation {self.ablate!r}; pick one of {ABLATIONS}")
+        if self.prm_variant not in VARIANTS:  # under every ablation, even those that build no PRM
+            raise ConfigurationError(f"unknown calibration variant {self.prm_variant!r}; pick one of {VARIANTS}")
+        if self.num_ids < 1:
+            raise ConfigurationError(f"need at least one identity class, got {self.num_ids}")
+        if self.uses_vdt and self.num_views < 2:
+            raise ConfigurationError(f"the view head needs at least two view classes, got {self.num_views}")
         if self.prompt_len < 1:
             raise ConfigurationError(f"prompt length must be positive, got {self.prompt_len}")
         if self.seed < 0:  # numpy seeds are non-negative

@@ -14,7 +14,6 @@ from typing import Iterator
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import ConfigurationError
 from .tensor import Parameter, Tensor, attention, gelu, layer_norm, linear, mul
 
 INIT_STD = 0.02
@@ -103,8 +102,6 @@ class MultiHeadAttention(Module):
     """
 
     def __init__(self, name: str, dim: int, heads: int, rng: np.random.Generator):
-        if dim % heads != 0:
-            raise ConfigurationError(f"{name}: dim {dim} not divisible by heads {heads}")
         self.heads = heads
         self.wq = Linear(f"{name}.wq", dim, dim, rng)
         # a key bias shifts every score of a query equally; softmax ignores it,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
 from .nn import FeedForward, Module, MultiHeadAttention, expand_rows
 from .tensor import Parameter, Tensor, add, concat, reshape
 
@@ -28,10 +27,6 @@ ATTN_DROPPED_PARAMETERS = ("prm.ca.wq.weight", "prm.ca.wq.bias", "prm.ca.wk.weig
 
 class PRM(Module):
     def __init__(self, prompts: Parameter, variant: str, heads: int, ffn_mult: int, rng: np.random.Generator):
-        if prompts.ndim != 2 or prompts.shape[0] < 1:
-            raise ConfigurationError(f"prompts must be an L x d matrix, got {prompts.shape}")
-        if variant not in VARIANTS:
-            raise ConfigurationError(f"unknown calibration variant {variant!r}; pick one of {VARIANTS}")
         self.prompts = prompts
         self.variant = variant
         d = prompts.shape[1]
@@ -46,8 +41,6 @@ class PRM(Module):
 
     def __call__(self, x_inv: Tensor) -> Tensor:
         length, d = self.prompts.shape
-        if x_inv.ndim != 2 or x_inv.shape[1] != d:
-            raise DimensionError(f"expected x_inv of shape B x {d}, got {x_inv.shape}")
         b = x_inv.shape[0]
         bank = reshape(self.prompts, (1, length, d))
         x_row = reshape(x_inv, (b, 1, d))

@@ -118,13 +118,6 @@ class TestEmbed:
         np.testing.assert_array_equal(out.data[0, 1], enc.view_token.data[0, 0])
         np.testing.assert_array_equal(out.data[0, 2:], 0.0)
 
-    def test_stale_positions_rejected(self, rng):
-        enc = Encoder(toy_cfg(), rng)
-        olp = toy_cfg(olp_enabled=True, depth=1)
-        tokens = tokenize(toy_images(rng, cfg=olp), olp)
-        with pytest.raises(ConfigurationError):
-            enc.embed(tokens)
-
 
 class TestEncoderBlock:
     def test_zeroed_projections_make_identity(self, rng):

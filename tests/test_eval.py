@@ -236,7 +236,7 @@ class TestExtractFeatures:
         fs = extract_features(self.model("baseline"), micro_corpus)
         assert fs.features.shape == (len(micro_corpus), 16)
 
-    def test_rows_do_not_depend_on_grouping(self, micro_corpus):
+    def test_rows_do_not_depend_on_grouping(self, micro_corpus, tmp_path):
         # every record again inside subsets that run padded (1-3 images), as one
         # short chunk (5), one full chunk (32) and two (64); subsets wrap around
         model = self.model()
@@ -249,6 +249,16 @@ class TestExtractFeatures:
                 fs = extract_features(model, micro_corpus, subset)
                 for row, r in zip(fs.features, subset):
                     assert np.array_equal(row, full.features[row_of[r.path]]), (size, start, r.path)
+        # at desk geometry (8 patches) unpadded 2-image passes round apart too,
+        # so this half fails once MIN_CHUNK_ROWS drops below 3
+        desk, _ = generate_synthetic(SynthConfig(num_ids=4, images_per_id_per_view=2, seed=5), tmp_path)
+        enc = EncoderConfig(image_h=64, image_w=32, embed_dim=64, depth=2, heads=4)
+        model = SeCapModel(ModelConfig(encoder=enc, prompt_len=8, seed=5))
+        full = extract_features(model, desk).features
+        for size in (1, 2, 3, 5):
+            for start in range(0, len(desk), size):
+                fs = extract_features(model, desk, desk.records[start : start + size])
+                assert np.array_equal(fs.features, full[start : start + size]), (size, start)
 
     def test_deterministic(self, micro_corpus):
         model = self.model()

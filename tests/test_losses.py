@@ -9,6 +9,7 @@ from secap.losses import (
     Heads, LossParts, LossWeights, ce_loss, orthogonality_loss,
     pairwise_euclidean, soft_triplet_loss, total_loss,
 )
+from secap.model import ModelConfig
 from secap.nn import Linear
 from secap.tensor import Parameter, Tensor, backward, mul, recording, tape, tsum
 
@@ -329,9 +330,11 @@ class TestTotalLoss:
 
 
 class TestHeads:
-    def test_view_head_needs_two_classes(self, rng):
-        with pytest.raises(ConfigurationError):
-            Heads(8, 4, 1, rng)
+    def test_view_head_needs_two_classes(self):
+        # the rule lives in ModelConfig, and binds only where a view head is built
+        with pytest.raises(ConfigurationError, match="view head needs at least two view classes"):
+            ModelConfig(num_views=1)
+        assert ModelConfig(num_views=1, ablate="no-vdt").num_views == 1
 
     def test_ablated_heads_register_fewer_parameters(self, rng):
         full = {p.name for p in Heads(8, 4, 2, rng).parameters()}

@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import secap.tensor
 from secap.encoder import EncoderConfig
@@ -258,3 +260,29 @@ class TestMicroBatchGradient:
     def test_full_loss_other_prm_variants(self, rng, variant):
         worst, name = self.worst_error(rng, prm_variant=variant)
         assert worst < 1e-4, name
+
+
+# micro field menus; a config refuses 12 < stride without olp, 6 % 4, no identity,
+# fewer than two views under VDT and "mean", and accepts the rest
+ENCODER_VALUES = dict(image_h=[16, 24, 32], image_w=[16, 32], patch=[16, 12], embed_dim=[8, 12, 6],
+                      depth=[1, 2], heads=[2, 1, 4], ffn_mult=[1, 2], olp_enabled=[False, True])
+MODEL_VALUES = dict(num_ids=[2, 1, 3, 0], num_views=[2, 3, 1, 0], prompt_len=[1, 3],
+                    prm_variant=[*VARIANTS, "mean"], ablate=list(ABLATIONS), seed=[0, 7])
+
+
+@settings(max_examples=120)
+@given(enc=st.fixed_dictionaries({k: st.sampled_from(v) for k, v in ENCODER_VALUES.items()}),
+       model=st.fixed_dictionaries({k: st.sampled_from(v) for k, v in MODEL_VALUES.items()}))
+def test_every_config_that_constructs_builds_and_runs(enc, model):
+    try:
+        cfg = ModelConfig(encoder=EncoderConfig(**enc), **model)
+    except ConfigurationError:
+        return
+    net = SeCapModel(cfg)
+    images = np.random.default_rng(0).standard_normal((2, 3, enc["image_h"], enc["image_w"])).astype(np.float32)
+    feats = net.inference_features(images)
+    assert feats.shape == (2, enc["embed_dim"] * (2 if cfg.uses_lfrm else 1))
+    assert np.isfinite(feats).all()
+    if cfg.num_ids >= 2:
+        total, _ = net.compute_losses(images, np.array([0, 1]), np.array([0, 1]), LossWeights())
+        assert np.isfinite(total.item())

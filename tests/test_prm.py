@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from secap.encoder import EncoderConfig
-from secap.errors import ConfigurationError, DimensionError
+from secap.errors import ConfigurationError
 from secap.gradcheck import finite_diff_check
 from secap.losses import LossWeights
-from secap.model import ModelConfig, SeCapModel
+from secap.model import ABLATIONS, ModelConfig, SeCapModel
 from secap.nn import MultiHeadAttention, expand_rows, trunc_normal
 from secap.prm import ATTN_DROPPED_PARAMETERS, PRM, VARIANTS
 from secap.tensor import Parameter, Tensor, add, backward, concat, mul, narrow, recording, reshape, tsum
@@ -74,19 +74,11 @@ class TestCalibration:
         moved = prm(Tensor(x + 0.1)).data
         assert np.abs(moved - base).max() > 1e-8
 
-    def test_dim_mismatch_rejected(self, rng):
-        prm = make_prm("attn", rng)
-        with pytest.raises(DimensionError):
-            prm(Tensor(np.zeros((2, D + 1), dtype=np.float32)))
-
-    def test_unknown_variant_rejected(self, rng):
-        with pytest.raises(ConfigurationError):
-            PRM(make_prompts(), "mean", HEADS, 2, rng)
-
-    def test_bank_requires_matrix(self, rng):
-        for shape in [(2, 3, 4), (D,), (0, D)]:
-            with pytest.raises(ConfigurationError):
-                PRM(Parameter("p", np.zeros(shape)), "attn", HEADS, 2, rng)
+    def test_unknown_variant_rejected(self):
+        # refused by the config under every ablation, including those that build no PRM
+        for ablate in ABLATIONS:
+            with pytest.raises(ConfigurationError, match="unknown calibration variant 'mean'"):
+                ModelConfig(prm_variant="mean", ablate=ablate)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_prompt_gradient_matches_central_differences(self, variant, rng):

@@ -121,7 +121,7 @@ class TestRten:
         with pytest.raises(ParseError, match="does not fit"):
             load_image(p)
 
-    @settings(derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(code=st.one_of(st.sampled_from([0, 1]), st.integers(0, 255)),  # half the draws valid
            dims=st.lists(st.sampled_from([0, 1, 3, 2**31, 2**62, 2**64 - 1]), max_size=4),
            payload=st.binary(max_size=64))

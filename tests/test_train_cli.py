@@ -4,15 +4,21 @@ import argparse
 import dataclasses
 import importlib
 import json
+import math
 import os
 import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import secap.data
 import secap.encoder
+import secap.lfrm
+import secap.model
+import secap.nn
 from secap import cli
 from secap.data import (
     DEFAULT_VIEW_MAP,
@@ -28,7 +34,8 @@ from secap.encoder import EncoderConfig
 from secap.errors import CheckpointError, ConfigurationError, ContractError, NumericError, ParseError
 from secap.evaluate import FEATURE_CHUNK, MIN_CHUNK_ROWS, cmc_map, distance_matrix, extract_features
 from secap.losses import LossWeights
-from secap.model import ModelConfig, SeCapModel
+from secap.model import ABLATIONS, ModelConfig, SeCapModel
+from secap.nn import trunc_normal
 from secap.prm import ATTN_DROPPED_PARAMETERS
 from secap.storage import (
     CKPT_MAGIC, CKPT_METADATA_OFFSET, CKPT_VERSION, load_checkpoint, load_rten, save_checkpoint, save_rten,
@@ -606,6 +613,47 @@ class TestGoldenAddCheckpointWithEncoderKeys:
         assert "truncated" in capsys.readouterr().err
 
 
+METADATA_FIELDS = [("encoder", f.name) for f in dataclasses.fields(EncoderConfig)] + [
+    ("model", f.name) for f in dataclasses.fields(ModelConfig) if f.name != "encoder"]
+METADATA_VALUES = [None, "x", 0.5, True, [2], {"a": 2}, 0, -1, 10**12]
+
+
+@pytest.fixture(scope="module")
+def attn_and_baseline_checkpoints():
+    """Parameters and metadata of a micro `attn` model and a micro baseline."""
+    saved = {}
+    for ablate in ("none", "baseline"):
+        model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2,
+                                       ablate=ablate, seed=1))
+        saved[ablate] = model.parameters(), checkpoint_metadata(model, None, 0, [0, 1])
+    return saved
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ablate=st.sampled_from(["none", "baseline"]), field=st.sampled_from(METADATA_FIELDS),
+       value=st.sampled_from(METADATA_VALUES))
+def test_metadata_field_values_load_or_are_refused(attn_and_baseline_checkpoints, tmp_path, monkeypatch,
+                                                   ablate, field, value):
+    params, meta = attn_and_baseline_checkpoints[ablate]
+    section, key = field
+    ckpt = tmp_path / "value.ckpt"
+    save_checkpoint(str(ckpt), params, {**meta, section: {**meta[section], key: value}})
+    # a parameter larger than any the table holds fails the test instead of allocating
+    largest = max(p.data.size for p in params)
+
+    def bounded_draw(rng, shape, **kwargs):
+        if math.prod(shape) > largest:
+            pytest.fail(f"{key}={value!r} draws a {shape} parameter")
+        return trunc_normal(rng, shape, **kwargs)
+
+    for module in (secap.nn, secap.encoder, secap.model, secap.lfrm):
+        monkeypatch.setattr(module, "trunc_normal", bounded_draw)
+    try:
+        model_from_checkpoint(str(ckpt))
+    except CheckpointError:
+        pass
+
+
 def test_add_checkpoint_without_a_query_projection_is_io(tmp_path, capsys):
     """`add` and `cat` use their sa.wq and sa.wk, so their checkpoints match strictly."""
     model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2,
@@ -734,6 +782,22 @@ class TestCliErrors:
         rc = cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)])
         assert rc == cli.EXIT_IO
         assert f"malformed metadata (byte offset {CKPT_METADATA_OFFSET})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ablate", ABLATIONS)
+    def test_unknown_variant_is_io_under_every_ablation(self, tmp_path, capsys, ablate):
+        # the variant is refused even where the ablation builds no PRM to use it
+        model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2,
+                                       ablate=ablate, seed=1))
+        meta = checkpoint_metadata(model, None, 0, [0, 1])
+        meta["model"] = {**meta["model"], "prm_variant": "mean"}
+        ckpt = tmp_path / "mean.ckpt"
+        save_checkpoint(str(ckpt), model.parameters(), meta)
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("#secap-manifest v1\n")
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)])
+        assert rc == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert f"malformed metadata (byte offset {CKPT_METADATA_OFFSET})" in err and "'mean'" in err
 
     @pytest.mark.parametrize("depth", [10**7, 2], ids=["depth-10**7", "depth-one-beyond-the-table"])
     def test_depth_beyond_the_table_is_io_before_any_block_is_built(self, tmp_path, capsys, monkeypatch, depth):
