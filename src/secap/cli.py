@@ -163,11 +163,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, meta = model_from_checkpoint(args.checkpoint)
+    model, run = model_from_checkpoint(args.checkpoint)
     manifest = read_manifest(args.manifest)
-    holdout = meta.get("train", {}).get("holdout", 0.0)
-    if holdout:
-        _, manifest = split_identities(manifest, holdout, meta["train"]["seed"])
+    if run.holdout > 0.0:
+        _, manifest = split_identities(manifest, run.holdout, run.seed)
     names = list(PROTOCOLS) if args.protocol == "all" else [args.protocol]
     queries = select_queries(manifest, args.queries_per_view, {PROTOCOL_SIDES[name][0] for name in names})
     splits = [build_protocol(manifest, name, queries=queries) for name in names]

@@ -236,12 +236,10 @@ def build_protocol(
 
 def pk_sample(manifest: Manifest, p: int, k: int, seed) -> List[SampleRecord]:
     """P distinct identities, K images each (with replacement only when short)."""
-    if p < 1 or k < 1:
-        raise ContractError(f"P and K must be >= 1, got P={p} K={k}")
     groups = manifest.by_identity()
     ids = sorted(groups)
-    if len(ids) < p:
-        raise ContractError(f"need at least {p} identities, manifest has {len(ids)}")
+    if not 1 <= p <= len(ids) or k < 1:  # the only guard for callers that hold no TrainConfig
+        raise ContractError(f"need 1 <= P <= {len(ids)} identities and K >= 1, got P={p} K={k}")
     rng = np.random.default_rng(seed)
     # permutation prefix, not choice(replace=False): its identity marginal is
     # measurably cleaner under sequential seeds, which the uniformity
@@ -428,7 +426,7 @@ def split_identities(manifest: Manifest, holdout_fraction: float, seed) -> Tuple
         raise ConfigurationError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
     ids = manifest.identities()
     if len(ids) < 2:
-        raise ContractError("need at least 2 identities to split")
+        raise ProtocolError(f"need at least 2 identities to split, manifest has {len(ids)}")
     rng = np.random.default_rng([derive_seed("identity-split", seed)])
     perm = rng.permutation(len(ids))
     n_test = min(len(ids) - 1, max(1, int(round(holdout_fraction * len(ids)))))

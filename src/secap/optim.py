@@ -47,12 +47,9 @@ def cosine_lr(step: int, total_steps: int, lr_max: float, lr_min: float,
     """Half-cosine decay from lr_max to lr_min, optional linear warmup.
 
     step 0 (post warmup) returns exactly lr_max; step == total_steps returns
-    exactly lr_min (cos(pi) == -1.0 in IEEE double).
+    exactly lr_min (cos(pi) == -1.0 in IEEE double). TrainConfig holds the
+    rules on its arguments: lr_min <= lr_max, and at least one step.
     """
-    if total_steps <= 0:
-        raise ConfigurationError(f"total_steps must be positive, got {total_steps}")
-    if lr_min > lr_max:
-        raise ConfigurationError(f"lr_min {lr_min} exceeds lr_max {lr_max}")
     if step < warmup_steps:
         return lr_max * (step + 1) / warmup_steps
     t = step - warmup_steps

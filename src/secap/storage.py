@@ -215,6 +215,8 @@ def load_into(params: Sequence[Parameter], table: Mapping[str, np.ndarray]) -> N
             raise CheckpointError(
                 f"parameter {p.name!r}: checkpoint shape {arr.shape} != model shape {p.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"parameter {p.name!r}: {int(np.sum(~np.isfinite(arr)))} non-finite values")
         p.assign(arr)
 
 

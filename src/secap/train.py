@@ -19,7 +19,7 @@ from .data import (
     load_images,
     pk_sample,
 )
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, check_field_types
 from .errors import CheckpointError, ConfigurationError, ContractError, NumericError
 from .losses import LossParts, LossWeights, orthogonality_loss
 from .model import ModelConfig, SeCapModel
@@ -31,9 +31,10 @@ from .tensor import backward, recording
 CHECKPOINT_VERSION_TAG = "secap-checkpoint"
 
 LOG_KEYS = ("loss_total", *(f"loss_{f.name}" for f in dataclasses.fields(LossParts)))
-# the TrainConfig fields a checkpoint records (eval reads holdout and seed)
+# the TrainConfig fields a checkpoint records (eval reads holdout and seed), and its LossWeights keys
 CHECKPOINT_TRAIN_KEYS = ("epochs", "lr_max", "lr_min", "p", "k", "seed", "momentum", "weight_decay",
                          "warmup_steps", "holdout")
+CHECKPOINT_WEIGHT_KEYS = {"alpha": "alpha", "beta": "beta", "lambda": "lam"}
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,7 @@ class TrainConfig:
     augment: bool = True  # pad-and-crop, channel jitter and random erasing (data.augment)
 
     def __post_init__(self):
+        check_field_types(self)
         if self.epochs < 1 or self.warmup_steps < 0:
             raise ConfigurationError(f"need epochs >= 1, warmup_steps >= 0; got {self.epochs}, {self.warmup_steps}")
         # a chained comparison is False for nan, so each range below rejects it too
@@ -66,7 +68,7 @@ class TrainConfig:
             raise ConfigurationError(f"need P >= 2 and K >= 1, got P={self.p} K={self.k}")
         if self.checkpoint_every < 1:
             raise ConfigurationError("checkpoint_every must be >= 1")
-        if not 0.0 <= self.holdout < 1.0:  # the range model_from_checkpoint accepts
+        if not 0.0 <= self.holdout < 1.0:
             raise ConfigurationError(f"holdout must be in [0, 1), got {self.holdout}")
 
 
@@ -85,27 +87,22 @@ def format_epoch_line(epoch: int, values: Dict[str, float], lr: float) -> str:
     return " ".join(parts)
 
 
-def checkpoint_metadata(model: SeCapModel, train_cfg: Optional[TrainConfig], epoch: int, label_ids: List[int]) -> dict:
+def checkpoint_metadata(model: SeCapModel, train_cfg: TrainConfig, epoch: int, label_ids: List[int]) -> dict:
     cfg = model.cfg
-    meta = {
+    return {
         "format": CHECKPOINT_VERSION_TAG,
         "epoch": epoch,
         "encoder": dataclasses.asdict(cfg.encoder),
         "model": {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name != "encoder"},
         "label_ids": list(label_ids),
+        "weights": {key: getattr(train_cfg.weights, attr) for key, attr in CHECKPOINT_WEIGHT_KEYS.items()},
+        "train": {key: getattr(train_cfg, key) for key in CHECKPOINT_TRAIN_KEYS},
     }
-    if train_cfg is not None:
-        meta["weights"] = {
-            "alpha": train_cfg.weights.alpha,
-            "beta": train_cfg.weights.beta,
-            "lambda": train_cfg.weights.lam,
-        }
-        meta["train"] = {key: getattr(train_cfg, key) for key in CHECKPOINT_TRAIN_KEYS}
-    return meta
 
 
-def model_from_checkpoint(path) -> Tuple[SeCapModel, dict]:
-    """Rebuild the exact model a checkpoint was saved from and load its weights."""
+def model_from_checkpoint(path) -> Tuple[SeCapModel, TrainConfig]:
+    """Rebuild the model a checkpoint was saved from, load its weights, and rebuild its run settings;
+    a checkpoint records no checkpoint_every or augment, so those hold their defaults."""
     meta, table = load_checkpoint(path)
     if meta.get("format") != CHECKPOINT_VERSION_TAG:
         raise CheckpointError(f"{path}: metadata is not a model checkpoint")
@@ -114,22 +111,19 @@ def model_from_checkpoint(path) -> Tuple[SeCapModel, dict]:
         enc = EncoderConfig(**{f.name: e[f.name] for f in dataclasses.fields(EncoderConfig)})
         cfg = ModelConfig(encoder=enc, **{f.name: m[f.name] for f in dataclasses.fields(ModelConfig)
                                           if f.name != "encoder"})
-        run = meta.get("train", {})
-        if not isinstance(run, dict):
-            raise TypeError(f"'train' is {type(run).__name__}, not an object")
-        holdout = run.get("holdout", 0.0)
-        if not isinstance(holdout, (int, float)) or not 0.0 <= holdout < 1.0:
-            raise TypeError(f"train holdout {holdout!r} is not a number in [0, 1)")
-        if holdout > 0.0 and not isinstance(run.get("seed"), int):
-            raise TypeError(f"train seed {run.get('seed')!r} is not an int")
+        t, w = meta["train"], meta["weights"]
+        if not (isinstance(t, dict) and isinstance(w, dict)):
+            raise TypeError(f"'train' and 'weights' must be objects, got {type(t).__name__} and {type(w).__name__}")
+        weights = LossWeights(**{attr: w[key] for key, attr in CHECKPOINT_WEIGHT_KEYS.items()})
+        run = TrainConfig(model=cfg, weights=weights, **{k: t[k] for k in CHECKPOINT_TRAIN_KEYS})
         # checked before building: a geometry the table does not hold could build until memory runs out
         blocks = {name.split(".")[2] for name in table if name.startswith("encoder.blocks.")}
-        if enc.depth != len(blocks):
+        if enc.depth != len(blocks):  # bounds the depth by the table's size, whatever the blocks are named
             raise ValueError(f"encoder depth {enc.depth} but {len(blocks)} encoder blocks in the table")
         d = enc.embed_dim
         shapes = {"encoder.proj.weight": (3 * enc.patch * enc.patch, d),
                   "encoder.pos": (enc.num_patches + 1 + cfg.uses_vdt, d),
-                  "encoder.blocks.0.ffn.fc1.weight": (d, d * enc.ffn_mult),
+                  f"encoder.blocks.{enc.depth - 1}.ffn.fc1.weight": (d, d * enc.ffn_mult),
                   "heads.id_global.weight": (d, cfg.num_ids)}
         if cfg.uses_lfrm:
             shapes["prm.prompts"] = (cfg.prompt_len, d)
@@ -149,7 +143,7 @@ def model_from_checkpoint(path) -> Tuple[SeCapModel, dict]:
         for name in ATTN_DROPPED_PARAMETERS:
             table.pop(name, None)
     load_into(model.parameters(), table)
-    return model, meta
+    return model, run
 
 
 def train(
@@ -160,8 +154,6 @@ def train(
 ) -> TrainResult:
     """Run the full loop; deterministic for a fixed config and manifest."""
     ids = manifest_train.identities()
-    if len(ids) < cfg.p:
-        raise ContractError(f"manifest has {len(ids)} identities, fewer than P={cfg.p}")
     label_map = {identity: index for index, identity in enumerate(ids)}
 
     model_cfg = dataclasses.replace(cfg.model, num_ids=len(ids), num_views=2)

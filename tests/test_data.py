@@ -311,6 +311,12 @@ class TestPkSample:
         with pytest.raises(ContractError, match="identities"):
             pk_sample(self.make(ids=3), 4, 2, seed=0)
 
+    @pytest.mark.parametrize("p, k", [(-1, 2), (0, 2), (2, -1), (2, 0)])
+    def test_nonpositive_p_or_k_rejected(self, p, k):
+        # held_out_orthogonality passes its caller's P and K here with no TrainConfig between
+        with pytest.raises(ContractError, match=f"got P={p} K={k}"):
+            pk_sample(self.make(), p, k, seed=0)
+
     def test_marginal_uniformity(self):
         m = self.make(ids=10, per_id=1)
         p, trials = 4, 400

@@ -23,6 +23,7 @@ from secap import cli
 from secap.data import (
     DEFAULT_VIEW_MAP,
     PROTOCOLS,
+    Manifest,
     SynthConfig,
     build_protocol,
     generate_synthetic,
@@ -42,6 +43,7 @@ from secap.storage import (
 )
 from secap.tensor import Parameter, Tensor, mul, tape
 from secap.train import (
+    CHECKPOINT_TRAIN_KEYS,
     LOG_KEYS,
     TrainConfig,
     checkpoint_metadata,
@@ -140,7 +142,8 @@ class TestTrainLoop:
 
     def test_checkpoint_reload_is_bit_exact(self, corpus, tmp_path):
         result = train(corpus, micro_train_cfg(), out_dir=str(tmp_path))
-        loaded, meta = model_from_checkpoint(result.checkpoint_paths[-1])
+        loaded, _ = model_from_checkpoint(result.checkpoint_paths[-1])
+        meta, _ = load_checkpoint(result.checkpoint_paths[-1])
         assert meta["epoch"] == 2
         a = extract_features(result.model, corpus)
         b = extract_features(loaded, corpus)
@@ -205,8 +208,14 @@ class TestTrainLoop:
         with pytest.raises(ContractError, match="identities"):
             train(corpus, micro_train_cfg(p=7))
 
+    def test_empty_manifest_is_refused_by_the_model_config(self):
+        # train() keeps no identity check of its own: an empty manifest gives a model with no classes
+        with pytest.raises(ConfigurationError, match="need at least one identity class, got 0"):
+            train(Manifest([]), micro_train_cfg())
+
     def test_metadata_round_trip(self, corpus, tmp_path):
-        cfg = micro_train_cfg(holdout=0.25)
+        cfg = micro_train_cfg(holdout=0.25, weights=LossWeights(alpha=0.5, beta=2.0), checkpoint_every=1,
+                              augment=False)
         result = train(corpus, cfg, out_dir=str(tmp_path))
         meta, table = load_checkpoint(result.checkpoint_paths[-1])
         assert meta["format"] == "secap-checkpoint"
@@ -217,10 +226,16 @@ class TestTrainLoop:
         assert meta["train"]["holdout"] == 0.25
         assert meta["train"]["seed"] == 3
         assert set(table) == {p.name for p in result.model.parameters()}
+        # the run settings come back whole, except the two a checkpoint does not record
+        _, run = model_from_checkpoint(result.checkpoint_paths[-1])
+        unrecorded = TrainConfig(model=result.model.cfg)
+        assert run.model == result.model.cfg
+        assert run == dataclasses.replace(cfg, model=result.model.cfg, checkpoint_every=unrecorded.checkpoint_every,
+                                          augment=unrecorded.augment)
 
     def test_metadata_shape_mismatch_rejected(self, tmp_path):
         model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, seed=1))
-        meta = checkpoint_metadata(model, None, 0, [0, 1])
+        meta = checkpoint_metadata(model, TrainConfig(model=model.cfg), 0, [0, 1])
         meta["model"]["prompt_len"] = 8  # claims more prompts than the weights hold
         path = tmp_path / "tampered.ckpt"
         save_checkpoint(str(path), model.parameters(), meta)
@@ -389,7 +404,8 @@ class TestCliPipeline:
             reports[0]["num_gallery"] + reports[1]["num_gallery"] - designated)
 
     def test_checkpoint_with_pre_derivation_encoder_keys_evaluates_the_same(self, cli_pipeline, tmp_path, capsys):
-        model, meta = model_from_checkpoint(cli_pipeline["checkpoint"])
+        model, _ = model_from_checkpoint(cli_pipeline["checkpoint"])
+        meta, _ = load_checkpoint(cli_pipeline["checkpoint"])
         old = str(tmp_path / "old.ckpt")
         save_checkpoint(old, model.parameters(), with_pre_derivation_encoder_keys(meta, vdt_enabled=True))
         reports = []
@@ -432,7 +448,8 @@ class TestCliPipeline:
         argv = ["eval", "--checkpoint", cli_pipeline["checkpoint"], "--manifest", cli_pipeline["manifest"],
                 "--protocol", "all", "--queries-per-view", "1"]
         # the per-protocol recipe: one extraction each for the query and the gallery
-        model, meta = model_from_checkpoint(cli_pipeline["checkpoint"])
+        model, _ = model_from_checkpoint(cli_pipeline["checkpoint"])
+        meta, _ = load_checkpoint(cli_pipeline["checkpoint"])
         _, mtest = split_identities(read_manifest(cli_pipeline["manifest"]), 0.25, 3)
         queries = select_queries(mtest, per_view=1)
         expected, needed = [], set()
@@ -497,14 +514,15 @@ def micro_checkpoint(tmp_path_factory):
     """A loadable untrained checkpoint, for tests whose failure lies elsewhere."""
     model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2, seed=1))
     path = tmp_path_factory.mktemp("micro-ckpt") / "micro.ckpt"
-    save_checkpoint(str(path), model.parameters(), checkpoint_metadata(model, None, 0, [0, 1]))
+    save_checkpoint(str(path), model.parameters(), checkpoint_metadata(model, TrainConfig(model=model.cfg), 0, [0, 1]))
     return str(path)
 
 
 def test_no_vdt_checkpoint_with_pre_derivation_keys_rebuilds_without_view_token(tmp_path):
     model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2,
                                    ablate="no-vdt", seed=1))
-    meta = with_pre_derivation_encoder_keys(checkpoint_metadata(model, None, 0, [0, 1]), vdt_enabled=False)
+    meta = with_pre_derivation_encoder_keys(checkpoint_metadata(model, TrainConfig(model=model.cfg), 0, [0, 1]),
+                                            vdt_enabled=False)
     path = str(tmp_path / "old-no-vdt.ckpt")
     save_checkpoint(path, model.parameters(), meta)
     loaded, _ = model_from_checkpoint(path)
@@ -555,6 +573,14 @@ class TestOlderAttnCheckpoint:
             bad.write_bytes(fh.read()[:-1])
         assert cli.main(self.eval_argv(str(bad))) == cli.EXIT_IO
         assert "truncated" in capsys.readouterr().err
+
+    def test_manifest_too_small_to_split_is_io(self, tmp_path, capsys):
+        # the checkpoint holds out a quarter of the identities; a header-only manifest has none to split
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("#secap-manifest v1\n")
+        assert cli.main(["eval", "--checkpoint", self.CKPT, "--manifest", str(manifest)]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "need at least 2 identities to split, manifest has 0" in err and "configuration error" not in err
 
 
 GOLDEN_VARIANTS = os.path.join(os.path.dirname(__file__), "data", "variants-7526371")
@@ -614,7 +640,8 @@ class TestGoldenAddCheckpointWithEncoderKeys:
 
 
 METADATA_FIELDS = [("encoder", f.name) for f in dataclasses.fields(EncoderConfig)] + [
-    ("model", f.name) for f in dataclasses.fields(ModelConfig) if f.name != "encoder"]
+    ("model", f.name) for f in dataclasses.fields(ModelConfig) if f.name != "encoder"] + [
+    ("train", key) for key in CHECKPOINT_TRAIN_KEYS] + [("weights", key) for key in ("alpha", "beta", "lambda")]
 METADATA_VALUES = [None, "x", 0.5, True, [2], {"a": 2}, 0, -1, 10**12]
 
 
@@ -625,11 +652,11 @@ def attn_and_baseline_checkpoints():
     for ablate in ("none", "baseline"):
         model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2,
                                        ablate=ablate, seed=1))
-        saved[ablate] = model.parameters(), checkpoint_metadata(model, None, 0, [0, 1])
+        saved[ablate] = model.parameters(), checkpoint_metadata(model, TrainConfig(model=model.cfg), 0, [0, 1])
     return saved
 
 
-@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=600, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(ablate=st.sampled_from(["none", "baseline"]), field=st.sampled_from(METADATA_FIELDS),
        value=st.sampled_from(METADATA_VALUES))
 def test_metadata_field_values_load_or_are_refused(attn_and_baseline_checkpoints, tmp_path, monkeypatch,
@@ -660,7 +687,7 @@ def test_add_checkpoint_without_a_query_projection_is_io(tmp_path, capsys):
                                    prm_variant="add", seed=1))
     ckpt = str(tmp_path / "add.ckpt")
     save_checkpoint(ckpt, [p for p in model.parameters() if p.name != "prm.sa.wq.weight"],
-                    checkpoint_metadata(model, None, 0, [0, 1]))
+                    checkpoint_metadata(model, TrainConfig(model=model.cfg), 0, [0, 1]))
     manifest = tmp_path / "m.tsv"
     manifest.write_text("#secap-manifest v1\n")
     assert cli.main(["eval", "--checkpoint", ckpt, "--manifest", str(manifest)]) == cli.EXIT_IO
@@ -725,7 +752,7 @@ class TestCliErrors:
 
     def test_non_object_train_metadata_is_io(self, tmp_path, capsys):
         model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2, seed=1))
-        meta = {**checkpoint_metadata(model, None, 0, [0, 1]), "train": 5}
+        meta = {**checkpoint_metadata(model, TrainConfig(model=model.cfg), 0, [0, 1]), "train": 5}
         ckpt = tmp_path / "bad-train.ckpt"
         save_checkpoint(str(ckpt), model.parameters(), meta)
         manifest = tmp_path / "m.tsv"
@@ -735,19 +762,39 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "'train'" in err and "byte offset" in err
 
-    @pytest.mark.parametrize("run", [{"holdout": 0.25}, {"holdout": "x", "seed": 0}],
-                             ids=["holdout-without-seed", "non-numeric-holdout"])
-    def test_malformed_train_metadata_is_io(self, tmp_path, capsys, run):
-        model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2, seed=1))
-        meta = {**checkpoint_metadata(model, None, 0, [0, 1]), "train": run}
-        ckpt = tmp_path / "bad-train.ckpt"
-        save_checkpoint(str(ckpt), model.parameters(), meta)
-        manifest = tmp_path / "m.tsv"
-        manifest.write_text("#secap-manifest v1\n")
-        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)])
-        assert rc == cli.EXIT_IO
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("train", "seed", None, "KeyError 'seed'"),
+        ("train", "holdout", "x", "TypeError '<=' not supported"),
+        ("train", "seed", True, "seed must be of type int, got True"),
+        ("train", "p", 2.5, "p must be of type int, got 2.5"),
+        ("weights", "lambda", -1, "loss weights must be finite and non-negative"),
+        ("train", "epochs", None, "KeyError 'epochs'"),
+    ], ids=["holdout-without-seed", "non-numeric-holdout", "bool-seed", "float-p", "negative-lambda",
+            "missing-epochs"])
+    def test_malformed_train_metadata_is_io(self, tmp_path, capsys, section, key, value, message):
+        # a held-out run, so eval would split by the seed: `true` once scored the split of seed "True"
+        meta, table = load_checkpoint(os.path.join(GOLDEN_VARIANTS, "add.ckpt"))
+        assert meta["train"]["holdout"] == 0.25
+        changed = {k: v for k, v in meta[section].items() if k != key}
+        if value is not None:  # None leaves the key out
+            changed[key] = value
+        ckpt = str(tmp_path / "bad-train.ckpt")
+        save_checkpoint(ckpt, [Parameter(n, a) for n, a in table.items()], {**meta, section: changed})
+        assert cli.main(TestGoldenVariantCheckpoints.eval_argv(ckpt)) == cli.EXIT_IO
         err = capsys.readouterr().err
-        assert "train" in err and "byte offset" in err
+        assert f"malformed metadata (byte offset {CKPT_METADATA_OFFSET}): " in err and message in err
+
+    @pytest.mark.parametrize("name, value", [
+        ("encoder.proj.weight", np.nan), ("heads.view.weight", np.nan), ("heads.id_global.weight", np.inf),
+    ], ids=["nan-projection", "nan-view-head", "inf-identity-head"])
+    def test_non_finite_parameter_is_io(self, tmp_path, capsys, name, value):
+        meta, table = load_checkpoint(os.path.join(GOLDEN_VARIANTS, "add.ckpt"))
+        table[name].flat[3] = value
+        ckpt = str(tmp_path / "non-finite.ckpt")
+        save_checkpoint(ckpt, [Parameter(n, a) for n, a in table.items()], meta)
+        assert cli.main(TestGoldenVariantCheckpoints.eval_argv(ckpt)) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert f"parameter {name!r}: 1 non-finite values" in captured.err and captured.out == ""
 
     def test_non_utf8_parameter_name_is_io(self, micro_checkpoint, tmp_path, capsys):
         raw = bytearray(open(micro_checkpoint, "rb").read())
@@ -773,7 +820,7 @@ class TestCliErrors:
             "bool-depth", "int-flag", "float-prompt-len"])
     def test_malformed_geometry_metadata_is_io(self, tmp_path, capsys, section, key, value):
         model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2, seed=1))
-        meta = checkpoint_metadata(model, None, 0, [0, 1])
+        meta = checkpoint_metadata(model, TrainConfig(model=model.cfg), 0, [0, 1])
         meta[section] = {**meta[section], key: value}
         ckpt = tmp_path / "bad-geometry.ckpt"
         save_checkpoint(str(ckpt), model.parameters(), meta)
@@ -788,7 +835,7 @@ class TestCliErrors:
         # the variant is refused even where the ablation builds no PRM to use it
         model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2,
                                        ablate=ablate, seed=1))
-        meta = checkpoint_metadata(model, None, 0, [0, 1])
+        meta = checkpoint_metadata(model, TrainConfig(model=model.cfg), 0, [0, 1])
         meta["model"] = {**meta["model"], "prm_variant": "mean"}
         ckpt = tmp_path / "mean.ckpt"
         save_checkpoint(str(ckpt), model.parameters(), meta)
@@ -799,20 +846,40 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert f"malformed metadata (byte offset {CKPT_METADATA_OFFSET})" in err and "'mean'" in err
 
-    @pytest.mark.parametrize("depth", [10**7, 2], ids=["depth-10**7", "depth-one-beyond-the-table"])
-    def test_depth_beyond_the_table_is_io_before_any_block_is_built(self, tmp_path, capsys, monkeypatch, depth):
+    @pytest.mark.parametrize("depth, last_block_only", [(10**7, False), (2, False), (10**7, True)],
+                             ids=["depth-10**7", "depth-one-beyond-the-table", "depth-10**7-last-block-only"])
+    def test_depth_beyond_the_table_is_io_before_any_block_is_built(self, tmp_path, capsys, monkeypatch, depth,
+                                                                       last_block_only):
         model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2, seed=1))
-        meta = checkpoint_metadata(model, None, 0, [0, 1])
+        meta = checkpoint_metadata(model, TrainConfig(model=model.cfg), 0, [0, 1])
         meta["encoder"] = {**meta["encoder"], "depth": depth}
+        params = model.parameters()
+        if last_block_only:  # the table's one block is named as the last of `depth`, so every shape matches
+            params = [Parameter(p.name.replace("encoder.blocks.0.", f"encoder.blocks.{depth - 1}."), p.data)
+                      for p in params]
         ckpt = tmp_path / "deep.ckpt"
-        save_checkpoint(str(ckpt), model.parameters(), meta)
+        save_checkpoint(str(ckpt), params, meta)
         manifest = tmp_path / "m.tsv"
         manifest.write_text("#secap-manifest v1\n")
         monkeypatch.setattr(secap.encoder, "EncoderBlock", lambda *args: pytest.fail("an encoder block was built"))
         rc = cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)])
         assert rc == cli.EXIT_IO
         err = capsys.readouterr().err
-        assert f"encoder depth {depth} but 1 encoder blocks" in err and "byte offset" in err
+        assert f"encoder depth {depth} but 1 encoder blocks in the table" in err and "byte offset" in err
+
+    def test_depth_below_the_table_is_io_before_any_block_is_built(self, tmp_path, capsys, monkeypatch):
+        model = SeCapModel(ModelConfig(encoder=EncoderConfig(**{**MICRO_ENC, "depth": 2}), prompt_len=4, num_ids=2,
+                                       seed=1))
+        meta = checkpoint_metadata(model, TrainConfig(model=model.cfg), 0, [0, 1])
+        meta["encoder"] = {**meta["encoder"], "depth": 1}
+        ckpt = tmp_path / "shallow.ckpt"
+        save_checkpoint(str(ckpt), model.parameters(), meta)
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("#secap-manifest v1\n")
+        monkeypatch.setattr(secap.encoder, "EncoderBlock", lambda *args: pytest.fail("an encoder block was built"))
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)])
+        assert rc == cli.EXIT_IO
+        assert "encoder depth 1 but 2 encoder blocks in the table" in capsys.readouterr().err
 
     # a geometry the table does not hold is refused before SeCapModel is called:
     # ffn_mult 10**6 alone allocates five 1 GB FFN weights
@@ -830,7 +897,7 @@ class TestCliErrors:
     def test_geometry_beyond_the_table_is_io_before_any_layer_is_built(
             self, tmp_path, capsys, monkeypatch, section, key, value, entry):
         model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2, seed=1))
-        meta = checkpoint_metadata(model, None, 0, [0, 1])
+        meta = checkpoint_metadata(model, TrainConfig(model=model.cfg), 0, [0, 1])
         meta[section] = {**meta[section], key: value}
         ckpt = tmp_path / "wide.ckpt"
         save_checkpoint(str(ckpt), model.parameters(), meta)
@@ -978,9 +1045,9 @@ class TestCliErrors:
     @pytest.mark.parametrize("flags", [
         ["--lr-max", "nan"], ["--lr-max", "inf"], ["--lr-max", "-1", "--lr-min", "-2"],
         ["--momentum", "nan"], ["--weight-decay", "nan"], ["--alpha", "nan"], ["--lambda", "inf"],
-        ["--warmup-steps", "-5"],
+        ["--warmup-steps", "-5"], ["--lr-min", "1e-2", "--lr-max", "1e-3"],
     ], ids=["lr-max-nan", "lr-max-inf", "negative-lr", "momentum-nan", "weight-decay-nan",
-            "alpha-nan", "lambda-inf", "negative-warmup"])
+            "alpha-nan", "lambda-inf", "negative-warmup", "lr-min-above-lr-max"])
     def test_bad_rate_or_weight_is_usage_before_any_step(self, tmp_path, capsys, flags):
         out = tmp_path / "out"
         rc = cli.main(["train", "--manifest", _tiny_manifest(tmp_path), "--out", str(out),
