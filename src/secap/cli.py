@@ -17,12 +17,9 @@ import numpy as np
 
 from .data import (
     PROTOCOLS,
-    PROTOCOL_SIDES,
     SynthConfig,
-    build_protocol,
     generate_synthetic,
     read_manifest,
-    select_queries,
     split_identities,
 )
 from .encoder import EncoderConfig
@@ -35,7 +32,7 @@ from .errors import (
     ParseError,
     ProtocolError,
 )
-from .evaluate import cmc_map, distance_matrix, extract_features
+from .evaluate import cmc_map, distance_matrix, extract_features, protocol_features
 from .gradcheck import check_parameter_gradients, randomize_for_gradcheck
 from .losses import LossWeights
 from .model import ABLATIONS, ModelConfig, SeCapModel
@@ -168,11 +165,7 @@ def cmd_eval(args) -> int:
     if run.holdout > 0.0:
         _, manifest = split_identities(manifest, run.holdout, run.seed)
     names = list(PROTOCOLS) if args.protocol == "all" else [args.protocol]
-    queries = select_queries(manifest, args.queries_per_view, {PROTOCOL_SIDES[name][0] for name in names})
-    splits = [build_protocol(manifest, name, queries=queries) for name in names]
-    # one pass over every image some protocol needs, in manifest (path) order
-    needed = sorted({r for s in splits for r in s.query + s.gallery}, key=lambda r: r.path)
-    features = extract_features(model, manifest, needed)
+    splits, features = protocol_features(model, manifest, names, args.queries_per_view)
     for split in splits:
         qfs = features.select(split.query)
         gfs = features.select(split.gallery)

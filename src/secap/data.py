@@ -13,7 +13,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -230,6 +230,24 @@ def build_protocol(
     return ProtocolSplit(name=protocol_name, query=tuple(query), gallery=tuple(gallery))
 
 
+def pool_reads(names: Iterable[str], pool: Sequence[SampleRecord], chosen: Iterable[SampleRecord],
+               identity_records: Iterable[SampleRecord]) -> Set[SampleRecord]:
+    """A superset of the images of one query pool (one identity on one side)
+    that protocols `names` score when `chosen` are its queries, by
+    build_protocol's rules: gallery-side images unless designated, and the
+    designated queries while their identity keeps a gallery image."""
+    side = DEFAULT_VIEW_MAP[pool[0].view]
+    reads: Set[SampleRecord] = set()
+    for name in names:
+        q_side, g_sides = PROTOCOL_SIDES[name]
+        designated = set(chosen) if q_side == side else set()
+        gallery = {r for r in identity_records if DEFAULT_VIEW_MAP[r.view] in g_sides} - designated
+        reads |= gallery
+        if gallery:
+            reads |= designated
+    return reads
+
+
 # ---------------------------------------------------------------------------
 # P x K batch sampling
 
@@ -398,11 +416,13 @@ def _rank_pool(descriptors: np.ndarray) -> List[int]:
     return ranked + rest
 
 
-def select_queries(manifest: Manifest, per_view: int = 1, sides: Iterable[int] = (0, 1)) -> List[SampleRecord]:
-    """Pick per_view representative images per identity on each collapsed side in `sides`."""
+def query_pools(manifest: Manifest, per_view: int, sides: Iterable[int]
+                ) -> Iterator[Tuple[List[SampleRecord], np.ndarray, List[SampleRecord]]]:
+    """Walk the query pools, one identity's images on one collapsed side in
+    `sides` each, loading each pool once: yield the pool, its images and its
+    per_view most representative images."""
     if per_view < 1:
         raise ContractError(f"per_view must be >= 1, got {per_view}")
-    selected: List[SampleRecord] = []
     for identity, recs in sorted(manifest.by_identity().items()):
         for s in sorted(sides):
             pool = [r for r in recs if DEFAULT_VIEW_MAP[r.view] == s]
@@ -410,10 +430,14 @@ def select_queries(manifest: Manifest, per_view: int = 1, sides: Iterable[int] =
                 warnings.warn(f"identity {identity} has no image on side {s}; skipped")
                 continue
             # one pool at a time keeps memory at one identity's images
-            desc = hog_descriptor(load_images(manifest, pool))
-            ranked = _rank_pool(desc)
-            selected.extend(pool[i] for i in ranked[:per_view])
-    return selected
+            images = load_images(manifest, pool)
+            ranked = _rank_pool(hog_descriptor(images))
+            yield pool, images, [pool[i] for i in ranked[:per_view]]
+
+
+def select_queries(manifest: Manifest, per_view: int = 1, sides: Iterable[int] = (0, 1)) -> List[SampleRecord]:
+    """Pick per_view representative images per identity on each collapsed side in `sides`."""
+    return [q for _, _, chosen in query_pools(manifest, per_view, sides) for q in chosen]
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,16 @@ DEFAULT_STRIDE = 16
 OLP_STRIDE = 12
 
 
+# the value types each annotated field type takes: a float field takes an int,
+# but a bool is refused as a number and anything but a bool as a flag
+_FIELD_TYPES = {"int": (int,), "bool": (bool,), "float": (int, float)}
+
+
 def check_field_types(cfg) -> None:
-    """Require each int or bool field of a config dataclass to hold exactly
-    that type: a float or a bool is refused as an int, a string as a flag."""
+    """Require each int, bool or float field of a config dataclass to hold a value of that type."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if f.type in ("int", "bool") and type(value).__name__ != f.type:
+        if f.type in _FIELD_TYPES and type(value) not in _FIELD_TYPES[f.type]:
             raise ConfigurationError(f"{f.name} must be of type {f.type}, got {value!r}")
 
 

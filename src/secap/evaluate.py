@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .data import Manifest, SampleRecord, load_images
-from .errors import DimensionError, NumericError, ProtocolError
+from .data import (
+    PROTOCOL_SIDES, Manifest, ProtocolSplit, SampleRecord, build_protocol, pool_reads, query_pools,
+)
+from .errors import DimensionError, NumericError, ParseError, ProtocolError
+from .storage import load_image
 
 FEATURE_CHUNK = 32  # images per inference pass
 MIN_CHUNK_ROWS = 4  # fewest images an inference pass runs on
@@ -71,31 +74,79 @@ class FeatureSet:
         return out
 
 
-def extract_features(model, manifest: Manifest, records: Optional[Sequence[SampleRecord]] = None) -> FeatureSet:
-    """Run inference over records (no augmentation); features are [global, local].
+class FeatureExtractor:
+    """Inference (no augmentation) over images as they are added, FEATURE_CHUNK
+    at a time; features are [global, local]. Each image is checked against the
+    model's geometry and copied into one chunk buffer, so the caller need not
+    keep it. Inference over 1 or 2 images rounds apart from the same images in
+    a larger chunk, so a short last chunk repeats its last image to
+    MIN_CHUNK_ROWS, rows dropped."""
 
-    Inference over 1 or 2 images rounds apart from the same images in a larger
-    chunk, so a short chunk repeats its last image to MIN_CHUNK_ROWS, rows dropped.
-    """
-    records = list(manifest.records if records is None else records)
-    if not records:
-        raise ProtocolError("no records to extract features from")
-    chunks: List[np.ndarray] = []
-    for start in range(0, len(records), FEATURE_CHUNK):
-        batch = records[start : start + FEATURE_CHUNK]
-        padded = batch + batch[-1:] * (MIN_CHUNK_ROWS - len(batch))
-        chunks.append(model.inference_features(load_images(manifest, padded))[: len(batch)])
-    feats = np.concatenate(chunks, axis=0)
-    bad = ~np.isfinite(feats).all(axis=1)
-    if bad.any():
-        raise NumericError(f"non-finite features for {manifest.resolve(records[int(np.argmax(bad))])}")
-    return FeatureSet(
-        ids=[r.identity for r in records],
-        cameras=[r.camera for r in records],
-        views=[r.view for r in records],
-        paths=[r.path for r in records],
-        features=feats,
-    )
+    def __init__(self, model, manifest: Manifest):
+        enc = model.cfg.encoder
+        self.model = model
+        self.manifest = manifest
+        self.records: List[SampleRecord] = []
+        self._buffer = np.empty((FEATURE_CHUNK, 3, enc.image_h, enc.image_w), dtype=np.float32)
+        self._rows: List[np.ndarray] = []
+
+    def add(self, record: SampleRecord, image: np.ndarray) -> None:
+        if image.shape != self._buffer.shape[1:]:
+            raise ParseError(f"{self.manifest.resolve(record)}: image shape {image.shape} "
+                             f"does not match the model's {self._buffer.shape[1:]}", 0)
+        n = len(self.records) % FEATURE_CHUNK
+        self._buffer[n] = image
+        self.records.append(record)
+        if n + 1 == FEATURE_CHUNK:
+            self._infer(FEATURE_CHUNK)
+
+    def _infer(self, n: int) -> None:
+        self._buffer[n:MIN_CHUNK_ROWS] = self._buffer[n - 1]
+        self._rows.append(self.model.inference_features(self._buffer[: max(n, MIN_CHUNK_ROWS)])[:n])
+
+    def features(self) -> FeatureSet:
+        """Infer the last chunk; the rows of every image added, in order."""
+        records = self.records
+        if not records:
+            raise ProtocolError("no records to extract features from")
+        if len(records) % FEATURE_CHUNK:
+            self._infer(len(records) % FEATURE_CHUNK)
+        feats = np.concatenate(self._rows, axis=0)
+        bad = ~np.isfinite(feats).all(axis=1)
+        if bad.any():
+            raise NumericError(f"non-finite features for {self.manifest.resolve(records[int(np.argmax(bad))])}")
+        return FeatureSet([r.identity for r in records], [r.camera for r in records],
+                          [r.view for r in records], [r.path for r in records], feats)
+
+
+def extract_features(model, manifest: Manifest, records: Optional[Sequence[SampleRecord]] = None) -> FeatureSet:
+    """Run inference over records, all of the manifest's by default (see FeatureExtractor)."""
+    extractor = FeatureExtractor(model, manifest)
+    for r in manifest.records if records is None else records:
+        extractor.add(r, load_image(manifest.resolve(r)))
+    return extractor.features()
+
+
+def protocol_features(model, manifest: Manifest, names: Sequence[str], per_view: int
+                      ) -> Tuple[List[ProtocolSplit], FeatureSet]:
+    """The splits of protocols `names`, their queries the per_view most
+    representative images of each pool, and the features of every image they
+    score. Each image is read once: a query pool's images go to inference as
+    its queries are chosen, then the scored images in no pool follow."""
+    extractor = FeatureExtractor(model, manifest)
+    by_identity = manifest.by_identity()
+    queries: List[SampleRecord] = []
+    for pool, images, chosen in query_pools(manifest, per_view, {PROTOCOL_SIDES[name][0] for name in names}):
+        queries.extend(chosen)
+        reads = pool_reads(names, pool, chosen, by_identity[pool[0].identity])
+        for record, image in zip(pool, images):
+            if record in reads:
+                extractor.add(record, image)
+    splits = [build_protocol(manifest, name, queries=queries) for name in names]
+    rest = {r for s in splits for r in s.query + s.gallery}.difference(extractor.records)
+    for record in sorted(rest, key=lambda r: r.path):
+        extractor.add(record, load_image(manifest.resolve(record)))
+    return splits, extractor.features()
 
 
 def distance_matrix(q: FeatureSet, g: FeatureSet) -> np.ndarray:

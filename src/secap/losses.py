@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from .encoder import check_field_types
 from .errors import ConfigurationError, ContractError, DimensionError
 from .nn import Linear, Module
 from .tensor import Tensor, add, mul, record
@@ -25,6 +26,7 @@ class LossWeights:
     lam: float = 0.001   # view classification + orthogonality
 
     def __post_init__(self):
+        check_field_types(self)
         if not all(0.0 <= w < np.inf for w in (self.alpha, self.beta, self.lam)):
             raise ConfigurationError(f"loss weights must be finite and non-negative, got {self}")
 

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 DEFAULT_DTYPE = np.float32
+SHORT_ROW_KEYS = 16  # attention rows up to one 64-byte line of float32 (see _softmax_rows)
 
 # scan every op result for NaN/Inf and name the op that made it; off by default
 _debug_checks = os.environ.get("SECAP_DEBUG_NAN", "") not in ("", "0")
@@ -242,6 +243,22 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return record(out.reshape(*x.shape[:-1], d_out), inputs, rule)
 
 
+def _softmax_rows(p: np.ndarray) -> np.ndarray:
+    """Max-shifted softmax over the last axis, in place. Up to SHORT_ROW_KEYS keys
+    a running maximum over the columns outpaces numpy's row reduction; max is
+    exact, so only the sign of a zero before exp can differ, not the weights."""
+    if p.shape[-1] <= SHORT_ROW_KEYS:
+        row_max = p[..., :1].copy()
+        for j in range(1, p.shape[-1]):
+            np.maximum(row_max, p[..., j : j + 1], out=row_max)
+    else:
+        row_max = p.max(axis=-1, keepdims=True)
+    p -= row_max
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
     """softmax(q k^T / sqrt(d / heads)) v per head, for q (B, Tq, d) and k, v (B, Tk, d).
 
@@ -263,10 +280,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
         return x.transpose(0, 2, 1, 3).reshape(b, x.shape[2], d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    p = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p = _softmax_rows(np.matmul(qh, kh.swapaxes(-1, -2)) * scale)
 
     def rule(g):
         go = split(g)

@@ -281,6 +281,73 @@ class TestAttention:
             for g, a in zip(grads, arrays):
                 assert g is None or g.shape == a.shape
 
+    @staticmethod
+    def reduced_max_reference(q, k, v, heads, g):
+        """The fused op's forward and backward as they were when every row took
+        its softmax maximum with numpy's row reduction: output, weights, and
+        the gradients of q, k and v for the output gradient g."""
+        b, _, d = q.shape
+        head_dim = d // heads
+        scale = 1.0 / math.sqrt(head_dim)
+
+        def split(x):
+            return x.reshape(b, x.shape[1], heads, head_dim).transpose(0, 2, 1, 3)
+
+        def merge(x):
+            return x.transpose(0, 2, 1, 3).reshape(b, x.shape[2], d)
+
+        qh, kh, vh = split(q), split(k), split(v)
+        p = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        go = split(g)
+        gv = merge(np.matmul(p.swapaxes(-1, -2), go))
+        gp = np.matmul(go, vh.swapaxes(-1, -2))
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+        gq, gk = merge(np.matmul(gs, kh)), merge(np.matmul(gs.swapaxes(-1, -2), qh))
+        return merge(np.matmul(p, vh)), p, (gq, gk, gv)
+
+    @staticmethod
+    def special_rows(rng, keys):
+        """One row of scores per case, `keys` wide: plain, a NaN, +inf, -inf,
+        both infinities, all -inf, zeros of both signs, and zeros with negatives."""
+        rows = rng.standard_normal((8, keys))
+        col = rng.integers(0, keys, size=8)
+        rows[1, col[1]] = np.nan
+        rows[2, col[2]] = np.inf
+        rows[3, col[3]] = -np.inf
+        rows[4, col[4]], rows[4, -1 - col[4]] = np.inf, -np.inf
+        rows[5] = -np.inf
+        rows[6] = np.where(rng.integers(0, 2, size=keys) == 1, 0.0, -0.0)
+        rows[7] = -np.abs(rows[7])
+        rows[7, col[7]], rows[7, -1 - col[7]] = 0.0, -0.0
+        return rows
+
+    @pytest.mark.parametrize("keys", range(1, 21))
+    def test_bit_equal_to_the_reduced_row_max(self, rng, keys):
+        # head 0's scores are k's first column (q is 1 on a head width of 1,
+        # so the scale is 1); numpy's matmul makes no -0 there, so signed
+        # zeros are checked on _softmax_rows below
+        q = np.ones((8, 1, 2))
+        k = np.zeros((8, keys, 2))
+        k[:, :, 0] = self.special_rows(rng, keys)
+        k[:, :, 1] = rng.standard_normal((8, keys))
+        v = rng.standard_normal((8, keys, 2))
+        g = rng.standard_normal((8, 1, 2))
+        with np.errstate(invalid="ignore"):
+            ref_out, ref_weights, ref_grads = self.reduced_max_reference(q, k, v, 2, g)
+            with recording():
+                tensors = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+                out, weights = attention(*tensors, 2)
+                entry, = tape().entries
+                grads = entry.backward_rule(g)
+            for x in (np.zeros((8, keys)), self.special_rows(rng, keys)):  # signed zeros, straight in
+                assert secap.tensor._softmax_rows(x.copy()).tobytes() == np_softmax(x).tobytes()
+        assert out.data.tobytes() == ref_out.tobytes() and weights.tobytes() == ref_weights.tobytes()
+        for grad, ref in zip(grads, ref_grads):
+            assert grad.dtype == np.float64 and grad.tobytes() == ref.tobytes()
+
     def test_shape_errors(self):
         x = Tensor(np.zeros((2, 3, 8)))
         with pytest.raises(DimensionError, match="heads"):

@@ -8,6 +8,7 @@ import math
 import os
 import re
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ import secap.encoder
 import secap.lfrm
 import secap.model
 import secap.nn
+import secap.storage
 from secap import cli
 from secap.data import (
     DEFAULT_VIEW_MAP,
+    PROTOCOL_SIDES,
     PROTOCOLS,
     Manifest,
     SynthConfig,
@@ -30,10 +33,13 @@ from secap.data import (
     read_manifest,
     select_queries,
     split_identities,
+    write_manifest,
 )
 from secap.encoder import EncoderConfig
 from secap.errors import CheckpointError, ConfigurationError, ContractError, NumericError, ParseError
-from secap.evaluate import FEATURE_CHUNK, MIN_CHUNK_ROWS, cmc_map, distance_matrix, extract_features
+from secap.evaluate import (
+    FEATURE_CHUNK, MIN_CHUNK_ROWS, FeatureExtractor, cmc_map, distance_matrix, extract_features,
+)
 from secap.losses import LossWeights
 from secap.model import ABLATIONS, ModelConfig, SeCapModel
 from secap.nn import trunc_normal
@@ -419,11 +425,12 @@ class TestCliPipeline:
         argv = ["eval", "--checkpoint", cli_pipeline["checkpoint"], "--manifest", cli_pipeline["manifest"],
                 "--protocol", "a2g", "--queries-per-view", "1"]
         # the report as it was when every run selected queries on both sides
-        monkeypatch.setattr(cli, "select_queries", lambda m, per_view, sides: select_queries(m, per_view))
+        model, _ = model_from_checkpoint(cli_pipeline["checkpoint"])
+        _, mtest = split_identities(read_manifest(cli_pipeline["manifest"]), 0.25, 3)
+        split = build_protocol(mtest, "a2g", queries=select_queries(mtest, per_view=1))
+        qfs, gfs = extract_features(model, mtest, split.query), extract_features(model, mtest, split.gallery)
+        both_sides = cmc_map(distance_matrix(qfs, gfs), qfs, gfs, protocol="a2g").to_json_line() + "\n"
         capsys.readouterr()
-        assert cli.main(argv) == cli.EXIT_OK
-        both_sides = capsys.readouterr().out
-        monkeypatch.undo()
 
         pool_sides, hog_calls = [], []
         real_load, real_hog = secap.data.load_images, secap.data.hog_descriptor
@@ -436,11 +443,10 @@ class TestCliPipeline:
             hog_calls.append(len(images))
             return real_hog(images)
 
-        monkeypatch.setattr(secap.data, "load_images", loading)  # extract_features holds its own reference
+        monkeypatch.setattr(secap.data, "load_images", loading)  # only query pools load through it
         monkeypatch.setattr(secap.data, "hog_descriptor", hog)
         assert cli.main(argv) == cli.EXIT_OK
         assert capsys.readouterr().out == both_sides and both_sides.count("\n") == 1
-        _, mtest = split_identities(read_manifest(cli_pipeline["manifest"]), 0.25, 3)
         aerial_pools = sum(any(DEFAULT_VIEW_MAP[r.view] == 0 for r in recs) for recs in mtest.by_identity().values())
         assert pool_sides == [{0}] * aerial_pools and len(hog_calls) == aerial_pools
 
@@ -516,6 +522,89 @@ def micro_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("micro-ckpt") / "micro.ckpt"
     save_checkpoint(str(path), model.parameters(), checkpoint_metadata(model, TrainConfig(model=model.cfg), 0, [0, 1]))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def uneven_corpus(tmp_path_factory):
+    """Identity 0 without ground images and identity 1 with one ground image
+    and no aerial one, so a2g drops a query of identity 0, and g2a and g2ag
+    one of identity 1; three distractors."""
+    out = tmp_path_factory.mktemp("uneven-corpus")
+    cfg = SynthConfig(num_ids=5, images_per_id_per_view=3, image_h=16, image_w=16, seed=4, num_distractors=3)
+    manifest, _ = generate_synthetic(cfg, out)
+    kept = [r for r in manifest.records
+            if not (r.identity == 0 and r.view != 0) and not (r.identity == 1 and (r.view == 0 or r.frame > 0))]
+    write_manifest(manifest.subset(kept), str(out / "manifest.tsv"))
+    return str(out / "manifest.tsv")
+
+
+def count_reads_and_inferences(monkeypatch):
+    """Record the path of every storage.load_image call, in every secap
+    namespace that bound it, and of every image handed to inference."""
+    reads, inferred = [], []
+    real_load, real_add = secap.storage.load_image, FeatureExtractor.add
+
+    def loading(path):
+        reads.append(path)
+        return real_load(path)
+
+    def adding(self, record, image):
+        inferred.append(self.manifest.resolve(record))
+        return real_add(self, record, image)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("secap") and getattr(module, "load_image", None) is real_load:
+            monkeypatch.setattr(module, "load_image", loading)
+    monkeypatch.setattr(FeatureExtractor, "add", adding)
+    return reads, inferred
+
+
+@pytest.mark.filterwarnings("ignore:.*(no image on side|dropping):UserWarning")
+@pytest.mark.parametrize("protocol", ["a2g", "g2a", "g2ag", "all"])
+def test_eval_reads_each_image_once_and_infers_what_is_scored(uneven_corpus, micro_checkpoint, monkeypatch,
+                                                              capsys, protocol):
+    manifest = read_manifest(uneven_corpus)
+    names = list(PROTOCOLS) if protocol == "all" else [protocol]
+    query_sides = {PROTOCOL_SIDES[name][0] for name in names}
+    # the earlier recipe: choose the queries, then extract every image a split holds
+    queries = select_queries(manifest, 1, query_sides)
+    splits = [build_protocol(manifest, name, queries=queries) for name in names]
+    needed = sorted({r for s in splits for r in s.query + s.gallery}, key=lambda r: r.path)
+    model, _ = model_from_checkpoint(micro_checkpoint)
+    features = extract_features(model, manifest, needed)
+    expected = ""
+    for split in splits:
+        qfs, gfs = features.select(split.query), features.select(split.gallery)
+        expected += cmc_map(distance_matrix(qfs, gfs), qfs, gfs, protocol=split.name).to_json_line() + "\n"
+    if protocol != "all":  # the corpus makes build_protocol drop a chosen query
+        assert not set(queries) <= set(needed)
+
+    reads, inferred = count_reads_and_inferences(monkeypatch)
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", micro_checkpoint, "--manifest", uneven_corpus,
+                     "--protocol", protocol, "--queries-per-view", "1"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == expected
+    # each query pool and each other scored image is read once, and only scored images are inferred
+    pools = {r for r in manifest.records if r.identity >= 0 and DEFAULT_VIEW_MAP[r.view] in query_sides}
+    assert sorted(reads) == sorted(manifest.resolve(r) for r in pools.union(needed))
+    assert sorted(inferred) == sorted(manifest.resolve(r) for r in needed)
+
+
+@pytest.mark.parametrize("command", ["eval", "export-features"])
+def test_image_size_other_than_the_checkpoints_is_io_and_names_the_image(micro_checkpoint, tmp_path, capsys,
+                                                                         command):
+    # every image of identity 2 at 24x16, a shape the model was not built for
+    cfg = SynthConfig(num_ids=4, images_per_id_per_view=2, image_h=16, image_w=16, seed=9)
+    manifest, _ = generate_synthetic(cfg, tmp_path)
+    odd = [manifest.resolve(r) for r in manifest.records if r.identity == 2]
+    for path in odd:
+        save_rten(path, np.zeros((3, 24, 16), dtype=np.float32))
+    argv = [command, "--checkpoint", micro_checkpoint, "--manifest", str(tmp_path / "manifest.tsv")]
+    if command == "export-features":
+        argv += ["--out", str(tmp_path / "feats")]
+    assert cli.main(argv) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert odd[0] in err and "image shape (3, 24, 16) does not match the model's (3, 16, 16)" in err
 
 
 def test_no_vdt_checkpoint_with_pre_derivation_keys_rebuilds_without_view_token(tmp_path):
@@ -764,13 +853,16 @@ class TestCliErrors:
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("train", "seed", None, "KeyError 'seed'"),
-        ("train", "holdout", "x", "TypeError '<=' not supported"),
+        ("train", "holdout", "x", "holdout must be of type float, got 'x'"),
         ("train", "seed", True, "seed must be of type int, got True"),
         ("train", "p", 2.5, "p must be of type int, got 2.5"),
         ("weights", "lambda", -1, "loss weights must be finite and non-negative"),
         ("train", "epochs", None, "KeyError 'epochs'"),
+        ("weights", "alpha", True, "alpha must be of type float, got True"),
+        ("train", "lr_max", True, "lr_max must be of type float, got True"),
+        ("train", "momentum", "x", "momentum must be of type float, got 'x'"),
     ], ids=["holdout-without-seed", "non-numeric-holdout", "bool-seed", "float-p", "negative-lambda",
-            "missing-epochs"])
+            "missing-epochs", "bool-alpha", "bool-lr-max", "string-momentum"])
     def test_malformed_train_metadata_is_io(self, tmp_path, capsys, section, key, value, message):
         # a held-out run, so eval would split by the seed: `true` once scored the split of seed "True"
         meta, table = load_checkpoint(os.path.join(GOLDEN_VARIANTS, "add.ckpt"))
