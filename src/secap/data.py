@@ -109,6 +109,13 @@ def load_images(manifest: Manifest, records: Sequence[SampleRecord]) -> np.ndarr
     return np.stack(images)
 
 
+def check_image_shape(manifest: Manifest, record: SampleRecord, image: np.ndarray, shape: Tuple[int, ...]) -> None:
+    """Refuse the record's image unless it has the model's `shape` (at least one HOG cell)."""
+    if image.shape != shape:
+        raise ParseError(f"{manifest.resolve(record)}: image shape {image.shape} "
+                         f"does not match the model's {shape}", 0)
+
+
 def write_manifest(manifest: Manifest, path) -> None:
     lines = [MANIFEST_HEADER]
     for r in manifest.records:
@@ -180,28 +187,38 @@ class ProtocolSplit:
     gallery: Tuple[SampleRecord, ...]
 
 
+def split_records(records: Sequence[SampleRecord], protocol_name: str, designated: Optional[Set[str]] = None
+                  ) -> Tuple[List[SampleRecord], List[SampleRecord], List[SampleRecord]]:
+    """Kept queries, dropped queries and gallery of protocol `protocol_name` over `records`:
+    the non-distractor query-side images (only the `designated` paths, if given)
+    are queries, the gallery-side images that are not queries form the gallery, and a
+    query whose identity has no gallery image is dropped. Each identity splits on its own."""
+    q_side, g_sides = PROTOCOL_SIDES[protocol_name]
+    query = [r for r in records if r.identity >= 0 and DEFAULT_VIEW_MAP[r.view] == q_side
+             and (designated is None or r.path in designated)]
+    query_paths = {r.path for r in query}
+    gallery = [r for r in records if DEFAULT_VIEW_MAP[r.view] in g_sides and r.path not in query_paths]
+    gallery_ids = {r.identity for r in gallery}
+    kept = [r for r in query if r.identity in gallery_ids]
+    return kept, [r for r in query if r.identity not in gallery_ids], gallery
+
+
 def build_protocol(
     manifest: Manifest,
     protocol_name: str,
     queries: Optional[Iterable[SampleRecord]] = None,
 ) -> ProtocolSplit:
-    """Build query/gallery record lists for one cross-view protocol.
+    """Build query/gallery record lists for one cross-view protocol (see split_records).
 
     `queries` optionally designates the query records (typically from
     select_queries; they may span both views, and the other view's are
     ignored). Without it, every non-distractor image of the query view is a
-    query. The gallery holds all images of the gallery view(s), distractors
-    included, minus the designated query images; for the single-view
-    protocols that subtraction never intersects. Queries whose identity never
-    occurs in the gallery are dropped with a warning.
+    query. Dropped queries are counted in a warning.
     """
     if protocol_name not in PROTOCOL_SIDES:
         raise ProtocolError(f"unknown protocol {protocol_name!r}; expected one of {PROTOCOLS}")
-    q_side, g_sides = PROTOCOL_SIDES[protocol_name]
-    query_pool = [r for r in manifest.records if r.identity >= 0 and DEFAULT_VIEW_MAP[r.view] == q_side]
-    if queries is None:
-        query = list(query_pool)
-    else:
+    paths = None
+    if queries is not None:
         paths = {q.path for q in queries}
         known = {r.path: r for r in manifest.records}
         for p in sorted(paths):
@@ -209,43 +226,15 @@ def build_protocol(
                 raise ProtocolError(f"designated query {p!r} is not in the manifest")
             if known[p].identity < 0:
                 raise ProtocolError(f"designated query {p!r} is a distractor")
-        query = [r for r in query_pool if r.path in paths]
-
-    query_paths = {r.path for r in query}
-    gallery = [r for r in manifest.records
-               if DEFAULT_VIEW_MAP[r.view] in g_sides and r.path not in query_paths]
+    query, dropped, gallery = split_records(manifest.records, protocol_name, paths)
     if not gallery:
         raise ProtocolError(f"{protocol_name}: empty gallery set")
-
-    gallery_ids = {r.identity for r in gallery}
-    unmatched = [r for r in query if r.identity not in gallery_ids]
-    if unmatched:
-        warnings.warn(
-            f"{protocol_name}: dropping {len(unmatched)} query images whose identity "
-            "never occurs in the gallery"
-        )
-        query = [r for r in query if r.identity in gallery_ids]
+    if dropped:
+        warnings.warn(f"{protocol_name}: dropping {len(dropped)} query images whose identity "
+                      "never occurs in the gallery")
     if not query:
         raise ProtocolError(f"{protocol_name}: empty query set")
     return ProtocolSplit(name=protocol_name, query=tuple(query), gallery=tuple(gallery))
-
-
-def pool_reads(names: Iterable[str], pool: Sequence[SampleRecord], chosen: Iterable[SampleRecord],
-               identity_records: Iterable[SampleRecord]) -> Set[SampleRecord]:
-    """A superset of the images of one query pool (one identity on one side)
-    that protocols `names` score when `chosen` are its queries, by
-    build_protocol's rules: gallery-side images unless designated, and the
-    designated queries while their identity keeps a gallery image."""
-    side = DEFAULT_VIEW_MAP[pool[0].view]
-    reads: Set[SampleRecord] = set()
-    for name in names:
-        q_side, g_sides = PROTOCOL_SIDES[name]
-        designated = set(chosen) if q_side == side else set()
-        gallery = {r for r in identity_records if DEFAULT_VIEW_MAP[r.view] in g_sides} - designated
-        reads |= gallery
-        if gallery:
-            reads |= designated
-    return reads
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +405,12 @@ def _rank_pool(descriptors: np.ndarray) -> List[int]:
     return ranked + rest
 
 
-def query_pools(manifest: Manifest, per_view: int, sides: Iterable[int]
-                ) -> Iterator[Tuple[List[SampleRecord], np.ndarray, List[SampleRecord]]]:
+def query_pools(manifest: Manifest, per_view: int, sides: Iterable[int], shape: Optional[Tuple[int, ...]] = None
+                ) -> Iterator[Tuple[List[SampleRecord], List[SampleRecord], np.ndarray, List[SampleRecord]]]:
     """Walk the query pools, one identity's images on one collapsed side in
-    `sides` each, loading each pool once: yield the pool, its images and its
-    per_view most representative images."""
+    `sides` each, loading each pool once: yield the identity's records, the
+    pool, its images and its per_view most representative images. A pool of
+    images not of `shape`, if given, is refused before it is ranked."""
     if per_view < 1:
         raise ContractError(f"per_view must be >= 1, got {per_view}")
     for identity, recs in sorted(manifest.by_identity().items()):
@@ -431,13 +421,15 @@ def query_pools(manifest: Manifest, per_view: int, sides: Iterable[int]
                 continue
             # one pool at a time keeps memory at one identity's images
             images = load_images(manifest, pool)
+            if shape is not None:
+                check_image_shape(manifest, pool[0], images[0], shape)
             ranked = _rank_pool(hog_descriptor(images))
-            yield pool, images, [pool[i] for i in ranked[:per_view]]
+            yield recs, pool, images, [pool[i] for i in ranked[:per_view]]
 
 
 def select_queries(manifest: Manifest, per_view: int = 1, sides: Iterable[int] = (0, 1)) -> List[SampleRecord]:
     """Pick per_view representative images per identity on each collapsed side in `sides`."""
-    return [q for _, _, chosen in query_pools(manifest, per_view, sides) for q in chosen]
+    return [q for *_, chosen in query_pools(manifest, per_view, sides) for q in chosen]
 
 
 # ---------------------------------------------------------------------------

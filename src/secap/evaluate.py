@@ -14,9 +14,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .data import (
-    PROTOCOL_SIDES, Manifest, ProtocolSplit, SampleRecord, build_protocol, pool_reads, query_pools,
+    PROTOCOL_SIDES, Manifest, ProtocolSplit, SampleRecord, build_protocol, check_image_shape, query_pools,
+    split_records,
 )
-from .errors import DimensionError, NumericError, ParseError, ProtocolError
+from .errors import DimensionError, NumericError, ProtocolError
 from .storage import load_image
 
 FEATURE_CHUNK = 32  # images per inference pass
@@ -87,13 +88,12 @@ class FeatureExtractor:
         self.model = model
         self.manifest = manifest
         self.records: List[SampleRecord] = []
-        self._buffer = np.empty((FEATURE_CHUNK, 3, enc.image_h, enc.image_w), dtype=np.float32)
+        self.shape = (3, enc.image_h, enc.image_w)
+        self._buffer = np.empty((FEATURE_CHUNK, *self.shape), dtype=np.float32)
         self._rows: List[np.ndarray] = []
 
     def add(self, record: SampleRecord, image: np.ndarray) -> None:
-        if image.shape != self._buffer.shape[1:]:
-            raise ParseError(f"{self.manifest.resolve(record)}: image shape {image.shape} "
-                             f"does not match the model's {self._buffer.shape[1:]}", 0)
+        check_image_shape(self.manifest, record, image, self.shape)
         n = len(self.records) % FEATURE_CHUNK
         self._buffer[n] = image
         self.records.append(record)
@@ -131,16 +131,20 @@ def protocol_features(model, manifest: Manifest, names: Sequence[str], per_view:
                       ) -> Tuple[List[ProtocolSplit], FeatureSet]:
     """The splits of protocols `names`, their queries the per_view most
     representative images of each pool, and the features of every image they
-    score. Each image is read once: a query pool's images go to inference as
-    its queries are chosen, then the scored images in no pool follow."""
+    score. Each image is read once: a query pool's images that split_records
+    scores over the pool identity's images go to inference as its queries are
+    chosen, then the scored images in no pool follow."""
     extractor = FeatureExtractor(model, manifest)
-    by_identity = manifest.by_identity()
+    sides = {PROTOCOL_SIDES[name][0] for name in names}
     queries: List[SampleRecord] = []
-    for pool, images, chosen in query_pools(manifest, per_view, {PROTOCOL_SIDES[name][0] for name in names}):
+    for identity_records, pool, images, chosen in query_pools(manifest, per_view, sides, extractor.shape):
         queries.extend(chosen)
-        reads = pool_reads(names, pool, chosen, by_identity[pool[0].identity])
+        scored = set()
+        for name in names:
+            kept, _, gallery = split_records(identity_records, name, {r.path for r in chosen})
+            scored.update(kept, gallery)
         for record, image in zip(pool, images):
-            if record in reads:
+            if record in scored:
                 extractor.add(record, image)
     splits = [build_protocol(manifest, name, queries=queries) for name in names]
     rest = {r for s in splits for r in s.query + s.gallery}.difference(extractor.records)

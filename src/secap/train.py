@@ -155,6 +155,8 @@ def train(
     """Run the full loop; deterministic for a fixed config and manifest."""
     ids = manifest_train.identities()
     label_map = {identity: index for index, identity in enumerate(ids)}
+    # drawn before the model is built, so too few identities for P are refused first
+    first_batch = pk_sample(manifest_train, cfg.p, cfg.k, derive_seed("batch", cfg.seed, 1, 0))
 
     model_cfg = dataclasses.replace(cfg.model, num_ids=len(ids), num_views=2)
     model = SeCapModel(model_cfg)
@@ -171,7 +173,8 @@ def train(
         sums = {key: 0.0 for key in LOG_KEYS}
         lr = cfg.lr_max
         for s in range(steps_per_epoch):
-            batch = pk_sample(manifest_train, cfg.p, cfg.k, derive_seed("batch", cfg.seed, epoch, s))
+            batch = first_batch if step == 0 else pk_sample(manifest_train, cfg.p, cfg.k,
+                                                            derive_seed("batch", cfg.seed, epoch, s))
             images = load_images(manifest_train, batch)
             if cfg.augment:
                 images = np.stack([augment(image, derive_seed("augment", cfg.seed, r.path, epoch, s, i))

@@ -2,6 +2,7 @@
 query selection, and the synthetic generator."""
 
 import hashlib
+import itertools
 import os
 import re
 import warnings
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 import secap.data
 from secap.data import (
     DEFAULT_VIEW_MAP,
+    PROTOCOL_SIDES,
+    PROTOCOLS,
     Manifest,
     SampleRecord,
     SynthConfig,
@@ -28,6 +31,7 @@ from secap.data import (
     read_manifest,
     select_queries,
     split_identities,
+    split_records,
     write_manifest,
 )
 from secap.errors import ConfigurationError, ContractError, ParseError, ProtocolError
@@ -176,6 +180,30 @@ def toy_manifest():
     return Manifest(records)
 
 
+@st.composite
+def pooled_manifests(draw):
+    """A manifest of 1-3 identities with 0-3 images on each raw view, 0-3
+    distractors on any view, and a non-empty chosen subset of each query pool
+    (one identity's images on one collapsed side), keyed (identity, side)."""
+    records = []
+    for identity in range(draw(st.integers(1, 3))):
+        for view in DEFAULT_VIEW_MAP:
+            for frame in range(draw(st.integers(0, 3))):
+                records.append(rec(format_image_name(identity, view, frame), identity, view, view, frame))
+    for d in range(draw(st.integers(0, 3))):
+        view = draw(st.sampled_from(sorted(DEFAULT_VIEW_MAP)))
+        records.append(rec(format_image_name(9000 + d, view, 0), -1, view, view, 0))
+    m = Manifest(records)
+    chosen = {}
+    for identity, recs in m.by_identity().items():
+        for side in (0, 1):
+            pool = [r for r in recs if DEFAULT_VIEW_MAP[r.view] == side]
+            if pool:
+                mask = draw(st.integers(1, 2 ** len(pool) - 1))  # one bit per pool image
+                chosen[identity, side] = [r for i, r in enumerate(pool) if mask >> i & 1]
+    return m, chosen
+
+
 class TestBuildProtocol:
     def test_a2g_filter_semantics(self):
         split = build_protocol(toy_manifest(), "a2g")
@@ -238,6 +266,34 @@ class TestBuildProtocol:
         with pytest.warns(UserWarning, match="dropping"):
             split = build_protocol(Manifest(records), "a2g")
         assert [r.identity for r in split.query] == [1]
+
+    @settings(max_examples=60)
+    @given(pooled_manifests())
+    def test_pool_walk_scores_what_the_whole_manifest_scores(self, drawn):
+        # eval infers the images of each walked pool that split_records scores over
+        # the pool identity's images with the pool's chosen queries; together they
+        # must be the non-distractor images on the walked sides that build_protocol
+        # scores over the whole manifest, under every set of requested protocols
+        m, chosen = drawn
+        by_identity = m.by_identity()
+        for size in (1, 2, 3):
+            for names in itertools.combinations(PROTOCOLS, size):
+                sides = {PROTOCOL_SIDES[name][0] for name in names}
+                pools = {key: picks for key, picks in chosen.items() if key[1] in sides}
+                inferred = set()
+                for (identity, side), picks in pools.items():
+                    for name in names:
+                        kept, _, gallery = split_records(by_identity[identity], name, {r.path for r in picks})
+                        inferred.update(r for r in kept + gallery if DEFAULT_VIEW_MAP[r.view] == side)
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        splits = [build_protocol(m, name, queries=[q for p in pools.values() for q in p])
+                                  for name in names]
+                except ProtocolError:  # eval scores nothing then
+                    continue
+                assert inferred == {r for s in splits for r in s.query + s.gallery
+                                    if r.identity >= 0 and DEFAULT_VIEW_MAP[r.view] in sides}
 
     def test_published_split_counts(self):
         # aerial: first 102 ids carry 6 images, the rest 5 -> 7,717 total

@@ -210,13 +210,17 @@ class TestTrainLoop:
             train(corpus, micro_train_cfg())
         assert tape().entries == [] and not tape().recording
 
-    def test_too_few_identities(self, corpus):
-        with pytest.raises(ContractError, match="identities"):
+    def test_too_few_identities(self, corpus, monkeypatch):
+        # pk_sample refuses the first batch before any model is built
+        monkeypatch.setattr(importlib.import_module("secap.train"), "SeCapModel",
+                            lambda *args: pytest.fail("a model was built"))
+        with pytest.raises(ContractError, match="need 1 <= P <= 6 identities"):
             train(corpus, micro_train_cfg(p=7))
 
-    def test_empty_manifest_is_refused_by_the_model_config(self):
-        # train() keeps no identity check of its own: an empty manifest gives a model with no classes
-        with pytest.raises(ConfigurationError, match="need at least one identity class, got 0"):
+    def test_empty_manifest_is_refused_before_the_model_is_built(self, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("secap.train"), "SeCapModel",
+                            lambda *args: pytest.fail("a model was built"))
+        with pytest.raises(ContractError, match="need 1 <= P <= 0 identities"):
             train(Manifest([]), micro_train_cfg())
 
     def test_metadata_round_trip(self, corpus, tmp_path):
@@ -605,6 +609,21 @@ def test_image_size_other_than_the_checkpoints_is_io_and_names_the_image(micro_c
     assert cli.main(argv) == cli.EXIT_IO
     err = capsys.readouterr().err
     assert odd[0] in err and "image shape (3, 24, 16) does not match the model's (3, 16, 16)" in err
+
+
+@pytest.mark.parametrize("protocol", ["all", "a2g"])
+def test_eval_image_smaller_than_a_hog_cell_is_io_and_names_the_image(micro_checkpoint, tmp_path, capsys,
+                                                                      protocol):
+    # identity 2's images at 4x4: its query pool is refused by shape before HOG meets them
+    cfg = SynthConfig(num_ids=4, images_per_id_per_view=2, image_h=16, image_w=16, seed=9)
+    manifest, _ = generate_synthetic(cfg, tmp_path)
+    small = [manifest.resolve(r) for r in manifest.records if r.identity == 2]
+    for path in small:
+        save_rten(path, np.zeros((3, 4, 4), dtype=np.float32))
+    assert cli.main(["eval", "--checkpoint", micro_checkpoint, "--manifest", str(tmp_path / "manifest.tsv"),
+                     "--protocol", protocol]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert small[0] in err and "image shape (3, 4, 4) does not match the model's (3, 16, 16)" in err
 
 
 def test_no_vdt_checkpoint_with_pre_derivation_keys_rebuilds_without_view_token(tmp_path):
