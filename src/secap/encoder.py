@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError, DimensionError
 from .nn import (
-    FeedForward, LayerNorm, Linear, Module, MultiHeadAttention, expand_rows, trunc_normal,
+    FeedForward, LayerNorm, Linear, Module, MultiHeadAttention, expand_rows, param,
 )
-from .tensor import Parameter, Tensor, add, concat, narrow, record, reshape
+from .tensor import Tensor, add, concat, narrow, record, reshape
 
 DEFAULT_STRIDE = 16
 OLP_STRIDE = 12
@@ -107,11 +107,11 @@ def tokenize(images: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
 class EncoderBlock(Module):
     """Pre-norm transformer block: x + MHSA(LN(x)), then + FFN(LN(.))."""
 
-    def __init__(self, name: str, cfg: EncoderConfig, rng: np.random.Generator):
-        self.norm1 = LayerNorm(f"{name}.norm1", cfg.embed_dim)
-        self.attn = MultiHeadAttention(f"{name}.attn", cfg.embed_dim, cfg.heads, rng)
-        self.norm2 = LayerNorm(f"{name}.norm2", cfg.embed_dim)
-        self.ffn = FeedForward(f"{name}.ffn", cfg.embed_dim, cfg.ffn_mult, rng)
+    def __init__(self, name: str, cfg: EncoderConfig, source):
+        self.norm1 = LayerNorm(f"{name}.norm1", cfg.embed_dim, source)
+        self.attn = MultiHeadAttention(f"{name}.attn", cfg.embed_dim, cfg.heads, source)
+        self.norm2 = LayerNorm(f"{name}.norm2", cfg.embed_dim, source)
+        self.ffn = FeedForward(f"{name}.ffn", cfg.embed_dim, cfg.ffn_mult, source)
 
     def __call__(self, x: Tensor) -> Tensor:
         h = self.norm1(x)
@@ -135,16 +135,15 @@ def decouple_step(x: Tensor) -> Tensor:
 
 
 class Encoder(Module):
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, with_view: bool = True):
+    def __init__(self, cfg: EncoderConfig, source, with_view: bool = True):
         self.cfg = cfg
         self.num_special = 2 if with_view else 1
         d = cfg.embed_dim
-        patch_dim = 3 * cfg.patch * cfg.patch
-        self.proj = Linear("encoder.proj", patch_dim, d, rng)
-        self.cls_token = Parameter("encoder.cls", trunc_normal(rng, (1, 1, d)))
-        self.view_token = Parameter("encoder.view", trunc_normal(rng, (1, 1, d))) if with_view else None
-        self.pos = Parameter("encoder.pos", trunc_normal(rng, (cfg.num_patches + self.num_special, d)))
-        self.blocks = [EncoderBlock(f"encoder.blocks.{i}", cfg, rng) for i in range(cfg.depth)]
+        self.proj = Linear("encoder.proj", 3 * cfg.patch * cfg.patch, d, source)
+        self.cls_token = param(source, "encoder.cls", (1, 1, d))
+        self.view_token = param(source, "encoder.view", (1, 1, d)) if with_view else None
+        self.pos = param(source, "encoder.pos", (cfg.num_patches + self.num_special, d))
+        self.blocks = [EncoderBlock(f"encoder.blocks.{i}", cfg, source) for i in range(cfg.depth)]
 
     def embed(self, tokens: np.ndarray) -> Tensor:
         """Project raster patches and prepend the learned special tokens."""

@@ -5,10 +5,8 @@ refined local feature out through a learnable output token.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .nn import FeedForward, Module, MultiHeadAttention, expand_rows, trunc_normal
-from .tensor import Parameter, Tensor, add, concat, narrow, reshape
+from .nn import FeedForward, Module, MultiHeadAttention, expand_rows, param
+from .tensor import Tensor, add, concat, narrow, reshape
 
 NUM_TWO_WAY_BLOCKS = 2
 
@@ -16,11 +14,11 @@ NUM_TWO_WAY_BLOCKS = 2
 class TwoWayBlock(Module):
     """Prompt-to-image then image-to-prompt attention, residual on each stream."""
 
-    def __init__(self, name: str, dim: int, heads: int, ffn_mult: int, rng: np.random.Generator):
-        self.sa = MultiHeadAttention(f"{name}.sa", dim, heads, rng)
-        self.ca_p2i = MultiHeadAttention(f"{name}.ca_p2i", dim, heads, rng)
-        self.ffn_p = FeedForward(f"{name}.ffn_p", dim, ffn_mult, rng)
-        self.ca_i2p = MultiHeadAttention(f"{name}.ca_i2p", dim, heads, rng)
+    def __init__(self, name: str, dim: int, heads: int, ffn_mult: int, source):
+        self.sa = MultiHeadAttention(f"{name}.sa", dim, heads, source)
+        self.ca_p2i = MultiHeadAttention(f"{name}.ca_p2i", dim, heads, source)
+        self.ffn_p = FeedForward(f"{name}.ffn_p", dim, ffn_mult, source)
+        self.ca_i2p = MultiHeadAttention(f"{name}.ca_i2p", dim, heads, source)
 
     def __call__(self, f_p: Tensor, f_local: Tensor) -> tuple[Tensor, Tensor]:
         h = self.sa(f_p, f_p)
@@ -34,11 +32,11 @@ class Fusion(Module):
     """Decode one vector from [out_token; prompts] attending over the image
     tokens. Deliberately residual-free: a zeroed final layer yields zero."""
 
-    def __init__(self, name: str, dim: int, heads: int, ffn_mult: int, rng: np.random.Generator):
-        self.out_token = Parameter(f"{name}.out_token", trunc_normal(rng, (1, 1, dim)))
-        self.ca = MultiHeadAttention(f"{name}.ca", dim, heads, rng)
-        self.sa = MultiHeadAttention(f"{name}.sa", dim, heads, rng)
-        self.ffn = FeedForward(f"{name}.ffn", dim, ffn_mult, rng)
+    def __init__(self, name: str, dim: int, heads: int, ffn_mult: int, source):
+        self.out_token = param(source, f"{name}.out_token", (1, 1, dim))
+        self.ca = MultiHeadAttention(f"{name}.ca", dim, heads, source)
+        self.sa = MultiHeadAttention(f"{name}.sa", dim, heads, source)
+        self.ffn = FeedForward(f"{name}.ffn", dim, ffn_mult, source)
 
     def __call__(self, f_p: Tensor, f_i: Tensor) -> Tensor:
         b, _, d = f_p.shape
@@ -50,10 +48,10 @@ class Fusion(Module):
 
 
 class LFRM(Module):
-    def __init__(self, dim: int, heads: int, ffn_mult: int, rng: np.random.Generator):
-        self.blocks = [TwoWayBlock(f"lfrm.two_way.{i}", dim, heads, ffn_mult, rng)
+    def __init__(self, dim: int, heads: int, ffn_mult: int, source):
+        self.blocks = [TwoWayBlock(f"lfrm.two_way.{i}", dim, heads, ffn_mult, source)
                        for i in range(NUM_TWO_WAY_BLOCKS)]
-        self.fusion = Fusion("lfrm.fusion", dim, heads, ffn_mult, rng)
+        self.fusion = Fusion("lfrm.fusion", dim, heads, ffn_mult, source)
 
     def __call__(self, p_re: Tensor, x_local: Tensor) -> Tensor:
         f_p, f_i = p_re, x_local

@@ -34,11 +34,11 @@ class LossWeights:
 class Heads(Module):
     """Classifier heads over the learned features."""
 
-    def __init__(self, dim: int, num_ids: int, num_views: int,
-                 rng: np.random.Generator, with_local: bool = True, with_view: bool = True):
-        self.id_global = Linear("heads.id_global", dim, num_ids, rng)
-        self.id_local = Linear("heads.id_local", dim, num_ids, rng) if with_local else None
-        self.view = Linear("heads.view", dim, num_views, rng) if with_view else None
+    def __init__(self, dim: int, num_ids: int, num_views: int, source,
+                 with_local: bool = True, with_view: bool = True):
+        self.id_global = Linear("heads.id_global", dim, num_ids, source)
+        self.id_local = Linear("heads.id_local", dim, num_ids, source) if with_local else None
+        self.view = Linear("heads.view", dim, num_views, source) if with_view else None
 
 
 def ce_loss(features: Tensor, labels: np.ndarray, classifier: Linear) -> Tensor:

@@ -23,9 +23,9 @@ from .lfrm import LFRM
 from .losses import (
     Heads, LossParts, LossWeights, ce_loss, orthogonality_loss, soft_triplet_loss, total_loss,
 )
-from .nn import Module, expand_rows, trunc_normal
+from .nn import Module, expand_rows, param
 from .prm import PRM, VARIANTS
-from .tensor import Parameter, Tensor, reshape
+from .tensor import Tensor, reshape
 
 ABLATIONS = ("none", "no-prm", "no-vdt", "no-lfrm", "baseline")
 
@@ -76,22 +76,16 @@ class ModelOutput:
 
 
 class SeCapModel(Module):
-    def __init__(self, cfg: ModelConfig):
+    def __init__(self, cfg: ModelConfig, table=None):
+        """Build `cfg`'s layers: component i draws from stream [seed, i], or all take from a TableSource."""
         self.cfg = cfg
-        d = cfg.encoder.embed_dim
-        self.encoder = Encoder(cfg.encoder, np.random.default_rng([cfg.seed, 0]), with_view=cfg.uses_vdt)
-        self.prompts: Optional[Parameter] = None
-        self.prm: Optional[PRM] = None
-        self.lfrm: Optional[LFRM] = None
-        if cfg.uses_lfrm:
-            self.prompts = Parameter(
-                "prm.prompts", trunc_normal(np.random.default_rng([cfg.seed, 1]), (cfg.prompt_len, d)))
-            if cfg.uses_prm:
-                self.prm = PRM(self.prompts, cfg.prm_variant, cfg.encoder.heads,
-                               cfg.encoder.ffn_mult, np.random.default_rng([cfg.seed, 2]))
-            self.lfrm = LFRM(d, cfg.encoder.heads, cfg.encoder.ffn_mult, np.random.default_rng([cfg.seed, 3]))
-        self.heads = Heads(d, cfg.num_ids, cfg.num_views, np.random.default_rng([cfg.seed, 4]),
-                           with_local=cfg.uses_lfrm, with_view=cfg.uses_vdt)
+        e, d = cfg.encoder, cfg.encoder.embed_dim
+        sources = [np.random.default_rng([cfg.seed, i]) for i in range(5)] if table is None else [table] * 5
+        self.encoder = Encoder(e, sources[0], with_view=cfg.uses_vdt)
+        self.prompts = param(sources[1], "prm.prompts", (cfg.prompt_len, d)) if cfg.uses_lfrm else None
+        self.prm = PRM(self.prompts, cfg.prm_variant, e.heads, e.ffn_mult, sources[2]) if cfg.uses_prm else None
+        self.lfrm = LFRM(d, e.heads, e.ffn_mult, sources[3]) if cfg.uses_lfrm else None
+        self.heads = Heads(d, cfg.num_ids, cfg.num_views, sources[4], with_local=cfg.uses_lfrm, with_view=cfg.uses_vdt)
 
     def forward(self, images: np.ndarray) -> ModelOutput:
         enc: EncoderOutput = self.encoder.encode(images)

@@ -4,6 +4,8 @@ Every layer is a Module that owns named Parameters (dotted paths, unique per
 model). Module.parameters() derives the registry from the layer's attributes
 in assignment order, so the order __init__ builds a layer in is the order of
 the optimizer and checkpoint layouts; no layer lists its parameters by hand.
+Each layer names each parameter once, through `param`, from one source: a
+seeded Generator when training, a checkpoint's TableSource when loading.
 """
 
 from __future__ import annotations
@@ -23,6 +25,15 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.n
     """Normal(0, std) truncated to two standard deviations, by inverse-CDF
     sampling in float64 and rounded once to float32."""
     return (std * ndtri(rng.uniform(ndtr(-2.0), ndtr(2.0), size=shape))).astype(np.float32)
+
+
+def param(source, name: str, shape: tuple, std: float = INIT_STD, fill=None) -> Parameter:
+    """The parameter `name` from its layer's source: drawn from a Generator (filled with `fill`
+    instead when given, drawing nothing), or taken from any other source by name and shape."""
+    if not isinstance(source, np.random.Generator):
+        return source(name, shape)
+    data = trunc_normal(source, shape, std) if fill is None else np.full(shape, fill, np.float32)
+    return Parameter(name, data, copy=None)
 
 
 def expand_rows(token: Tensor, batch: int) -> Tensor:
@@ -71,10 +82,9 @@ class Linear(Module):
     # the flat convention sits ~6x below unit gain, attenuating signal through
     # every projection and stalling from-scratch training. Tokens and prompts
     # keep INIT_STD.
-    def __init__(self, name: str, d_in: int, d_out: int, rng: np.random.Generator,
-                 with_bias: bool = True):
-        self.weight = Parameter(f"{name}.weight", trunc_normal(rng, (d_in, d_out), std=1.0 / math.sqrt(d_in)))
-        self.bias = Parameter(f"{name}.bias", np.zeros(d_out, np.float32)) if with_bias else None
+    def __init__(self, name: str, d_in: int, d_out: int, source, with_bias: bool = True):
+        self.weight = param(source, f"{name}.weight", (d_in, d_out), std=1.0 / math.sqrt(d_in))
+        self.bias = param(source, f"{name}.bias", (d_out,), fill=0.0) if with_bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
@@ -86,9 +96,9 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, name: str, dim: int):
-        self.gamma = Parameter(f"{name}.gamma", np.ones(dim, np.float32))
-        self.beta = Parameter(f"{name}.beta", np.zeros(dim, np.float32))
+    def __init__(self, name: str, dim: int, source):
+        self.gamma = param(source, f"{name}.gamma", (dim,), fill=1.0)
+        self.beta = param(source, f"{name}.beta", (dim,), fill=0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta)
@@ -101,14 +111,14 @@ class MultiHeadAttention(Module):
     both self- and cross-attention.
     """
 
-    def __init__(self, name: str, dim: int, heads: int, rng: np.random.Generator):
+    def __init__(self, name: str, dim: int, heads: int, source):
         self.heads = heads
-        self.wq = Linear(f"{name}.wq", dim, dim, rng)
+        self.wq = Linear(f"{name}.wq", dim, dim, source)
         # a key bias shifts every score of a query equally; softmax ignores it,
         # so it would be a parameter with an identically zero gradient
-        self.wk = Linear(f"{name}.wk", dim, dim, rng, with_bias=False)
-        self.wv = Linear(f"{name}.wv", dim, dim, rng)
-        self.wo = Linear(f"{name}.wo", dim, dim, rng)
+        self.wk = Linear(f"{name}.wk", dim, dim, source, with_bias=False)
+        self.wv = Linear(f"{name}.wv", dim, dim, source)
+        self.wo = Linear(f"{name}.wo", dim, dim, source)
 
     def __call__(self, queries: Tensor, keys_values: Tensor) -> Tensor:
         out, _ = attention(self.wq(queries), self.wk(keys_values), self.wv(keys_values), self.heads)
@@ -119,9 +129,9 @@ class MultiHeadAttention(Module):
 
 
 class FeedForward(Module):
-    def __init__(self, name: str, dim: int, mult: int, rng: np.random.Generator):
-        self.fc1 = Linear(f"{name}.fc1", dim, dim * mult, rng)
-        self.fc2 = Linear(f"{name}.fc2", dim * mult, dim, rng)
+    def __init__(self, name: str, dim: int, mult: int, source):
+        self.fc1 = Linear(f"{name}.fc1", dim, dim * mult, source)
+        self.fc2 = Linear(f"{name}.fc2", dim * mult, dim, source)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(gelu(self.fc1(x)))

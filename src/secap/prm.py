@@ -14,8 +14,6 @@ rows. Older `attn` checkpoints also hold the six query and key tensors
 
 from __future__ import annotations
 
-import numpy as np
-
 from .nn import FeedForward, Module, MultiHeadAttention, expand_rows
 from .tensor import Parameter, Tensor, add, concat, reshape
 
@@ -26,18 +24,18 @@ ATTN_DROPPED_PARAMETERS = ("prm.ca.wq.weight", "prm.ca.wq.bias", "prm.ca.wk.weig
 
 
 class PRM(Module):
-    def __init__(self, prompts: Parameter, variant: str, heads: int, ffn_mult: int, rng: np.random.Generator):
+    def __init__(self, prompts: Parameter, variant: str, heads: int, ffn_mult: int, source):
         self.prompts = prompts
         self.variant = variant
         d = prompts.shape[1]
         if variant == "attn":
             # wq and wk are drawn and dropped, so every later tensor keeps its initial values
-            ca = MultiHeadAttention("prm.ca", d, heads, rng)
-            sa = MultiHeadAttention("prm.sa", d, heads, rng)
+            ca = MultiHeadAttention("prm.ca", d, heads, source)
+            sa = MultiHeadAttention("prm.sa", d, heads, source)
             self.chain = [ca.wv, ca.wo, sa.wv, sa.wo]
         else:
-            self.sa = MultiHeadAttention("prm.sa", d, heads, rng)
-        self.ffn = FeedForward("prm.ffn", d, ffn_mult, rng)
+            self.sa = MultiHeadAttention("prm.sa", d, heads, source)
+        self.ffn = FeedForward("prm.ffn", d, ffn_mult, source)
 
     def __call__(self, x_inv: Tensor) -> Tensor:
         length, d = self.prompts.shape

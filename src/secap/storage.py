@@ -7,8 +7,10 @@ little-endian regardless of host order so files transfer between machines.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,63 +61,57 @@ def save_rten(path, arr: np.ndarray) -> None:
 
 
 class _Cursor:
-    """Byte reader that reports the offset of the first malformed field."""
+    """Reader of an open binary file that reports the offset of the first malformed
+    field, and refuses a read the rest of the file cannot hold before making it."""
 
-    def __init__(self, buf: bytes, *, label: str):
-        self.buf = buf
+    def __init__(self, fh, *, label: str):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.pos = 0
         self.label = label
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.buf):
+    def fits(self, n: int, what: str) -> None:
+        if self.pos + n > self.size:
             raise ParseError(f"{self.label}: truncated while reading {what}", self.pos)
-        out = self.buf[self.pos : self.pos + n]
+
+    def take(self, n: int, what: str) -> bytes:
+        self.fits(n, what)
         self.pos += n
-        return out
+        return self.fh.read(n)
 
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
-
-    def u16(self, what: str) -> int:
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u64(self, what: str) -> int:
-        return struct.unpack("<Q", self.take(8, what))[0]
+    def uint(self, fmt: str, what: str) -> int:
+        return struct.unpack("<" + fmt, self.take(struct.calcsize(fmt), what))[0]
 
 
 def _read_array(cur: _Cursor) -> np.ndarray:
+    """One array record, its payload read straight into an owned, writable array."""
     at = cur.pos
-    code = cur.u8("dtype code")
+    code = cur.uint("B", "dtype code")
     if code not in _CODE_TO_DTYPE:
         raise ParseError(f"{cur.label}: unknown dtype code {code}", at)
-    rank = cur.u8("rank")
-    shape = tuple(cur.u64(f"dim {i}") for i in range(rank))
-    count = 1
-    for d in shape:
-        count *= d
-    raw = cur.take(count * _CODE_TO_DTYPE[code].itemsize, "payload")
-    flat = np.frombuffer(raw, dtype=_CODE_TO_DTYPE[code])
-    try:  # an empty payload passes take() even beside a dim numpy cannot hold
-        arr = flat.reshape(shape)
+    rank = cur.uint("B", "rank")
+    shape = tuple(cur.uint("Q", f"dim {i}") for i in range(rank))
+    cur.fits(math.prod(shape) * _CODE_TO_DTYPE[code].itemsize, "payload")  # before allocating for it
+    try:  # an empty payload fits even beside a dim numpy cannot hold
+        arr = np.empty(shape, _CODE_TO_DTYPE[code])
     except ValueError as exc:
         raise ParseError(f"{cur.label}: shape {shape} does not fit an array ({exc})", at) from None
-    return arr.astype(_CODE_TO_NATIVE[code])
+    cur.pos += cur.fh.readinto(arr)
+    return arr.astype(_CODE_TO_NATIVE[code], copy=False)
 
 
 def load_rten(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    cur = _Cursor(buf, label=str(path))
-    magic = cur.take(len(RTEN_MAGIC), "magic")
-    if magic != RTEN_MAGIC:
-        raise ParseError(f"{path}: bad magic {magic!r}, expected {RTEN_MAGIC!r}", 0)
-    at = cur.pos
-    version = cur.u8("version")
-    if version != RTEN_VERSION:
-        raise ParseError(f"{path}: unsupported version {version}", at)
-    arr = _read_array(cur)
-    if cur.pos != len(buf):
-        raise ParseError(f"{path}: {len(buf) - cur.pos} trailing bytes", cur.pos)
+        cur = _Cursor(fh, label=str(path))
+        magic = cur.take(len(RTEN_MAGIC), "magic")
+        if magic != RTEN_MAGIC:
+            raise ParseError(f"{path}: bad magic {magic!r}, expected {RTEN_MAGIC!r}", 0)
+        version = cur.uint("B", "version")
+        if version != RTEN_VERSION:
+            raise ParseError(f"{path}: unsupported version {version}", len(RTEN_MAGIC))
+        arr = _read_array(cur)
+    if cur.pos != cur.size:
+        raise ParseError(f"{path}: {cur.size - cur.pos} trailing bytes", cur.pos)
     return arr
 
 
@@ -168,56 +164,64 @@ def _parse_metadata(raw: bytes, *, label: str) -> dict:
 
 
 def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Read a checkpoint; returns (metadata, name -> array in file order)."""
+    """Read a checkpoint; returns (metadata, name -> array in file order). The file is never held
+    whole: each payload is read into a writable array of its own (safetensors' no-copy load)."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    cur = _Cursor(buf, label=str(path))
-    try:
-        magic = cur.take(len(CKPT_MAGIC), "magic")
-        if magic != CKPT_MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint (magic {magic!r})")
-        version = cur.u16("version")
-        if version != CKPT_VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        meta_len = cur.u64("metadata length")
-        meta = _parse_metadata(cur.take(meta_len, "metadata"), label=str(path))
-        count = cur.u64("parameter count")
-        table: Dict[str, np.ndarray] = {}
-        for _ in range(count):
-            name_len = cur.u16("name length")
-            at = cur.pos
-            try:
-                name = cur.take(name_len, "name").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"{path}: parameter name is not UTF-8", at + exc.start) from None
-            if name in table:
-                raise CheckpointError(f"{path}: duplicate parameter {name!r}")
-            table[name] = _read_array(cur)
-    except ParseError as exc:
-        raise CheckpointError(f"{path}: corrupt checkpoint: {exc}") from exc
-    if cur.pos != len(buf):
-        raise CheckpointError(f"{path}: {len(buf) - cur.pos} trailing bytes")
+        cur = _Cursor(fh, label=str(path))
+        try:
+            magic = cur.take(len(CKPT_MAGIC), "magic")
+            if magic != CKPT_MAGIC:
+                raise CheckpointError(f"{path}: not a checkpoint (magic {magic!r})")
+            version = cur.uint("H", "version")
+            if version != CKPT_VERSION:
+                raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+            meta_len = cur.uint("Q", "metadata length")
+            meta = _parse_metadata(cur.take(meta_len, "metadata"), label=str(path))
+            count = cur.uint("Q", "parameter count")
+            table: Dict[str, np.ndarray] = {}
+            for _ in range(count):
+                name_len = cur.uint("H", "name length")
+                at = cur.pos
+                try:
+                    name = cur.take(name_len, "name").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(f"{path}: parameter name is not UTF-8", at + exc.start) from None
+                if name in table:
+                    raise CheckpointError(f"{path}: duplicate parameter {name!r}")
+                table[name] = _read_array(cur)
+        except ParseError as exc:
+            raise CheckpointError(f"{path}: corrupt checkpoint: {exc}") from exc
+    if cur.pos != cur.size:
+        raise CheckpointError(f"{path}: {cur.size - cur.pos} trailing bytes")
     return meta, table
 
 
-def load_into(params: Sequence[Parameter], table: Mapping[str, np.ndarray]) -> None:
-    """Copy a loaded parameter table into live parameters, strictly matched."""
-    names = [p.name for p in params]
-    missing = [n for n in names if n not in table]
-    extra = [n for n in table if n not in set(names)]
-    if missing or extra:
-        raise CheckpointError(
-            f"parameter names do not match model: missing {missing or 'none'}, unexpected {extra or 'none'}"
-        )
-    for p in params:
-        arr = table[p.name]
-        if arr.shape != p.shape:
-            raise CheckpointError(
-                f"parameter {p.name!r}: checkpoint shape {arr.shape} != model shape {p.shape}"
-            )
+class TableSource:
+    """Loading's parameter source: each parameter adopts its table entry, cast to float32, and nothing
+    is drawn. Names in `dropped` are taken if present, unchecked (older `attn` tables hold them)."""
+
+    def __init__(self, table: Dict[str, np.ndarray], dropped: Sequence[str] = ()):
+        self.table, self.dropped, self.missing = table, dropped, []
+
+    def __call__(self, name: str, shape: tuple) -> Optional[Parameter]:
+        arr = self.table.pop(name, None)
+        if arr is None or name in self.dropped:  # None stands in: close() refuses a model missing a name
+            if name not in self.dropped:
+                self.missing.append(name)
+            return None
+        if arr.shape != shape:
+            raise CheckpointError(f"parameter {name!r}: checkpoint shape {arr.shape} != model shape {shape}")
+        with np.errstate(over="ignore"):  # a float64 value past float32 becomes inf, refused below
+            arr = arr.astype(np.float32, copy=False)
         if not np.isfinite(arr).all():
-            raise CheckpointError(f"parameter {p.name!r}: {int(np.sum(~np.isfinite(arr)))} non-finite values")
-        p.assign(arr)
+            raise CheckpointError(f"parameter {name!r}: {int(np.sum(~np.isfinite(arr)))} non-finite values")
+        return Parameter(name, arr, copy=None)
+
+    def close(self) -> None:
+        """Refuse a table whose names are not exactly those the model took."""
+        if self.missing or self.table:
+            raise CheckpointError(f"parameter names do not match model: missing {self.missing or 'none'}, "
+                                  f"unexpected {list(self.table) or 'none'}")
 
 
 # ---------------------------------------------------------------------------

@@ -83,13 +83,13 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data, requires_grad: bool = False, copy: Optional[bool] = True):
         arr = np.asarray(data)
         if not (isinstance(data, np.ndarray) and arr.dtype in (np.float32, np.float64)):
             # numpy float arrays keep their precision; everything else lands in f32
             arr = arr.astype(DEFAULT_DTYPE)
-        # own the buffer: callers mutating their array must not alias tensor state
-        self.data = np.array(arr, order="C")
+        # own the buffer so a caller's later writes never reach it; copy=None adopts an array handed over
+        self.data = np.array(arr, order="C", copy=copy)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
 
@@ -126,13 +126,14 @@ class Parameter(Tensor):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str, data):
-        super().__init__(data, requires_grad=True)
+    def __init__(self, name: str, data, copy: Optional[bool] = True):
+        super().__init__(data, requires_grad=True, copy=copy)
         self.name = name
 
     def assign(self, value: np.ndarray) -> None:
         """Overwrite every value: same shape, cast to this parameter's dtype,
-        copied so read-only sources (checkpoint views) stay probe-safe."""
+        and always copied, so the caller's array, read-only or not, never
+        aliases the parameter and in-place probes stay off it."""
         if value.shape != self.shape:
             raise DimensionError(
                 f"parameter {self.name}: cannot assign shape {value.shape} over {self.shape}")

@@ -25,7 +25,7 @@ from .losses import LossParts, LossWeights, orthogonality_loss
 from .model import ModelConfig, SeCapModel
 from .optim import SGD, cosine_lr
 from .prm import ATTN_DROPPED_PARAMETERS
-from .storage import CKPT_METADATA_OFFSET, load_checkpoint, load_into, save_checkpoint
+from .storage import CKPT_METADATA_OFFSET, TableSource, load_checkpoint, save_checkpoint
 from .tensor import backward, recording
 
 CHECKPOINT_VERSION_TAG = "secap-checkpoint"
@@ -101,8 +101,8 @@ def checkpoint_metadata(model: SeCapModel, train_cfg: TrainConfig, epoch: int, l
 
 
 def model_from_checkpoint(path) -> Tuple[SeCapModel, TrainConfig]:
-    """Rebuild the model a checkpoint was saved from, load its weights, and rebuild its run settings;
-    a checkpoint records no checkpoint_every or augment, so those hold their defaults."""
+    """Rebuild the model a checkpoint was saved from out of its table, drawing nothing, and rebuild
+    its run settings; a checkpoint records no checkpoint_every or augment, so those hold their defaults."""
     meta, table = load_checkpoint(path)
     if meta.get("format") != CHECKPOINT_VERSION_TAG:
         raise CheckpointError(f"{path}: metadata is not a model checkpoint")
@@ -116,7 +116,7 @@ def model_from_checkpoint(path) -> Tuple[SeCapModel, TrainConfig]:
             raise TypeError(f"'train' and 'weights' must be objects, got {type(t).__name__} and {type(w).__name__}")
         weights = LossWeights(**{attr: w[key] for key, attr in CHECKPOINT_WEIGHT_KEYS.items()})
         run = TrainConfig(model=cfg, weights=weights, **{k: t[k] for k in CHECKPOINT_TRAIN_KEYS})
-        # checked before building: a geometry the table does not hold could build until memory runs out
+        # checked before building, so every parameter the build asks for is bounded by the table
         blocks = {name.split(".")[2] for name in table if name.startswith("encoder.blocks.")}
         if enc.depth != len(blocks):  # bounds the depth by the table's size, whatever the blocks are named
             raise ValueError(f"encoder depth {enc.depth} but {len(blocks)} encoder blocks in the table")
@@ -133,16 +133,12 @@ def model_from_checkpoint(path) -> Tuple[SeCapModel, TrainConfig]:
             held = table[name].shape if name in table else "no entry"
             if held != shape:
                 raise ValueError(f"metadata geometry gives {name} shape {shape}, but the table holds {held}")
-        model = SeCapModel(cfg)  # a geometry too large to allocate is malformed too
-    except (KeyError, TypeError, ValueError, MemoryError) as exc:
-        raise CheckpointError(
-            f"{path}: malformed metadata (byte offset {CKPT_METADATA_OFFSET}): "
-            f"{type(exc).__name__} {exc}"
-        ) from None
-    if model.prm is not None and model.prm.variant == "attn":  # older checkpoints also hold these
-        for name in ATTN_DROPPED_PARAMETERS:
-            table.pop(name, None)
-    load_into(model.parameters(), table)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed metadata (byte offset {CKPT_METADATA_OFFSET}): "
+                              f"{type(exc).__name__} {exc}") from None
+    source = TableSource(table, ATTN_DROPPED_PARAMETERS if cfg.uses_prm and cfg.prm_variant == "attn" else ())
+    model = SeCapModel(cfg, source)
+    source.close()
     return model, run
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -109,6 +110,25 @@ class TestRegistry:
     def test_parameter_order_is_the_checkpoint_layout(self, ablate, variant):
         model = SeCapModel(micro_cfg(ablate=ablate, prm_variant=variant))
         assert [p.name for p in model.parameters()] == expected_layout(ablate, variant)
+
+    # SHA-256 of every parameter's name, shape and bytes as training draws them: a change that
+    # reorders or re-seeds the draws fails here (criterion 8 only compares two runs of one tree)
+    @pytest.mark.parametrize("ablate, variant, digest", [
+        ("none", "attn", "242c6beddb2827d7a4f121ea8aff846ea6d76e7da41b5c562fa48ae5b1cf6f0a"),
+        ("none", "add", "b9979dc2a3bad9846e1ff2ecb4ee18f803fdb1dedc3f3dd3ec5d85a18b70b7ee"),
+        ("none", "cat", "b9979dc2a3bad9846e1ff2ecb4ee18f803fdb1dedc3f3dd3ec5d85a18b70b7ee"),
+        ("no-prm", "attn", "bc712d5a1c7b23bc9744cfb5c4ed4b87b264e403587af64a4c15889aa48bc420"),
+        ("no-vdt", "attn", "9f676f20dd38f96b797282f60d10020ea8e391808ae88e6df7572c5c87b461f8"),
+        ("no-lfrm", "attn", "0084ed7bf33253dd5ff79502fedcee45a853280eaaee9fec8f228ed283ca2415"),
+        ("baseline", "attn", "ff9b6367e31b7c2b896647cc86198235e3325aaedcac7163fafd769a4b7d63d7"),
+    ])
+    def test_initial_draws_are_pinned(self, ablate, variant, digest):
+        model = SeCapModel(micro_cfg(ablate=ablate, prm_variant=variant, num_ids=3, seed=7))
+        h = hashlib.sha256()
+        for p in model.parameters():
+            h.update(f"{p.name}{p.shape}".encode())
+            h.update(p.data.tobytes())
+        assert h.hexdigest() == digest
 
     def test_unknown_ablation_rejected(self):
         with pytest.raises(ConfigurationError):

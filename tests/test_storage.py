@@ -12,10 +12,10 @@ from secap.errors import CheckpointError, ParseError
 from secap.storage import (
     CKPT_MAGIC,
     CKPT_VERSION,
+    TableSource,
     checkpoint_bytes,
     load_checkpoint,
     load_image,
-    load_into,
     load_ppm,
     load_rten,
     rten_bytes,
@@ -162,38 +162,38 @@ class TestCheckpoint:
         b = checkpoint_bytes(params, {"y": 2, "x": 1})
         assert a == b
 
-    def test_load_into_round_trip(self, tmp_path, rng):
+    def test_table_source_round_trip(self, tmp_path, rng):
         params = _params(rng)
         p = tmp_path / "a.ckpt"
         save_checkpoint(p, params, {})
-        fresh = _params(np.random.default_rng(99))
         _, table = load_checkpoint(p)
-        load_into(fresh, table)
+        entries = dict(table)
+        source = TableSource(table)
+        fresh = [source(q.name, q.shape) for q in params]
+        source.close()
         for orig, new in zip(params, fresh):
             assert np.array_equal(orig.data, new.data)
+            assert new.data is entries[new.name] and new.data.flags.writeable  # adopted, not copied
 
-    def test_load_into_rejects_missing_and_extra_names(self, tmp_path, rng):
+    def test_table_source_rejects_missing_and_extra_names(self, tmp_path, rng):
         params = _params(rng)
         p = tmp_path / "a.ckpt"
         save_checkpoint(p, params, {})
-        _, table = load_checkpoint(p)
-        with pytest.raises(CheckpointError, match="names"):
-            load_into(params[:2], table)
-        with pytest.raises(CheckpointError, match="names"):
-            load_into(params + [Parameter("other", np.zeros(2, dtype=np.float32))], table)
+        for asked in (params[:2], params + [Parameter("other", np.zeros(2, dtype=np.float32))]):
+            source = TableSource(load_checkpoint(p)[1])
+            for q in asked:
+                source(q.name, q.shape)
+            with pytest.raises(CheckpointError, match="names"):
+                source.close()
 
-    def test_load_into_rejects_shape_mismatch(self, tmp_path, rng):
+    def test_table_source_rejects_shape_mismatch(self, tmp_path, rng):
         params = _params(rng)
         p = tmp_path / "a.ckpt"
         save_checkpoint(p, params, {})
-        _, table = load_checkpoint(p)
-        bad = [
-            Parameter("enc.w", np.zeros((4, 3), dtype=np.float32)),
-            Parameter("enc.b", np.zeros(5, dtype=np.float32)),
-            Parameter("head.w", np.zeros((3, 2), dtype=np.float32)),
-        ]
+        source = TableSource(load_checkpoint(p)[1])
+        source("enc.w", (4, 3))
         with pytest.raises(CheckpointError, match="shape"):
-            load_into(bad, table)
+            source("enc.b", (5,))
 
     def test_unknown_version_rejected(self, tmp_path, rng):
         blob = bytearray(checkpoint_bytes(_params(rng), {}))

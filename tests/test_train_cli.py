@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import glob
 import importlib
 import json
 import math
@@ -9,6 +10,7 @@ import os
 import re
 import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +19,6 @@ from hypothesis import strategies as st
 
 import secap.data
 import secap.encoder
-import secap.lfrm
-import secap.model
 import secap.nn
 import secap.storage
 from secap import cli
@@ -42,7 +42,6 @@ from secap.evaluate import (
 )
 from secap.losses import LossWeights
 from secap.model import ABLATIONS, ModelConfig, SeCapModel
-from secap.nn import trunc_normal
 from secap.prm import ATTN_DROPPED_PARAMETERS
 from secap.storage import (
     CKPT_MAGIC, CKPT_METADATA_OFFSET, CKPT_VERSION, load_checkpoint, load_rten, save_checkpoint, save_rten,
@@ -773,16 +772,20 @@ def test_metadata_field_values_load_or_are_refused(attn_and_baseline_checkpoints
     section, key = field
     ckpt = tmp_path / "value.ckpt"
     save_checkpoint(str(ckpt), params, {**meta, section: {**meta[section], key: value}})
-    # a parameter larger than any the table holds fails the test instead of allocating
+    # loading draws nothing, and the geometry pre-check bounds every shape the build asks the table for
     largest = max(p.data.size for p in params)
+    real_take = secap.storage.TableSource.__call__
 
-    def bounded_draw(rng, shape, **kwargs):
+    def bounded_take(source, name, shape):
         if math.prod(shape) > largest:
-            pytest.fail(f"{key}={value!r} draws a {shape} parameter")
-        return trunc_normal(rng, shape, **kwargs)
+            pytest.fail(f"{key}={value!r} asks the table for a {shape} parameter")
+        return real_take(source, name, shape)
 
-    for module in (secap.nn, secap.encoder, secap.model, secap.lfrm):
-        monkeypatch.setattr(module, "trunc_normal", bounded_draw)
+    def no_draw(*args, **kwargs):
+        pytest.fail(f"{key}={value!r} draws a parameter on load")
+
+    monkeypatch.setattr(secap.storage.TableSource, "__call__", bounded_take)
+    monkeypatch.setattr(secap.nn, "trunc_normal", no_draw)
     try:
         model_from_checkpoint(str(ckpt))
     except CheckpointError:
@@ -800,6 +803,49 @@ def test_add_checkpoint_without_a_query_projection_is_io(tmp_path, capsys):
     manifest.write_text("#secap-manifest v1\n")
     assert cli.main(["eval", "--checkpoint", ckpt, "--manifest", str(manifest)]) == cli.EXIT_IO
     assert "missing ['prm.sa.wq.weight'], unexpected none" in capsys.readouterr().err
+
+
+GOLDEN_CHECKPOINTS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "data", "*", "*.ckpt")))
+
+
+def test_loading_draws_nothing_and_holds_the_file_once(tmp_path, monkeypatch):
+    """Every parameter adopts its table entry with nothing drawn, and loading a mid-size
+    checkpoint peaks near the file size: the file is never held whole beside the table."""
+    model = SeCapModel(ModelConfig(encoder=EncoderConfig(embed_dim=192, depth=4), num_ids=2, seed=1))
+    ckpt = str(tmp_path / "mid.ckpt")
+    save_checkpoint(ckpt, model.parameters(), checkpoint_metadata(model, TrainConfig(model=model.cfg), 0, [0, 1]))
+    del model
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("loading drew a parameter")
+
+    monkeypatch.setattr(secap.nn, "trunc_normal", no_draw)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)  # where secap.model's seeded streams come from
+    assert len(GOLDEN_CHECKPOINTS) >= 8
+    for path in GOLDEN_CHECKPOINTS + [ckpt]:
+        loaded, _ = model_from_checkpoint(path)
+        _, table = load_checkpoint(path)
+        assert all(p.data.tobytes() == table[p.name].tobytes() for p in loaded.parameters()), path
+    del loaded, table
+    tracemalloc.start()
+    try:
+        model_from_checkpoint(ckpt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * os.path.getsize(ckpt)
+
+
+def test_record_larger_than_the_file_is_refused_before_allocating(tmp_path, capsys):
+    meta = json.dumps({}).encode()
+    ckpt = tmp_path / "oversized.ckpt"
+    ckpt.write_bytes(CKPT_MAGIC + struct.pack("<HQ", CKPT_VERSION, len(meta)) + meta + struct.pack("<QH", 1, 1)
+                     + b"w" + struct.pack("<BB2Q", 0, 2, 2**31, 2**31) + bytes(16))
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("#secap-manifest v1\n")
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert "truncated while reading payload" in err and "out of memory" not in err
 
 
 class TestCliErrors:
@@ -895,11 +941,14 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert f"malformed metadata (byte offset {CKPT_METADATA_OFFSET}): " in err and message in err
 
-    @pytest.mark.parametrize("name, value", [
-        ("encoder.proj.weight", np.nan), ("heads.view.weight", np.nan), ("heads.id_global.weight", np.inf),
-    ], ids=["nan-projection", "nan-view-head", "inf-identity-head"])
-    def test_non_finite_parameter_is_io(self, tmp_path, capsys, name, value):
+    @pytest.mark.parametrize("name, value, dtype", [
+        ("encoder.proj.weight", np.nan, np.float32), ("heads.view.weight", np.nan, np.float32),
+        ("heads.id_global.weight", np.inf, np.float32), ("encoder.proj.weight", 1e300, np.float64),
+    ], ids=["nan-projection", "nan-view-head", "inf-identity-head", "float64-overflow"])
+    def test_non_finite_parameter_is_io(self, tmp_path, capsys, name, value, dtype):
+        # a finite float64 entry past float32's range is refused too: the parameter would hold inf
         meta, table = load_checkpoint(os.path.join(GOLDEN_VARIANTS, "add.ckpt"))
+        table[name] = table[name].astype(dtype)
         table[name].flat[3] = value
         ckpt = str(tmp_path / "non-finite.ckpt")
         save_checkpoint(ckpt, [Parameter(n, a) for n, a in table.items()], meta)
