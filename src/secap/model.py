@@ -25,6 +25,7 @@ from .losses import (
 )
 from .nn import Module, expand_rows, param
 from .prm import PRM, VARIANTS
+from .storage import TableSource
 from .tensor import Tensor, reshape
 
 ABLATIONS = ("none", "no-prm", "no-vdt", "no-lfrm", "baseline")
@@ -76,11 +77,11 @@ class ModelOutput:
 
 
 class SeCapModel(Module):
-    def __init__(self, cfg: ModelConfig, table=None):
-        """Build `cfg`'s layers: component i draws from stream [seed, i], or all take from a TableSource."""
+    def __init__(self, cfg: ModelConfig, source: Optional[TableSource] = None):
+        """Build `cfg`'s layers: component i draws from stream [seed, i], or all take from `source`."""
         self.cfg = cfg
         e, d = cfg.encoder, cfg.encoder.embed_dim
-        sources = [np.random.default_rng([cfg.seed, i]) for i in range(5)] if table is None else [table] * 5
+        sources = [np.random.default_rng([cfg.seed, i]) for i in range(5)] if source is None else [source] * 5
         self.encoder = Encoder(e, sources[0], with_view=cfg.uses_vdt)
         self.prompts = param(sources[1], "prm.prompts", (cfg.prompt_len, d)) if cfg.uses_lfrm else None
         self.prm = PRM(self.prompts, cfg.prm_variant, e.heads, e.ffn_mult, sources[2]) if cfg.uses_prm else None

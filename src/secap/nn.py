@@ -33,7 +33,7 @@ def param(source, name: str, shape: tuple, std: float = INIT_STD, fill=None) -> 
     if not isinstance(source, np.random.Generator):
         return source(name, shape)
     data = trunc_normal(source, shape, std) if fill is None else np.full(shape, fill, np.float32)
-    return Parameter(name, data, copy=None)
+    return Parameter(name, data, copy=False)
 
 
 def expand_rows(token: Tensor, batch: int) -> Tensor:

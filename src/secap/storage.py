@@ -6,6 +6,7 @@ little-endian regardless of host order so files transfer between machines.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -61,14 +62,11 @@ def save_rten(path, arr: np.ndarray) -> None:
 
 
 class _Cursor:
-    """Reader of an open binary file that reports the offset of the first malformed
-    field, and refuses a read the rest of the file cannot hold before making it."""
+    """Reader of a binary stream of `size` bytes that reports the offset of the first
+    malformed field, and refuses a read the rest of the stream cannot hold before making it."""
 
-    def __init__(self, fh, *, label: str):
-        self.fh = fh
-        self.size = os.fstat(fh.fileno()).st_size
-        self.pos = 0
-        self.label = label
+    def __init__(self, fh, size: int, *, label: str):
+        self.fh, self.size, self.pos, self.label = fh, size, 0, label
 
     def fits(self, n: int, what: str) -> None:
         if self.pos + n > self.size:
@@ -102,14 +100,15 @@ def _read_array(cur: _Cursor) -> np.ndarray:
 
 def load_rten(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        cur = _Cursor(fh, label=str(path))
-        magic = cur.take(len(RTEN_MAGIC), "magic")
-        if magic != RTEN_MAGIC:
-            raise ParseError(f"{path}: bad magic {magic!r}, expected {RTEN_MAGIC!r}", 0)
-        version = cur.uint("B", "version")
-        if version != RTEN_VERSION:
-            raise ParseError(f"{path}: unsupported version {version}", len(RTEN_MAGIC))
-        arr = _read_array(cur)
+        buf = fh.read()  # images are small: one read, then parsed in memory
+    cur = _Cursor(io.BytesIO(buf), len(buf), label=str(path))
+    magic = cur.take(len(RTEN_MAGIC), "magic")
+    if magic != RTEN_MAGIC:
+        raise ParseError(f"{path}: bad magic {magic!r}, expected {RTEN_MAGIC!r}", 0)
+    version = cur.uint("B", "version")
+    if version != RTEN_VERSION:
+        raise ParseError(f"{path}: unsupported version {version}", len(RTEN_MAGIC))
+    arr = _read_array(cur)
     if cur.pos != cur.size:
         raise ParseError(f"{path}: {cur.size - cur.pos} trailing bytes", cur.pos)
     return arr
@@ -167,7 +166,7 @@ def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
     """Read a checkpoint; returns (metadata, name -> array in file order). The file is never held
     whole: each payload is read into a writable array of its own (safetensors' no-copy load)."""
     with open(path, "rb") as fh:
-        cur = _Cursor(fh, label=str(path))
+        cur = _Cursor(fh, os.fstat(fh.fileno()).st_size, label=str(path))
         try:
             magic = cur.take(len(CKPT_MAGIC), "magic")
             if magic != CKPT_MAGIC:
@@ -215,7 +214,7 @@ class TableSource:
             arr = arr.astype(np.float32, copy=False)
         if not np.isfinite(arr).all():
             raise CheckpointError(f"parameter {name!r}: {int(np.sum(~np.isfinite(arr)))} non-finite values")
-        return Parameter(name, arr, copy=None)
+        return Parameter(name, arr, copy=False)
 
     def close(self) -> None:
         """Refuse a table whose names are not exactly those the model took."""

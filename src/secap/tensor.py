@@ -83,13 +83,13 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, copy: Optional[bool] = True):
+    def __init__(self, data, requires_grad: bool = False, copy: bool = True):
         arr = np.asarray(data)
         if not (isinstance(data, np.ndarray) and arr.dtype in (np.float32, np.float64)):
             # numpy float arrays keep their precision; everything else lands in f32
             arr = arr.astype(DEFAULT_DTYPE)
-        # own the buffer so a caller's later writes never reach it; copy=None adopts an array handed over
-        self.data = np.array(arr, order="C", copy=copy)
+        # own the buffer so a caller's later writes never reach it; copy=False adopts an array handed over
+        self.data = np.array(arr, order="C") if copy else np.asarray(arr, order="C")
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
 
@@ -126,7 +126,7 @@ class Parameter(Tensor):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str, data, copy: Optional[bool] = True):
+    def __init__(self, name: str, data, copy: bool = True):
         super().__init__(data, requires_grad=True, copy=copy)
         self.name = name
 

@@ -65,6 +65,17 @@ class TestConstruction:
     def test_numpy_float64_is_preserved(self):
         assert Tensor(np.zeros(3, dtype=np.float64)).dtype == np.float64
 
+    def test_copy_false_adopts_only_a_c_ordered_float_array(self):
+        """copy=False takes the caller's C-ordered float array as the tensor's own, rank 0
+        included, and copies anything else to C order; the default never aliases the caller."""
+        arr = np.arange(6, dtype=np.float32).reshape(2, 3)
+        assert Tensor(arr, copy=False).data is arr
+        assert not np.shares_memory(Tensor(arr).data, arr)
+        transposed = Tensor(arr.T, copy=False).data
+        assert transposed.flags.c_contiguous and np.array_equal(transposed, arr.T)
+        scalar = np.array(2.0)
+        assert Tensor(scalar, copy=False).data is scalar
+
     def test_item_rejects_non_scalar(self):
         with pytest.raises(ContractError):
             Tensor([1.0, 2.0]).item()
