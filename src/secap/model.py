@@ -84,7 +84,7 @@ class SeCapModel(Module):
         sources = [np.random.default_rng([cfg.seed, i]) for i in range(5)] if source is None else [source] * 5
         self.encoder = Encoder(e, sources[0], with_view=cfg.uses_vdt)
         self.prompts = param(sources[1], "prm.prompts", (cfg.prompt_len, d)) if cfg.uses_lfrm else None
-        self.prm = PRM(self.prompts, cfg.prm_variant, e.heads, e.ffn_mult, sources[2]) if cfg.uses_prm else None
+        self.prm = PRM(self.prompts, cfg.prm_variant, d, e.heads, e.ffn_mult, sources[2]) if cfg.uses_prm else None
         self.lfrm = LFRM(d, e.heads, e.ffn_mult, sources[3]) if cfg.uses_lfrm else None
         self.heads = Heads(d, cfg.num_ids, cfg.num_views, sources[4], with_local=cfg.uses_lfrm, with_view=cfg.uses_vdt)
 

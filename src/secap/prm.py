@@ -24,10 +24,9 @@ ATTN_DROPPED_PARAMETERS = ("prm.ca.wq.weight", "prm.ca.wq.bias", "prm.ca.wk.weig
 
 
 class PRM(Module):
-    def __init__(self, prompts: Parameter, variant: str, heads: int, ffn_mult: int, source):
+    def __init__(self, prompts: Parameter, variant: str, d: int, heads: int, ffn_mult: int, source):
         self.prompts = prompts
         self.variant = variant
-        d = prompts.shape[1]
         if variant == "attn":
             # wq and wk are drawn and dropped, so every later tensor keeps its initial values
             ca = MultiHeadAttention("prm.ca", d, heads, source)

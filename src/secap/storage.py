@@ -43,22 +43,20 @@ def _dtype_code(arr: np.ndarray) -> int:
 # .rten raw tensor files
 
 
-def _array_bytes(arr: np.ndarray) -> bytes:
-    """One array record: dtype code, rank, dims, little-endian payload; _read_array decodes it."""
-    arr = np.asarray(arr)  # ascontiguousarray would promote rank-0 to rank-1
+def _write_array(fh, arr: np.ndarray) -> None:
+    """Write one array record: dtype code, rank, dims, little-endian payload; _read_array reads it."""
     code = _dtype_code(arr)
-    head = struct.pack(f"<BB{arr.ndim}Q", code, arr.ndim, *arr.shape)
-    return head + arr.astype(_CODE_TO_DTYPE[code], copy=False, order="C").tobytes(order="C")
-
-
-def rten_bytes(arr: np.ndarray) -> bytes:
-    """Serialize one array: magic, version, then its array record."""
-    return RTEN_MAGIC + struct.pack("<B", RTEN_VERSION) + _array_bytes(arr)
+    fh.write(struct.pack(f"<BB{arr.ndim}Q", code, arr.ndim, *arr.shape))
+    fh.write(arr.astype(_CODE_TO_DTYPE[code], copy=False, order="C").data)
 
 
 def save_rten(path, arr: np.ndarray) -> None:
+    """Write one array: magic, version, then its array record."""
+    arr = np.asarray(arr)  # ascontiguousarray would promote rank-0 to rank-1
+    _dtype_code(arr)  # a refused array leaves no file
     with open(path, "wb") as fh:
-        fh.write(rten_bytes(arr))
+        fh.write(RTEN_MAGIC + struct.pack("<B", RTEN_VERSION))
+        _write_array(fh, arr)
 
 
 class _Cursor:
@@ -124,22 +122,21 @@ def load_rten(path) -> np.ndarray:
 # model construction fixes deterministically.
 
 
-def checkpoint_bytes(params: Sequence[Parameter], metadata: Mapping) -> bytes:
-    meta = json.dumps(dict(metadata), sort_keys=True, separators=(",", ":")).encode("utf-8")
-    out = [CKPT_MAGIC, struct.pack("<H", CKPT_VERSION), struct.pack("<Q", len(meta)), meta]
+def save_checkpoint(path, params: Sequence[Parameter], metadata: Mapping) -> None:
+    """Write a checkpoint record by record; names and dtypes are checked first, so a refused save
+    leaves no file."""
     names = [p.name for p in params]
     if len(set(names)) != len(names):
         raise CheckpointError("duplicate parameter names in checkpoint")
-    out.append(struct.pack("<Q", len(params)))
     for p in params:
-        name = p.name.encode("utf-8")
-        out.extend((struct.pack("<H", len(name)), name, _array_bytes(p.data)))
-    return b"".join(out)
-
-
-def save_checkpoint(path, params: Sequence[Parameter], metadata: Mapping) -> None:
+        _dtype_code(p.data)
+    meta = json.dumps(dict(metadata), sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(params, metadata))
+        fh.write(CKPT_MAGIC + struct.pack("<HQ", CKPT_VERSION, len(meta)) + meta + struct.pack("<Q", len(params)))
+        for p in params:
+            name = p.name.encode("utf-8")
+            fh.write(struct.pack("<H", len(name)) + name)
+            _write_array(fh, p.data)
 
 
 def _parse_metadata(raw: bytes, *, label: str) -> dict:

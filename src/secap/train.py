@@ -116,29 +116,20 @@ def model_from_checkpoint(path) -> Tuple[SeCapModel, TrainConfig]:
             raise TypeError(f"'train' and 'weights' must be objects, got {type(t).__name__} and {type(w).__name__}")
         weights = LossWeights(**{attr: w[key] for key, attr in CHECKPOINT_WEIGHT_KEYS.items()})
         run = TrainConfig(model=cfg, weights=weights, **{k: t[k] for k in CHECKPOINT_TRAIN_KEYS})
-        # checked before building, so every parameter the build asks for is bounded by the table
+        # the build's one loop over a metadata value: checked first, so no block is built beyond the table
         blocks = {name.split(".")[2] for name in table if name.startswith("encoder.blocks.")}
         if enc.depth != len(blocks):  # bounds the depth by the table's size, whatever the blocks are named
             raise ValueError(f"encoder depth {enc.depth} but {len(blocks)} encoder blocks in the table")
-        d = enc.embed_dim
-        shapes = {"encoder.proj.weight": (3 * enc.patch * enc.patch, d),
-                  "encoder.pos": (enc.num_patches + 1 + cfg.uses_vdt, d),
-                  f"encoder.blocks.{enc.depth - 1}.ffn.fc1.weight": (d, d * enc.ffn_mult),
-                  "heads.id_global.weight": (d, cfg.num_ids)}
-        if cfg.uses_lfrm:
-            shapes["prm.prompts"] = (cfg.prompt_len, d)
-        if cfg.uses_vdt:
-            shapes["heads.view.weight"] = (d, cfg.num_views)
-        for name, shape in shapes.items():
-            held = table[name].shape if name in table else "no entry"
-            if held != shape:
-                raise ValueError(f"metadata geometry gives {name} shape {shape}, but the table holds {held}")
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed metadata (byte offset {CKPT_METADATA_OFFSET}): "
                               f"{type(exc).__name__} {exc}") from None
+    # each layer asks the table for its parameters by name and shape: a geometry it does not hold is refused
     source = TableSource(table, ATTN_DROPPED_PARAMETERS if cfg.uses_prm and cfg.prm_variant == "attn" else ())
-    model = SeCapModel(cfg, source)
-    source.close()
+    try:
+        model = SeCapModel(cfg, source)
+        source.close()
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     return model, run
 
 

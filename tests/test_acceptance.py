@@ -143,7 +143,7 @@ def test_criterion_2_residual_identities(capsys):
 
     for variant in ("attn", "add", "cat"):
         prompts = Parameter("prm.prompts", trunc_normal(np.random.default_rng(5), (PROMPT_LEN, 64)))
-        prm = PRM(prompts, variant, 4, 2, rng)
+        prm = PRM(prompts, variant, 64, 4, 2, rng)
         prm.zero_output_projections()
         out = prm(Tensor(rng.standard_normal((3, 64)).astype(np.float32)))
         expected = np.ascontiguousarray(np.broadcast_to(prompts.data, (3, PROMPT_LEN, 64)))

@@ -18,7 +18,7 @@ def make_prompts(length=L, seed=5):
 
 
 def make_prm(variant, rng, dtype=np.float32, seed=5):
-    return PRM(make_prompts(L, seed), variant, HEADS, 2, rng).astype(dtype)
+    return PRM(make_prompts(L, seed), variant, D, HEADS, 2, rng).astype(dtype)
 
 
 def model_prompts(seed, prompt_len=L):
@@ -128,7 +128,7 @@ class TestCatMatchesFullSequence:
     @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
     @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
     def test_output(self, b, length, heads, dtype, rtol, rng):
-        prm = PRM(make_prompts(length), "cat", heads, 2, rng).astype(dtype)
+        prm = PRM(make_prompts(length), "cat", D, heads, 2, rng).astype(dtype)
         x_inv = Tensor(rng.standard_normal((b, D)).astype(dtype))
         out = prm(x_inv)
         assert out.shape == (b, length, D) and out.dtype == dtype
@@ -136,7 +136,7 @@ class TestCatMatchesFullSequence:
 
     @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
     def test_gradients(self, b, length, heads, rng):
-        prm = PRM(make_prompts(length), "cat", heads, 2, rng).astype(np.float64)
+        prm = PRM(make_prompts(length), "cat", D, heads, 2, rng).astype(np.float64)
         x_inv = Tensor(rng.standard_normal((b, D)), requires_grad=True)
         probe = Tensor(rng.standard_normal((b, length, D)))
         with recording():
@@ -171,7 +171,7 @@ class TestAttnMatchesFullBank:
     @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
     @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
     def test_output(self, b, length, heads, dtype, rtol, rng):
-        prm = PRM(make_prompts(length), "attn", heads, 2, rng).astype(dtype)
+        prm = PRM(make_prompts(length), "attn", D, heads, 2, rng).astype(dtype)
         ca, sa = full_attention_pair(prm, heads, rng)
         x_inv = Tensor(rng.standard_normal((b, D)).astype(dtype))
         out = prm(x_inv)
@@ -180,7 +180,7 @@ class TestAttnMatchesFullBank:
 
     @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
     def test_gradients(self, b, length, heads, rng):
-        prm = PRM(make_prompts(length), "attn", heads, 2, rng).astype(np.float64)
+        prm = PRM(make_prompts(length), "attn", D, heads, 2, rng).astype(np.float64)
         ca, sa = full_attention_pair(prm, heads, rng)
         x_inv = Tensor(rng.standard_normal((b, D)), requires_grad=True)
         probe = Tensor(rng.standard_normal((b, length, D)))
@@ -201,7 +201,7 @@ class TestAttnCollapse:
     @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
     @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
     def test_output_is_bank_plus_one_vector_per_image(self, b, length, heads, dtype, rtol, rng):
-        prm = PRM(make_prompts(length), "attn", heads, 2, rng).astype(dtype)
+        prm = PRM(make_prompts(length), "attn", D, heads, 2, rng).astype(dtype)
         ca, sa = full_attention_pair(prm, heads, rng)
         x_inv = Tensor(rng.standard_normal((b, D)).astype(dtype))
         g = prm.ffn(sa.wo(sa.wv(ca.wo(ca.wv(x_inv))))).data
@@ -212,7 +212,7 @@ class TestAttnCollapse:
 
     @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
     def test_query_and_key_projections_get_no_gradient(self, b, length, heads, rng):
-        prm = PRM(make_prompts(length), "attn", heads, 2, rng).astype(np.float64)
+        prm = PRM(make_prompts(length), "attn", D, heads, 2, rng).astype(np.float64)
         ca, sa = full_attention_pair(prm, heads, rng)
         x_inv = Tensor(rng.standard_normal((b, D)), requires_grad=True)
         probe = Tensor(rng.standard_normal((b, length, D)))

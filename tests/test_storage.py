@@ -13,12 +13,10 @@ from secap.storage import (
     CKPT_MAGIC,
     CKPT_VERSION,
     TableSource,
-    checkpoint_bytes,
     load_checkpoint,
     load_image,
     load_ppm,
     load_rten,
-    rten_bytes,
     save_checkpoint,
     save_ppm,
     save_rten,
@@ -35,6 +33,20 @@ def array_record(code, dims, payload=b""):
 UNHOLDABLE = (0, 2**62)
 
 
+def rten_bytes(tmp_path, arr):
+    """The bytes save_rten writes for `arr`."""
+    p = tmp_path / "saved.rten"
+    save_rten(p, arr)
+    return p.read_bytes()
+
+
+def checkpoint_bytes(tmp_path, params, metadata):
+    """The bytes save_checkpoint writes for `params` and `metadata`."""
+    p = tmp_path / "saved.ckpt"
+    save_checkpoint(p, params, metadata)
+    return p.read_bytes()
+
+
 class TestRten:
     def test_round_trip_f32(self, tmp_path, rng):
         arr = rng.standard_normal((3, 4, 5)).astype(np.float32)
@@ -47,10 +59,10 @@ class TestRten:
 
     def test_round_trip_f64_bytes_stable(self, tmp_path, rng):
         arr = rng.standard_normal((7,))
-        blob = rten_bytes(arr)
+        blob = rten_bytes(tmp_path, arr)
         p = tmp_path / "b.rten"
         p.write_bytes(blob)
-        assert rten_bytes(load_rten(p)) == blob
+        assert rten_bytes(tmp_path, load_rten(p)) == blob
 
     def test_scalar_rank_zero(self, tmp_path):
         p = tmp_path / "s.rten"
@@ -59,9 +71,9 @@ class TestRten:
         assert back.shape == ()
         assert back == 2.5
 
-    def test_header_layout(self, rng):
+    def test_header_layout(self, tmp_path):
         arr = np.zeros((2, 3), dtype=np.float32)
-        blob = rten_bytes(arr)
+        blob = rten_bytes(tmp_path, arr)
         assert blob[:4] == b"RTEN"
         assert blob[4] == 1  # version
         assert blob[5] == 0  # f32 code
@@ -78,7 +90,7 @@ class TestRten:
         assert exc.value.offset == 0
 
     def test_bad_version(self, tmp_path):
-        blob = bytearray(rten_bytes(np.zeros(2)))
+        blob = bytearray(rten_bytes(tmp_path, np.zeros(2)))
         blob[4] = 9
         p = tmp_path / "x.rten"
         p.write_bytes(bytes(blob))
@@ -87,7 +99,7 @@ class TestRten:
         assert exc.value.offset == 4
 
     def test_unknown_dtype_code(self, tmp_path):
-        blob = bytearray(rten_bytes(np.zeros(2)))
+        blob = bytearray(rten_bytes(tmp_path, np.zeros(2)))
         blob[5] = 7
         p = tmp_path / "x.rten"
         p.write_bytes(bytes(blob))
@@ -96,7 +108,7 @@ class TestRten:
         assert exc.value.offset == 5
 
     def test_truncated_payload(self, tmp_path):
-        blob = rten_bytes(np.zeros(4))
+        blob = rten_bytes(tmp_path, np.zeros(4))
         p = tmp_path / "x.rten"
         p.write_bytes(blob[:-8])
         with pytest.raises(ParseError, match="truncated"):
@@ -104,13 +116,15 @@ class TestRten:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         p = tmp_path / "x.rten"
-        p.write_bytes(rten_bytes(np.zeros(2)) + b"junk")
+        p.write_bytes(rten_bytes(tmp_path, np.zeros(2)) + b"junk")
         with pytest.raises(ParseError, match="trailing"):
             load_rten(p)
 
     def test_integer_arrays_rejected(self, tmp_path):
+        p = tmp_path / "int.rten"
         with pytest.raises(CheckpointError, match="dtype"):
-            rten_bytes(np.arange(4))
+            save_rten(p, np.arange(4))
+        assert not p.exists()  # refused before the file is opened
 
     def test_shape_numpy_cannot_hold(self, tmp_path):
         p = tmp_path / "x.rten"
@@ -156,10 +170,10 @@ class TestCheckpoint:
         save_checkpoint(p2, reloaded, meta2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_metadata_key_order_irrelevant_to_bytes(self, rng):
+    def test_metadata_key_order_irrelevant_to_bytes(self, tmp_path, rng):
         params = _params(rng)
-        a = checkpoint_bytes(params, {"x": 1, "y": 2})
-        b = checkpoint_bytes(params, {"y": 2, "x": 1})
+        a = checkpoint_bytes(tmp_path, params, {"x": 1, "y": 2})
+        b = checkpoint_bytes(tmp_path, params, {"y": 2, "x": 1})
         assert a == b
 
     def test_table_source_round_trip(self, tmp_path, rng):
@@ -196,7 +210,7 @@ class TestCheckpoint:
             source("enc.b", (5,))
 
     def test_unknown_version_rejected(self, tmp_path, rng):
-        blob = bytearray(checkpoint_bytes(_params(rng), {}))
+        blob = bytearray(checkpoint_bytes(tmp_path, _params(rng), {}))
         blob[9] = 99  # version u16 starts right after the 9-byte magic
         p = tmp_path / "bad.ckpt"
         p.write_bytes(bytes(blob))
@@ -209,10 +223,21 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(p)
 
-    def test_duplicate_names_rejected(self, rng):
+    def test_duplicate_names_rejected(self, tmp_path, rng):
         params = _params(rng) + [Parameter("enc.w", np.zeros((1,), dtype=np.float32))]
+        p = tmp_path / "dup.ckpt"
         with pytest.raises(CheckpointError, match="duplicate"):
-            checkpoint_bytes(params, {})
+            save_checkpoint(p, params, {})
+        assert not p.exists()  # refused before the file is opened
+
+    def test_integer_parameter_rejected(self, tmp_path, rng):
+        # the last parameter is refused, so no earlier record may reach a file
+        params = _params(rng) + [Parameter("steps", np.zeros(2, dtype=np.float32))]
+        params[-1].data = np.arange(2)
+        p = tmp_path / "int.ckpt"
+        with pytest.raises(CheckpointError, match="dtype"):
+            save_checkpoint(p, params, {})
+        assert not p.exists()
 
     def test_parameter_shape_numpy_cannot_hold(self, tmp_path):
         meta = json.dumps({}).encode()

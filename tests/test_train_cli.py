@@ -5,7 +5,6 @@ import dataclasses
 import glob
 import importlib
 import json
-import math
 import os
 import re
 import struct
@@ -750,6 +749,9 @@ METADATA_FIELDS = [("encoder", f.name) for f in dataclasses.fields(EncoderConfig
     ("model", f.name) for f in dataclasses.fields(ModelConfig) if f.name != "encoder"] + [
     ("train", key) for key in CHECKPOINT_TRAIN_KEYS] + [("weights", key) for key in ("alpha", "beta", "lambda")]
 METADATA_VALUES = [None, "x", 0.5, True, [2], {"a": 2}, 0, -1, 10**12]
+# the traced peak of loading a micro checkpoint (about 0.2 MB), whatever geometry its metadata names;
+# allocating the shapes that 10**6, 2**20 or 10**8 in that metadata ask for would take 1 GB or more
+LOAD_PEAK_BOUND = 4 * 2**20
 
 
 @pytest.fixture(scope="module")
@@ -772,24 +774,21 @@ def test_metadata_field_values_load_or_are_refused(attn_and_baseline_checkpoints
     section, key = field
     ckpt = tmp_path / "value.ckpt"
     save_checkpoint(str(ckpt), params, {**meta, section: {**meta[section], key: value}})
-    # loading draws nothing, and the geometry pre-check bounds every shape the build asks the table for
-    largest = max(p.data.size for p in params)
-    real_take = secap.storage.TableSource.__call__
-
-    def bounded_take(source, name, shape):
-        if math.prod(shape) > largest:
-            pytest.fail(f"{key}={value!r} asks the table for a {shape} parameter")
-        return real_take(source, name, shape)
 
     def no_draw(*args, **kwargs):
         pytest.fail(f"{key}={value!r} draws a parameter on load")
 
-    monkeypatch.setattr(secap.storage.TableSource, "__call__", bounded_take)
     monkeypatch.setattr(secap.nn, "trunc_normal", no_draw)
+    # loading draws nothing and allocates nothing beyond its micro table, whatever the geometry says
+    tracemalloc.start()
     try:
         model_from_checkpoint(str(ckpt))
     except CheckpointError:
         pass
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    assert peak < LOAD_PEAK_BOUND, f"{key}={value!r} peaked at {peak} bytes"
 
 
 def test_add_checkpoint_without_a_query_projection_is_io(tmp_path, capsys):
@@ -802,7 +801,24 @@ def test_add_checkpoint_without_a_query_projection_is_io(tmp_path, capsys):
     manifest = tmp_path / "m.tsv"
     manifest.write_text("#secap-manifest v1\n")
     assert cli.main(["eval", "--checkpoint", ckpt, "--manifest", str(manifest)]) == cli.EXIT_IO
-    assert "missing ['prm.sa.wq.weight'], unexpected none" in capsys.readouterr().err
+    assert f"{ckpt}: parameter names do not match model: missing ['prm.sa.wq.weight'], unexpected none" \
+        in capsys.readouterr().err
+
+
+def test_full_metadata_over_a_no_lfrm_table_is_io(tmp_path, capsys):
+    """A table without prompts reaches the name check: no layer reads a parameter while it is built."""
+    model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2,
+                                   ablate="no-lfrm", seed=1))
+    meta = checkpoint_metadata(model, TrainConfig(model=model.cfg), 0, [0, 1])
+    meta["model"] = {**meta["model"], "ablate": "none"}
+    ckpt = str(tmp_path / "no-lfrm.ckpt")
+    save_checkpoint(ckpt, model.parameters(), meta)
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("#secap-manifest v1\n")
+    assert cli.main(["eval", "--checkpoint", ckpt, "--manifest", str(manifest)]) == cli.EXIT_IO
+    captured = capsys.readouterr()
+    assert f"{ckpt}: parameter names do not match model: missing ['prm.prompts', " in captured.err
+    assert "unexpected none" in captured.err and captured.out == ""
 
 
 GOLDEN_CHECKPOINTS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "data", "*", "*.ckpt")))
@@ -954,7 +970,7 @@ class TestCliErrors:
         save_checkpoint(ckpt, [Parameter(n, a) for n, a in table.items()], meta)
         assert cli.main(TestGoldenVariantCheckpoints.eval_argv(ckpt)) == cli.EXIT_IO
         captured = capsys.readouterr()
-        assert f"parameter {name!r}: 1 non-finite values" in captured.err and captured.out == ""
+        assert f"{ckpt}: parameter {name!r}: 1 non-finite values" in captured.err and captured.out == ""
 
     def test_non_utf8_parameter_name_is_io(self, micro_checkpoint, tmp_path, capsys):
         raw = bytearray(open(micro_checkpoint, "rb").read())
@@ -972,11 +988,11 @@ class TestCliErrors:
     @pytest.mark.parametrize("section, key, value", [
         ("encoder", "depth", "1"), ("encoder", "embed_dim", 16.0), ("encoder", "embed_dim", -16),
         ("encoder", "depth", 0), ("encoder", "embed_dim", 0), ("model", "prm_variant", "mean"),
-        ("encoder", "patch", 8), ("encoder", "embed_dim", 2**40), ("model", "seed", -1),
+        ("encoder", "patch", 8), ("model", "seed", -1),
         ("encoder", "heads", 2.0), ("encoder", "olp_enabled", "yes"), ("encoder", "depth", True),
         ("encoder", "olp_enabled", 0), ("model", "prompt_len", 4.0),
     ], ids=["string-depth", "float-width", "negative-width", "zero-depth", "zero-width", "unknown-variant",
-            "patch-below-stride", "unallocatable-width", "negative-seed", "float-heads", "string-flag",
+            "patch-below-stride", "negative-seed", "float-heads", "string-flag",
             "bool-depth", "int-flag", "float-prompt-len"])
     def test_malformed_geometry_metadata_is_io(self, tmp_path, capsys, section, key, value):
         model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2, seed=1))
@@ -1041,21 +1057,22 @@ class TestCliErrors:
         assert rc == cli.EXIT_IO
         assert "encoder depth 1 but 2 encoder blocks in the table" in capsys.readouterr().err
 
-    # a geometry the table does not hold is refused before SeCapModel is called:
-    # ffn_mult 10**6 alone allocates five 1 GB FFN weights
+    # a geometry the table does not hold is refused by name when its layer asks the table for the
+    # parameter, and nothing is allocated for it: ffn_mult 10**6 would take five 1 GB FFN weights
     @pytest.mark.parametrize("section, key, value, entry", [
         ("encoder", "ffn_mult", 10**6, "encoder.blocks.0.ffn.fc1.weight"),
         ("encoder", "ffn_mult", 3, "encoder.blocks.0.ffn.fc1.weight"),
         ("encoder", "embed_dim", 2**20, "encoder.proj.weight"),
+        ("encoder", "embed_dim", 2**40, "encoder.proj.weight"),
         ("encoder", "image_h", 10**6, "encoder.pos"),
         ("model", "ablate", "no-vdt", "encoder.pos"),
         ("model", "prompt_len", 10**8, "prm.prompts"),
         ("model", "num_ids", 10**8, "heads.id_global.weight"),
         ("model", "num_views", 10**8, "heads.view.weight"),
-    ], ids=["ffn-mult-10**6", "ffn-mult-3", "width-2**20", "height-10**6", "no-vdt", "prompt-len-10**8",
-            "num-ids-10**8", "num-views-10**8"])
+    ], ids=["ffn-mult-10**6", "ffn-mult-3", "width-2**20", "unallocatable-width", "height-10**6", "no-vdt",
+            "prompt-len-10**8", "num-ids-10**8", "num-views-10**8"])
     def test_geometry_beyond_the_table_is_io_before_any_layer_is_built(
-            self, tmp_path, capsys, monkeypatch, section, key, value, entry):
+            self, tmp_path, capsys, section, key, value, entry):
         model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, num_ids=2, seed=1))
         meta = checkpoint_metadata(model, TrainConfig(model=model.cfg), 0, [0, 1])
         meta[section] = {**meta[section], key: value}
@@ -1063,13 +1080,15 @@ class TestCliErrors:
         save_checkpoint(str(ckpt), model.parameters(), meta)
         manifest = tmp_path / "m.tsv"
         manifest.write_text("#secap-manifest v1\n")
-        # the package's `train` attribute is the function, so reach the module by name
-        monkeypatch.setattr(importlib.import_module("secap.train"), "SeCapModel",
-                            lambda *args: pytest.fail("a model was built"))
-        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)])
+        tracemalloc.start()
+        try:
+            rc = cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert rc == cli.EXIT_IO
-        err = capsys.readouterr().err
-        assert f"gives {entry} shape" in err and "byte offset" in err
+        assert f"{ckpt}: parameter {entry!r}: checkpoint shape" in capsys.readouterr().err
+        assert peak < LOAD_PEAK_BOUND
 
     def test_mixed_image_sizes_in_training_is_io(self, tmp_path, capsys):
         cfg = SynthConfig(num_ids=4, images_per_id_per_view=2, image_h=16, image_w=16, seed=9)
