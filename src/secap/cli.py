@@ -182,7 +182,7 @@ def cmd_grad_check(args) -> int:
     params = model.parameters()
     randomize_for_gradcheck(params, seed=cfg.seed)
     rng = np.random.default_rng([cfg.seed, 999])
-    images = rng.uniform(0.0, 1.0, size=(4, 3, cfg.encoder.image_h, cfg.encoder.image_w))
+    images = rng.uniform(0.0, 1.0, size=(4, *cfg.encoder.image_shape))
     id_labels = np.array([0, 0, 1, 1])
     view_labels = np.array([0, 1, 0, 1])
     weights = LossWeights()

@@ -22,7 +22,7 @@ from .errors import ConfigurationError, ContractError, ParseError, ProtocolError
 from .storage import load_image, save_rten
 
 MANIFEST_HEADER = "#secap-manifest v1"
-_INT64 = np.iinfo(np.int64)  # integer fields land in int64 arrays
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1  # integer fields land in int64 arrays
 
 AERIAL = 0
 GROUND_FRONTAL = 1
@@ -98,22 +98,16 @@ class Manifest:
         return os.path.join(self.root, record.path) if self.root else record.path
 
 
-def load_images(manifest: Manifest, records: Sequence[SampleRecord]) -> np.ndarray:
-    """Load the records' images as one (N, C, H, W) stack; all must share one shape."""
+def load_images(manifest: Manifest, records: Sequence[SampleRecord], shape: Optional[Tuple[int, ...]] = None
+                ) -> np.ndarray:
+    """Load the records' images as one (N, C, H, W) stack, refusing by path any
+    image not of `shape`, the model's (C, H, W); without it, the first image's."""
     images = [load_image(manifest.resolve(r)) for r in records]
+    shape = shape or images[0].shape
     for r, image in zip(records, images):
-        if image.shape != images[0].shape:
-            raise ParseError(
-                f"{manifest.resolve(r)}: image shape {image.shape} differs from "
-                f"{images[0].shape} of {manifest.resolve(records[0])}", 0)
+        if image.shape != shape:
+            raise ParseError(f"{manifest.resolve(r)}: image shape {image.shape} does not match the model's {shape}", 0)
     return np.stack(images)
-
-
-def check_image_shape(manifest: Manifest, record: SampleRecord, image: np.ndarray, shape: Tuple[int, ...]) -> None:
-    """Refuse the record's image unless it has the model's `shape` (at least one HOG cell)."""
-    if image.shape != shape:
-        raise ParseError(f"{manifest.resolve(record)}: image shape {image.shape} "
-                         f"does not match the model's {shape}", 0)
 
 
 def write_manifest(manifest: Manifest, path) -> None:
@@ -125,38 +119,38 @@ def write_manifest(manifest: Manifest, path) -> None:
 
 
 def read_manifest(path) -> Manifest:
-    """Parse a manifest; every `#` line after the header is a comment."""
+    """Parse a manifest (offsets count bytes); every `#` line after the header is a comment."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        text = raw.decode("utf-8")
+        raw.decode("utf-8")  # validated once; no field splits a character, as tab and newline are ASCII
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text", exc.start) from None
-    lines = text.split("\n")
-    if not lines or lines[0] != MANIFEST_HEADER:
+    lines = raw.split(b"\n")
+    if lines[0] != MANIFEST_HEADER.encode():
         raise ParseError(f"{path}: missing header {MANIFEST_HEADER!r}", 0)
-    offset = len(lines[0].encode("utf-8")) + 1
+    offset = len(lines[0]) + 1
     records: List[SampleRecord] = []
     for line in lines[1:]:
         line_start = offset
-        offset += len(line.encode("utf-8")) + 1
-        if not line or line.startswith("#"):
+        offset += len(line) + 1
+        if not line or line.startswith(b"#"):
             continue
-        fields = line.split("\t")
+        fields = line.split(b"\t")
         if len(fields) != 5:
             raise ParseError(f"{path}: expected 5 tab-separated fields, got {len(fields)}", line_start)
         values = []
         for i, f in enumerate(fields[1:], start=1):
-            digits = f.removeprefix("-")
+            digits = f.removeprefix(b"-")
             # 19 digits hold every int64 and stay far below int()'s digit limit
-            value = int(f) if digits.isdecimal() and len(digits) <= 19 else None
-            if value is None or not _INT64.min <= value <= _INT64.max:
-                col = line_start + len("\t".join(fields[:i]).encode("utf-8")) + 1
-                what = "field beyond int64" if digits.isdecimal() else "non-integer field"
-                raise ParseError(f"{path}: {what} {f[:24]!r}", col)
+            value = int(f) if digits.isdigit() and len(digits) <= 19 else None
+            if value is None or not _INT64_MIN <= value <= _INT64_MAX:
+                col = line_start + len(b"\t".join(fields[:i])) + 1
+                what = "field beyond int64" if digits.isdigit() else "non-integer field"
+                raise ParseError(f"{path}: {what} {f.decode()[:24]!r}", col)
             values.append(value)
         try:
-            records.append(SampleRecord(fields[0], *values))
+            records.append(SampleRecord(fields[0].decode(), *values))
         except ConfigurationError as exc:
             raise ParseError(f"{path}: {exc}", line_start) from exc
     root = os.path.dirname(os.path.abspath(path))
@@ -409,8 +403,8 @@ def query_pools(manifest: Manifest, per_view: int, sides: Iterable[int], shape: 
                 ) -> Iterator[Tuple[List[SampleRecord], List[SampleRecord], np.ndarray, List[SampleRecord]]]:
     """Walk the query pools, one identity's images on one collapsed side in
     `sides` each, loading each pool once: yield the identity's records, the
-    pool, its images and its per_view most representative images. A pool of
-    images not of `shape`, if given, is refused before it is ranked."""
+    pool, its images and its per_view most representative images. A pool
+    holding an image not of `shape` is refused (see load_images) before it is ranked."""
     if per_view < 1:
         raise ContractError(f"per_view must be >= 1, got {per_view}")
     for identity, recs in sorted(manifest.by_identity().items()):
@@ -420,9 +414,7 @@ def query_pools(manifest: Manifest, per_view: int, sides: Iterable[int], shape: 
                 warnings.warn(f"identity {identity} has no image on side {s}; skipped")
                 continue
             # one pool at a time keeps memory at one identity's images
-            images = load_images(manifest, pool)
-            if shape is not None:
-                check_image_shape(manifest, pool[0], images[0], shape)
+            images = load_images(manifest, pool, shape)
             ranked = _rank_pool(hog_descriptor(images))
             yield recs, pool, images, [pool[i] for i in ranked[:per_view]]
 

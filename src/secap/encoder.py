@@ -69,6 +69,10 @@ class EncoderConfig:
         return OLP_STRIDE if self.olp_enabled else DEFAULT_STRIDE
 
     @property
+    def image_shape(self) -> tuple[int, int, int]:  # (C, H, W) of every image the model takes
+        return 3, self.image_h, self.image_w
+
+    @property
     def grid(self) -> tuple[int, int]:
         nh = (self.image_h - self.patch) // self.stride + 1
         nw = (self.image_w - self.patch) // self.stride + 1

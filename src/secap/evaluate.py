@@ -14,11 +14,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .data import (
-    PROTOCOL_SIDES, Manifest, ProtocolSplit, SampleRecord, build_protocol, check_image_shape, query_pools,
-    split_records,
+    PROTOCOL_SIDES, Manifest, ProtocolSplit, SampleRecord, build_protocol, load_images, query_pools, split_records,
 )
 from .errors import DimensionError, NumericError, ProtocolError
-from .storage import load_image
 
 FEATURE_CHUNK = 32  # images per inference pass
 MIN_CHUNK_ROWS = 4  # fewest images an inference pass runs on
@@ -77,23 +75,21 @@ class FeatureSet:
 
 class FeatureExtractor:
     """Inference (no augmentation) over images as they are added, FEATURE_CHUNK
-    at a time; features are [global, local]. Each image is checked against the
-    model's geometry and copied into one chunk buffer, so the caller need not
-    keep it. Inference over 1 or 2 images rounds apart from the same images in
-    a larger chunk, so a short last chunk repeats its last image to
-    MIN_CHUNK_ROWS, rows dropped."""
+    at a time; features are [global, local]. Each image comes from load_images,
+    which holds it to the model's shape, and is copied into one chunk buffer,
+    so the caller need not keep it. Inference over 1 or 2 images rounds apart
+    from the same images in a larger chunk, so a short last chunk repeats its
+    last image to MIN_CHUNK_ROWS, rows dropped."""
 
     def __init__(self, model, manifest: Manifest):
-        enc = model.cfg.encoder
         self.model = model
         self.manifest = manifest
         self.records: List[SampleRecord] = []
-        self.shape = (3, enc.image_h, enc.image_w)
+        self.shape = model.cfg.encoder.image_shape
         self._buffer = np.empty((FEATURE_CHUNK, *self.shape), dtype=np.float32)
         self._rows: List[np.ndarray] = []
 
     def add(self, record: SampleRecord, image: np.ndarray) -> None:
-        check_image_shape(self.manifest, record, image, self.shape)
         n = len(self.records) % FEATURE_CHUNK
         self._buffer[n] = image
         self.records.append(record)
@@ -123,7 +119,7 @@ def extract_features(model, manifest: Manifest, records: Optional[Sequence[Sampl
     """Run inference over records, all of the manifest's by default (see FeatureExtractor)."""
     extractor = FeatureExtractor(model, manifest)
     for r in manifest.records if records is None else records:
-        extractor.add(r, load_image(manifest.resolve(r)))
+        extractor.add(r, load_images(manifest, [r], extractor.shape)[0])
     return extractor.features()
 
 
@@ -149,7 +145,7 @@ def protocol_features(model, manifest: Manifest, names: Sequence[str], per_view:
     splits = [build_protocol(manifest, name, queries=queries) for name in names]
     rest = {r for s in splits for r in s.query + s.gallery}.difference(extractor.records)
     for record in sorted(rest, key=lambda r: r.path):
-        extractor.add(record, load_image(manifest.resolve(record)))
+        extractor.add(record, load_images(manifest, [record], extractor.shape)[0])
     return splits, extractor.features()
 
 

@@ -140,6 +140,12 @@ def train(
     log: Optional[Callable[[str], None]] = None,
 ) -> TrainResult:
     """Run the full loop; deterministic for a fixed config and manifest."""
+    if out_dir is not None:  # a file where out_dir or a parent of it would go is refused before any step
+        head = os.path.abspath(out_dir)
+        while not os.path.lexists(head):
+            head = os.path.dirname(head)
+        if not os.path.isdir(head):
+            raise NotADirectoryError(f"{head}: not a directory")
     ids = manifest_train.identities()
     label_map = {identity: index for index, identity in enumerate(ids)}
     # drawn before the model is built, so too few identities for P are refused first
@@ -162,7 +168,7 @@ def train(
         for s in range(steps_per_epoch):
             batch = first_batch if step == 0 else pk_sample(manifest_train, cfg.p, cfg.k,
                                                             derive_seed("batch", cfg.seed, epoch, s))
-            images = load_images(manifest_train, batch)
+            images = load_images(manifest_train, batch, model_cfg.encoder.image_shape)
             if cfg.augment:
                 images = np.stack([augment(image, derive_seed("augment", cfg.seed, r.path, epoch, s, i))
                                    for i, (r, image) in enumerate(zip(batch, images))])
@@ -207,6 +213,6 @@ def held_out_orthogonality(model: SeCapModel, manifest: Manifest, num_batches: i
     vals = []
     for b in range(num_batches):
         batch = pk_sample(manifest, p, k, derive_seed("heldout", seed, b))
-        out = model.forward(load_images(manifest, batch))
+        out = model.forward(load_images(manifest, batch, model.cfg.encoder.image_shape))
         vals.append(orthogonality_loss(out.x_inv, out.view_feat).data.item())
     return float(np.mean(vals))

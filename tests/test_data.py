@@ -127,10 +127,26 @@ class TestManifest:
 
     def test_non_integer_field(self, tmp_path):
         p = tmp_path / "m.tsv"
-        for bad in ("x", "--5", "\u00b2"):
-            p.write_text(f"#secap-manifest v1\na.rten\t{bad}\t0\t0\t0\n")
+        # the last two are decimal digits, but not ASCII ones
+        for bad in ("x", "--5", "\u00b2", "\u0663", "\uff11"):
+            p.write_text(f"#secap-manifest v1\na.rten\t{bad}\t0\t0\t0\n", encoding="utf-8")
             with pytest.raises(ParseError, match="non-integer"):
                 read_manifest(p)
+
+    def test_bad_field_offset_counts_bytes(self, tmp_path):
+        p = tmp_path / "m.tsv"
+        p.write_text("#secap-manifest v1\n\u00e9.rten\t0\t0\tx\t0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="non-integer field 'x'") as exc:
+            read_manifest(p)
+        assert exc.value.offset == 31  # the 19-byte header line, then 12 bytes before the view field ('\u00e9' is 2)
+
+    def test_non_integer_preview_cuts_whole_characters(self, tmp_path):
+        p = tmp_path / "m.tsv"
+        p.write_text("#secap-manifest v1\na.rten\t" + "\u00e9" * 30 + "\t0\t0\t0\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            read_manifest(p)
+        preview = "\u00e9" * 24  # 24 characters, not 24 bytes
+        assert f"non-integer field {preview!r}" in str(exc.value) and exc.value.offset == 26
 
     def test_not_utf8(self, tmp_path):
         p = tmp_path / "m.tsv"

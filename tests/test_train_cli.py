@@ -266,6 +266,15 @@ class TestHeldOutOrthogonality:
         with pytest.raises(ContractError):
             held_out_orthogonality(model, corpus, num_batches=1, p=4, k=2, seed=0)
 
+    def test_image_of_another_shape_is_refused_by_path(self, tmp_path):
+        cfg = SynthConfig(num_ids=4, images_per_id_per_view=1, image_h=16, image_w=24, seed=9)
+        manifest, _ = generate_synthetic(cfg, tmp_path)
+        model = SeCapModel(ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, seed=1))
+        shapes = r"image shape \(3, 16, 24\) does not match the model's \(3, 16, 16\)"
+        with pytest.raises(ParseError, match=shapes) as exc:
+            held_out_orthogonality(model, manifest, num_batches=1, p=4, k=2, seed=0)
+        assert str(exc.value).split(":")[0] in {manifest.resolve(r) for r in manifest.records}
+
     def test_encoder_without_view_token_has_no_view_branch(self, corpus):
         # `ablate` alone decides the view branch: no view token, head or view terms
         model_cfg = ModelConfig(encoder=EncoderConfig(**MICRO_ENC), prompt_len=4, ablate="no-vdt", seed=1)
@@ -325,6 +334,20 @@ class TestCliUsage:
         err = capsys.readouterr().err
         assert err.startswith("secap: configuration error: out of memory: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()  # a failed build leaves no checkpoint directory
+
+    @pytest.mark.parametrize("out", ["file", os.path.join("file", "sub")], ids=["file", "under-a-file"])
+    def test_out_at_a_file_is_io_before_any_step(self, tmp_path, capsys, monkeypatch, out):
+        manifest = _tiny_manifest(tmp_path)
+        (tmp_path / "file").write_bytes(b"kept")
+        before = sorted(os.listdir(tmp_path))
+        monkeypatch.setattr(importlib.import_module("secap.train"), "pk_sample",
+                            lambda *a, **kw: pytest.fail("training started"))
+        rc = cli.main(["train", "--manifest", manifest, "--out", str(tmp_path / out), "--epochs", "1"])
+        assert rc == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"secap: {tmp_path / 'file'}: not a directory\n"
+        assert sorted(os.listdir(tmp_path)) == before and (tmp_path / "file").read_bytes() == b"kept"
 
     def test_one_identity_per_batch_is_usage_before_any_step(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "train", lambda *a, **kw: pytest.fail("train() started"))
@@ -437,15 +460,16 @@ class TestCliPipeline:
         pool_sides, hog_calls = [], []
         real_load, real_hog = secap.data.load_images, secap.data.hog_descriptor
 
-        def loading(manifest, records):
+        def loading(manifest, records, shape=None):
             pool_sides.append({DEFAULT_VIEW_MAP[r.view] for r in records})
-            return real_load(manifest, records)
+            return real_load(manifest, records, shape)
 
         def hog(images):
             hog_calls.append(len(images))
             return real_hog(images)
 
-        monkeypatch.setattr(secap.data, "load_images", loading)  # only query pools load through it
+        # only query pools load through this name; evaluate reads its other images through its own import
+        monkeypatch.setattr(secap.data, "load_images", loading)
         monkeypatch.setattr(secap.data, "hog_descriptor", hog)
         assert cli.main(argv) == cli.EXIT_OK
         assert capsys.readouterr().out == both_sides and both_sides.count("\n") == 1
@@ -592,7 +616,7 @@ def test_eval_reads_each_image_once_and_infers_what_is_scored(uneven_corpus, mic
     assert sorted(inferred) == sorted(manifest.resolve(r) for r in needed)
 
 
-@pytest.mark.parametrize("command", ["eval", "export-features"])
+@pytest.mark.parametrize("command", ["eval", "export-features", "train"])
 def test_image_size_other_than_the_checkpoints_is_io_and_names_the_image(micro_checkpoint, tmp_path, capsys,
                                                                          command):
     # every image of identity 2 at 24x16, a shape the model was not built for
@@ -601,12 +625,16 @@ def test_image_size_other_than_the_checkpoints_is_io_and_names_the_image(micro_c
     odd = [manifest.resolve(r) for r in manifest.records if r.identity == 2]
     for path in odd:
         save_rten(path, np.zeros((3, 24, 16), dtype=np.float32))
-    argv = [command, "--checkpoint", micro_checkpoint, "--manifest", str(tmp_path / "manifest.tsv")]
-    if command == "export-features":
-        argv += ["--out", str(tmp_path / "feats")]
-    assert cli.main(argv) == cli.EXIT_IO
+    out = ["--out", str(tmp_path / "out")]
+    flags = {"eval": ["--checkpoint", micro_checkpoint], "export-features": ["--checkpoint", micro_checkpoint] + out,
+             # P = every identity, so the first batch holds two of identity 2's images
+             "train": out + ["--epochs", "1", "--p", "4", "--k", "2", "--patch", "16"] + MICRO_FLAGS}
+    assert cli.main([command, "--manifest", str(tmp_path / "manifest.tsv")] + flags[command]) == cli.EXIT_IO
     err = capsys.readouterr().err
-    assert odd[0] in err and "image shape (3, 24, 16) does not match the model's (3, 16, 16)" in err
+    named = odd if command == "train" else odd[:1]  # training meets whichever its batch draws first
+    assert any(path in err for path in named) and "Traceback" not in err
+    assert "image shape (3, 24, 16) does not match the model's (3, 16, 16)" in err
+    assert not glob.glob(str(tmp_path / "out*"))
 
 
 @pytest.mark.parametrize("protocol", ["all", "a2g"])
