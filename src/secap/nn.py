@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .tensor import Parameter, Tensor, attention, gelu, layer_norm, linear, mul
+from .tensor import Parameter, Tensor, attention, feed_forward, layer_norm, linear, mul
 
 INIT_STD = 0.02
 
@@ -129,12 +129,14 @@ class MultiHeadAttention(Module):
 
 
 class FeedForward(Module):
+    """fc1, GELU, fc2 as one tape entry (tensor.feed_forward)."""
+
     def __init__(self, name: str, dim: int, mult: int, source):
         self.fc1 = Linear(f"{name}.fc1", dim, dim * mult, source)
         self.fc2 = Linear(f"{name}.fc2", dim * mult, dim, source)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(gelu(self.fc1(x)))
+        return feed_forward(x, self.fc1.weight, self.fc1.bias, self.fc2.weight, self.fc2.bias)
 
     def zero_output_projections(self) -> None:
         self.fc2.zero_()

@@ -29,7 +29,7 @@ from .errors import ContractError, DimensionError, NumericError
 __all__ = [
     "Tensor", "Parameter", "recording", "backward", "record",
     "add", "mul", "linear", "attention", "reshape",
-    "concat", "narrow", "tsum", "layer_norm", "gelu",
+    "concat", "narrow", "tsum", "layer_norm", "feed_forward",
 ]
 
 DEFAULT_DTYPE = np.float32
@@ -154,7 +154,7 @@ def record(data: np.ndarray, inputs: Sequence[Tensor], backward_rule) -> Tensor:
     """The op output holding `data`, and one tape entry if recording and an input
     needs a gradient. `backward_rule` maps the output's gradient to one gradient
     (or None) per input; an input listed twice gets each, summed in list order."""
-    if _debug_checks:  # op name: `gelu.<locals>.rule` is gelu
+    if _debug_checks:  # op name: `linear.<locals>.rule` is linear
         _post(data, backward_rule.__qualname__.split(".")[0])
     out = Tensor.__new__(Tensor)
     out.data = np.ascontiguousarray(data)
@@ -218,30 +218,43 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 # linear algebra and shape ops
 # ---------------------------------------------------------------------------
 
-def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """x @ w (+ b) over the last axis of x, as one GEMM on x flattened to rows."""
+def _affine(op: str, x: np.ndarray, w: Tensor, b: Optional[Tensor]) -> tuple[np.ndarray, np.ndarray]:
+    """x flattened to rows, and x @ w (+ b) on them as one GEMM, for a rank >= 2 x whose last
+    axis is w's rows and a bias, if any, of w's width."""
     if x.ndim < 2 or w.ndim != 2:
-        raise DimensionError(f"linear needs a rank >= 2 input and a matrix, got {x.shape} and {w.shape}")
+        raise DimensionError(f"{op} needs a rank >= 2 input and a matrix, got {x.shape} and {w.shape}")
     d_in, d_out = w.shape
     if x.shape[-1] != d_in:
-        raise DimensionError(f"linear: inner dimensions disagree for {x.shape} and {w.shape}")
+        raise DimensionError(f"{op}: inner dimensions disagree for {x.shape} and {w.shape}")
     if b is not None and b.shape != (d_out,):
-        raise DimensionError(f"linear: bias shape {b.shape} does not match output dim {d_out}")
-    x2 = x.data.reshape(-1, d_in)
+        raise DimensionError(f"{op}: bias shape {b.shape} does not match output dim {d_out}")
+    x2 = x.reshape(-1, d_in)
     out = x2 @ w.data
     if b is not None:
         out += b.data
+    return x2, out
+
+
+def _affine_grads(g: np.ndarray, x2: Optional[np.ndarray], w: Tensor, b: Optional[Tensor], x_shape):
+    """_affine's gradients from its output's gradient g: the input's in x_shape, the weight's from
+    the input rows x2, and the bias's, each None where not needed (the input's: x_shape None)."""
+    g2 = g.reshape(-1, w.shape[1])
+    gx = (g2 @ w.data.T).reshape(x_shape) if x_shape is not None else None
+    gw = x2.T @ g2 if w.requires_grad else None
+    gb = _column_sums(g2) if b is not None and b.requires_grad else None
+    return gx, gw, gb
+
+
+def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """x @ w (+ b) over the last axis of x, as one GEMM on x flattened to rows."""
+    x2, out = _affine("linear", x.data, w, b)
 
     def rule(g):
-        g2 = g.reshape(-1, d_out)
-        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
-        gw = x2.T @ g2 if w.requires_grad else None
-        if b is None:
-            return gx, gw
-        return gx, gw, (_column_sums(g2) if b.requires_grad else None)
+        gx, gw, gb = _affine_grads(g, x2, w, b, x.shape if x.requires_grad else None)
+        return (gx, gw) if b is None else (gx, gw, gb)
 
     inputs = (x, w) if b is None else (x, w, b)
-    return record(out.reshape(*x.shape[:-1], d_out), inputs, rule)
+    return record(out.reshape(*x.shape[:-1], w.shape[1]), inputs, rule)
 
 
 def _softmax_rows(p: np.ndarray) -> np.ndarray:
@@ -435,30 +448,39 @@ def _gelu_f32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out.reshape(x.shape), phi.reshape(x.shape)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Exact Gaussian-error formulation x * Phi(x).
-
-    float32 takes Phi from the blocked rational erf above; float64 (gradient
-    checks) keeps scipy's erf.
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """linear(gelu(linear(x, w1, b1)), w2, b2) as one tape entry, with the exact GELU x * Phi(x):
+    the chain's numpy ops in its order, so its bits. float32 takes Phi from the blocked rational
+    erf above; float64 (gradient checks) keeps scipy's erf. The rule keeps fc1's output h and Phi
+    but not GELU's output, which backward rebuilds bit for bit as h * Phi for fc2's weight
+    gradient: the recompute trade of Chen et al. 2016 at the price of one multiply.
     """
-    x = a.data
-    if x.dtype == np.float32:
-        data, phi_cdf = _gelu_f32(x)
+    x2, h = _affine("feed_forward", x.data, w1, b1)
+    if h.dtype == np.float32:
+        a, phi = _gelu_f32(h)
     else:
-        phi_cdf = 0.5 * (1.0 + _erf(x / math.sqrt(2.0)))
-        data = x * phi_cdf
+        phi = 0.5 * (1.0 + _erf(h / math.sqrt(2.0)))
+        a = h * phi
+    _, out = _affine("feed_forward", a, w2, b2)
 
-    def rule(g):  # g * (Phi + x * exp(-x^2 / 2) / sqrt(2 pi)), in one buffer
-        t = x * -0.5
-        t *= x
+    def rule(g):
+        hidden_needs = x.requires_grad or w1.requires_grad or b1.requires_grad
+        a = h * phi if w2.requires_grad else None
+        ga, gw2, gb2 = _affine_grads(g, a, w2, b2, h.shape if hidden_needs else None)
+        if ga is None:
+            return None, None, None, gw2, gb2
+        # GELU's gradient, ga * (Phi + h * exp(-h^2 / 2) / sqrt(2 pi)), in one buffer: a's, if any
+        t = np.multiply(h, -0.5, out=a)
+        t *= h
         np.exp(t, out=t)
         t /= math.sqrt(2.0 * math.pi)
-        t *= x
-        t += phi_cdf
-        t *= g
-        return (t,)
+        t *= h
+        t += phi
+        t *= ga
+        del ga
+        return (*_affine_grads(t, x2, w1, b1, x.shape if x.requires_grad else None), gw2, gb2)
 
-    return record(data, (a,), rule)
+    return record(out.reshape(*x.shape[:-1], w2.shape[1]), (x, w1, b1, w2, b2), rule)
 
 
 # ---------------------------------------------------------------------------

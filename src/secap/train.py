@@ -4,6 +4,7 @@ periodic checkpoints, and checkpoint-to-model reconstruction.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 from dataclasses import dataclass, field
@@ -139,10 +140,13 @@ def train(
     out_dir: Optional[str] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> TrainResult:
-    """Run the full loop; deterministic for a fixed config and manifest."""
-    if out_dir is not None:  # a file where out_dir or a parent of it would go is refused before any step
+    """Run the full loop; deterministic for a fixed config and manifest. out_dir and its missing
+    parents are made before the first step, and removed again if the run fails before a checkpoint."""
+    missing: List[str] = []  # the directories out_dir needs, innermost first
+    if out_dir is not None:  # a file where out_dir or a parent of it would go is refused before any draw
         head = os.path.abspath(out_dir)
         while not os.path.lexists(head):
+            missing.append(head)
             head = os.path.dirname(head)
         if not os.path.isdir(head):
             raise NotADirectoryError(f"{head}: not a directory")
@@ -162,42 +166,50 @@ def train(
     history: List[Dict[str, float]] = []
     checkpoint_paths: List[str] = []
     step = 0
-    for epoch in range(1, cfg.epochs + 1):
-        sums = {key: 0.0 for key in LOG_KEYS}
-        lr = cfg.lr_max
-        for s in range(steps_per_epoch):
-            batch = first_batch if step == 0 else pk_sample(manifest_train, cfg.p, cfg.k,
-                                                            derive_seed("batch", cfg.seed, epoch, s))
-            images = load_images(manifest_train, batch, model_cfg.encoder.image_shape)
-            if cfg.augment:
-                images = np.stack([augment(image, derive_seed("augment", cfg.seed, r.path, epoch, s, i))
-                                   for i, (r, image) in enumerate(zip(batch, images))])
-            id_labels = [label_map[r.identity] for r in batch]
-            view_labels = [DEFAULT_VIEW_MAP[r.view] for r in batch]  # the aerial/ground side
-            with recording():
-                total, parts = model.compute_losses(images, id_labels, view_labels, cfg.weights)
-                value = total.data.item()
-                if not np.isfinite(value):
-                    bad = [f"{part}={v}" for part, v in parts.scalars().items() if not np.isfinite(v)]
-                    raise NumericError(f"non-finite loss {value} at epoch {epoch} step {s}; "
-                                       f"non-finite parts: {', '.join(bad) or 'none'}")
-                backward(total)
-            lr = cosine_lr(step, total_steps, cfg.lr_max, cfg.lr_min, cfg.warmup_steps)
-            opt.lr = lr
-            opt.step()
-            step += 1
-            sums["loss_total"] += value
-            for part, part_value in parts.scalars().items():
-                sums[f"loss_{part}"] += part_value
-        means = {key: sums[key] / steps_per_epoch for key in LOG_KEYS}
-        history.append({"epoch": epoch, "lr": lr, **means})
-        if log is not None:
-            log(format_epoch_line(epoch, means, lr))
-        if out_dir is not None and (epoch % cfg.checkpoint_every == 0 or epoch == cfg.epochs):
-            os.makedirs(out_dir, exist_ok=True)  # only now: a run that fails earlier leaves nothing
-            path = os.path.join(out_dir, f"checkpoint-{epoch:04d}.ckpt")
-            save_checkpoint(path, params, checkpoint_metadata(model, cfg, epoch, ids))
-            checkpoint_paths.append(path)
+    try:
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+        for epoch in range(1, cfg.epochs + 1):
+            sums = {key: 0.0 for key in LOG_KEYS}
+            lr = cfg.lr_max
+            for s in range(steps_per_epoch):
+                batch = first_batch if step == 0 else pk_sample(manifest_train, cfg.p, cfg.k,
+                                                                derive_seed("batch", cfg.seed, epoch, s))
+                images = load_images(manifest_train, batch, model_cfg.encoder.image_shape)
+                if cfg.augment:
+                    images = np.stack([augment(image, derive_seed("augment", cfg.seed, r.path, epoch, s, i))
+                                       for i, (r, image) in enumerate(zip(batch, images))])
+                id_labels = [label_map[r.identity] for r in batch]
+                view_labels = [DEFAULT_VIEW_MAP[r.view] for r in batch]  # the aerial/ground side
+                with recording():
+                    total, parts = model.compute_losses(images, id_labels, view_labels, cfg.weights)
+                    value = total.data.item()
+                    if not np.isfinite(value):
+                        bad = [f"{part}={v}" for part, v in parts.scalars().items() if not np.isfinite(v)]
+                        raise NumericError(f"non-finite loss {value} at epoch {epoch} step {s}; "
+                                           f"non-finite parts: {', '.join(bad) or 'none'}")
+                    backward(total)
+                lr = cosine_lr(step, total_steps, cfg.lr_max, cfg.lr_min, cfg.warmup_steps)
+                opt.lr = lr
+                opt.step()
+                step += 1
+                sums["loss_total"] += value
+                for part, part_value in parts.scalars().items():
+                    sums[f"loss_{part}"] += part_value
+            means = {key: sums[key] / steps_per_epoch for key in LOG_KEYS}
+            history.append({"epoch": epoch, "lr": lr, **means})
+            if log is not None:
+                log(format_epoch_line(epoch, means, lr))
+            if out_dir is not None and (epoch % cfg.checkpoint_every == 0 or epoch == cfg.epochs):
+                path = os.path.join(out_dir, f"checkpoint-{epoch:04d}.ckpt")
+                save_checkpoint(path, params, checkpoint_metadata(model, cfg, epoch, ids))
+                checkpoint_paths.append(path)
+    except BaseException:
+        if not checkpoint_paths:  # nothing written: a failed run leaves none of the directories it made
+            for path in missing:
+                with contextlib.suppress(OSError):  # one not made, or no longer empty, stays
+                    os.rmdir(path)
+        raise
     return TrainResult(
         model=model,
         history=history,

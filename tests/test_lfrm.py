@@ -75,13 +75,13 @@ class TestFusion:
     def test_ffn_runs_on_the_output_token_alone(self, rng, monkeypatch):
         fusion = Fusion("f", D, HEADS, 2, rng)
         seen = []
-        fc1 = fusion.ffn.fc1
+        ffn = fusion.ffn
 
         def spy(x):
             seen.append(x.shape)
-            return fc1(x)
+            return ffn(x)
 
-        monkeypatch.setattr(fusion.ffn, "fc1", spy)
+        monkeypatch.setattr(fusion, "ffn", spy)
         f_p, f_i = streams(rng, b=3)
         fusion(f_p, f_i)
         assert seen == [(3, 1, D)]

@@ -205,10 +205,11 @@ class TestTapeBudget:
     # Each cross-entropy and each soft triplet is one entry after its classifier,
     # where their composed chains took 4 and 17. The view decoupling and the
     # orthogonality loss are one entry each, where their chains took 5 each
-    # (3 narrow, sub, concat; mul, tabs, tsum, and tmean's tsum and mul)
+    # (3 narrow, sub, concat; mul, tabs, tsum, and tmean's tsum and mul). Each of
+    # the 5 FFNs is one feed_forward entry, where fc1, gelu and fc2 took 3
     EXPECTED = {
         "add": 13, "attention": 9, "ce_loss": 3, "concat": 2, "decouple_step": 1,
-        "gelu": 5, "layer_norm": 2, "linear": 54, "mul": 6, "narrow": 4,
+        "feed_forward": 5, "layer_norm": 2, "linear": 44, "mul": 6, "narrow": 4,
         "orthogonality_loss": 1, "reshape": 5, "soft_triplet_loss": 2,
     }
 
@@ -217,8 +218,10 @@ class TestTapeBudget:
     # PRM `attn` runs its chain on one row per image, where the two attentions
     # over all L rows took 82,460 and over one row 71,772; the composed losses
     # took 69,776; the composed decoupling (1,792) and orthogonality chain (536)
-    # took 67,500, where their single entries hold 768 and 4
-    EXPECTED_BYTES = 65_944
+    # took 67,500, where their single entries hold 768 and 4; the 5 FFNs' fc1 and
+    # GELU outputs (6,656 bytes each kind) left the tape with their entries, which
+    # took 65,944 (feed_forward keeps fc1's output and Phi in its rule instead)
+    EXPECTED_BYTES = 52_632
 
     def test_entries_per_op(self, rng):
         images, ids, views = micro_batch(rng)
@@ -226,7 +229,7 @@ class TestTapeBudget:
             SeCapModel(micro_cfg()).compute_losses(images, ids, views, LossWeights())
             counts = Counter(e.backward_rule.__qualname__.split(".")[0] for e in tape().entries)
             assert dict(counts) == self.EXPECTED
-            assert sum(counts.values()) == 107
+            assert sum(counts.values()) == 97
 
     def test_recorded_output_bytes(self, rng):
         images, ids, views = micro_batch(rng)

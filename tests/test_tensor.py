@@ -1,8 +1,10 @@
 import ast
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +19,8 @@ from secap.losses import ce_loss, orthogonality_loss
 from secap.nn import Linear
 from secap.optim import SGD, cosine_lr
 from secap.tensor import (
-    Parameter, Tensor, add, attention, backward, concat, gelu, layer_norm, linear, mul, narrow,
-    record, recording, reshape, tape, tsum,
+    Parameter, Tensor, add, attention, backward, concat, feed_forward, layer_norm, linear, mul,
+    narrow, record, recording, reshape, tape, tsum,
 )
 
 
@@ -443,15 +445,34 @@ class TestLayerNorm:
             assert len(tape().entries) == 1
 
 
+def gelu_through_ffn(x):
+    """GELU of a vector through the fused op: one hidden unit between 1 x 1 identity weights.
+    x * 1 is exact and -0.0 is the additive identity that keeps the sign of a zero."""
+    one, zero = np.ones((1, 1), x.dtype), np.full(1, -0.0, x.dtype)
+    return feed_forward(Tensor(x.reshape(-1, 1), requires_grad=True),
+                        Tensor(one), Tensor(zero), Tensor(one), Tensor(zero))
+
+
+def gelu_ref(a):
+    """The unfused GELU op: float32 Phi from the blocked rational erf, and its rule."""
+    data, phi = secap.tensor._gelu_f32(a.data)
+
+    def gelu(g):
+        return (g * (phi + a.data * (np.exp(a.data * -0.5 * a.data) / math.sqrt(2.0 * math.pi))),)
+
+    return record(data, (a,), gelu)
+
+
 class TestGelu:
     def test_zero(self):
-        assert gelu(Tensor([0.0])).data[0] == 0.0
+        assert secap.tensor._gelu_f32(np.zeros(1, np.float32))[0][0] == 0.0
+        assert gelu_through_ffn(np.zeros(1, np.float32)).data[0, 0] == 0.0
 
     def test_unit_input(self):
-        assert abs(gelu(t64([1.0])).data[0] - 0.8413447) < 1e-3
+        assert abs(gelu_through_ffn(np.array([1.0])).data[0, 0] - 0.8413447) < 1e-3
 
     def test_deep_negative_tail(self):
-        assert abs(gelu(t64([-10.0])).data[0]) < 1e-6
+        assert abs(gelu_through_ffn(np.array([-10.0])).data[0, 0]) < 1e-6
 
     @staticmethod
     def phi64(x):
@@ -466,41 +487,116 @@ class TestGelu:
         assert phi.dtype == np.float32 and phi.shape == x.shape
         assert np.abs(phi - self.phi64(x)).max() <= 3e-7
         np.testing.assert_array_equal(out, x * phi)
-        np.testing.assert_array_equal(gelu(Tensor(x)).data, out)
+        np.testing.assert_array_equal(gelu_through_ffn(x).data[:, 0], out)
 
-    def test_float32_special_values_match_float64_path(self, monkeypatch):
-        monkeypatch.setattr(secap.tensor, "_debug_checks", False)
+    def test_float32_special_values_match_float64_path(self):
         x = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0], dtype=np.float64)
         with np.errstate(invalid="ignore"):
-            got = gelu(Tensor(x.astype(np.float32))).data
-            want = gelu(t64(x)).data
+            got, _ = secap.tensor._gelu_f32(x.astype(np.float32))
+            want = x * self.phi64(x)  # the float64 path's formula
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, want.astype(np.float32))
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_float32_backward_is_the_reference_formula(self, rng):
-        x = rng.standard_normal((4, 10, 33)).astype(np.float32) * np.float32(3.0)
-        g = rng.standard_normal(x.shape).astype(np.float32)
+        x = rng.standard_normal(4 * 10 * 33).astype(np.float32) * np.float32(3.0)
+        g = rng.standard_normal((x.size, 1)).astype(np.float32)
         _, phi = secap.tensor._gelu_f32(x)
         with recording():
-            gelu(Tensor(x, requires_grad=True))
-            (got,) = tape().entries[0].backward_rule(g)
+            gelu_through_ffn(x)
+            got = tape().entries[0].backward_rule(g)[0][:, 0]
         pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        want = g * (phi + x * pdf)
+        want = g[:, 0] * (phi + x * pdf)
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, want)
-
-    def test_float32_records_one_gelu_entry(self, rng):
-        with recording():
-            gelu(Tensor(rng.standard_normal((2, 3)).astype(np.float32), requires_grad=True))
-            assert len(tape().entries) == 1
-            assert tape().entries[0].backward_rule.__qualname__.startswith("gelu.")
 
     def test_float32_nan_is_named_under_debug_checks(self, monkeypatch):
         monkeypatch.setattr(secap.tensor, "_debug_checks", True)
         with np.errstate(invalid="ignore"), \
-                pytest.raises(NumericError, match=r"op 'gelu' at index \(1,\)"):
-            gelu(Tensor(np.array([1.0, np.nan], dtype=np.float32)))
+                pytest.raises(NumericError, match=r"op 'feed_forward' at index \(1, 0\)"):
+            gelu_through_ffn(np.array([1.0, np.nan], dtype=np.float32))
+
+
+class TestFeedForward:
+    TOL = 1e-6
+
+    @staticmethod
+    def weights(rng, d=6, hidden=24, dtype=np.float32):
+        shapes = [("fc1.weight", (d, hidden)), ("fc1.bias", (hidden,)),
+                  ("fc2.weight", (hidden, d)), ("fc2.bias", (d,))]
+        return [Parameter(name, rng.standard_normal(shape).astype(dtype) / math.sqrt(shape[0]))
+                for name, shape in shapes]
+
+    @pytest.mark.parametrize("shape", [(2, 5, 6), (7, 6)], ids=["rank3", "rank2"])
+    @pytest.mark.parametrize("x_grad", [True, False], ids=["x-grad", "x-constant"])
+    def test_bit_equal_to_the_unfused_chain(self, rng, shape, x_grad):
+        ws = self.weights(rng)
+        x = Tensor(rng.standard_normal(shape).astype(np.float32) * np.float32(2.0), requires_grad=x_grad)
+        readout = Tensor(rng.standard_normal(shape).astype(np.float32))
+        chains = [lambda x: feed_forward(x, *ws),
+                  lambda x: linear(gelu_ref(linear(x, ws[0], ws[1])), ws[2], ws[3])]
+        results = []
+        for chain in chains:
+            for t in (x, *ws):
+                t.zero_grad()
+            with recording():
+                y = chain(x)
+                backward(tsum(mul(y, readout)))
+            results.append([y.data, x.grad, *(w.grad for w in ws)])
+        fused, unfused = results
+        assert (fused[1] is None) == (not x_grad) and (unfused[1] is None) == (not x_grad)
+        for got, want in zip(fused, unfused):
+            if want is not None:
+                assert got.dtype == np.float32 and got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("slot", range(5), ids=["x", "w1", "b1", "w2", "b2"])
+    def test_matches_central_differences(self, rng, slot):
+        x0 = rng.standard_normal((2, 3, 4))
+        leaves = [x0] + [w.data for w in self.weights(rng, d=4, hidden=8, dtype=np.float64)]
+        readout = Tensor(rng.standard_normal((2, 3, 4)))
+
+        def loss(t):
+            args = [t if i == slot else t64(v) for i, v in enumerate(leaves)]
+            return tsum(mul(feed_forward(*args), readout))
+
+        assert finite_diff_check(loss, t64(leaves[slot])) < self.TOL
+
+    def test_one_tape_entry_and_no_gradient_for_a_constant_input(self, rng):
+        x = Tensor(rng.standard_normal((3, 6)).astype(np.float32))
+        with recording():
+            out = feed_forward(x, *self.weights(rng))
+            assert len(tape().entries) == 1
+            assert tape().entries[0].backward_rule.__qualname__.startswith("feed_forward.")
+            grads = tape().entries[0].backward_rule(np.ones(out.shape, np.float32))
+            assert grads[0] is None and [g.shape for g in grads[1:]] == [(6, 24), (24,), (24, 6), (6,)]
+
+    @pytest.mark.parametrize("slot, shape", [(1, (5, 24)), (2, (23,)), (3, (23, 6)), (4, (5,))],
+                             ids=["w1", "b1", "w2", "b2"])
+    def test_shape_errors_are_dimension_errors(self, rng, slot, shape):
+        args = [Tensor(np.zeros((3, 6), np.float32))] + self.weights(rng)
+        args[slot] = Tensor(np.zeros(shape, np.float32))
+        with pytest.raises(DimensionError, match=r"feed_forward.*" + re.escape(str(shape))):
+            feed_forward(*args)
+
+    def test_keeps_two_hidden_size_arrays_and_none_after_backward(self, rng):
+        """One recorded entry holds fc1's output and Phi, and no GELU output."""
+        rows, hidden = 2048, 512
+        ws = self.weights(rng, d=4, hidden=hidden)
+        x = Tensor(rng.standard_normal((rows, 4)).astype(np.float32), requires_grad=True)
+        size = rows * hidden * 4  # bytes of one float32 hidden-size array
+        tracemalloc.start()
+        try:
+            with recording():
+                y = feed_forward(x, *ws)
+                held, _ = tracemalloc.get_traced_memory()
+                backward(tsum(y))
+            del y
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 2 * size <= held < 2.5 * size
+        assert left < 0.5 * size
 
 
 class TestBackward:
@@ -561,7 +657,7 @@ class TestBackward:
     def test_walk_pops_entries_before_running_their_rules(self):
         x = t64([1.0, 2.0], requires_grad=True)
         with recording():
-            loss = tsum(mul(gelu(x), t64(2.0)))
+            loss = tsum(mul(mul(x, x), t64(2.0)))
             first = tape().entries[0]
             seen = []
             rule = first.backward_rule
@@ -578,7 +674,7 @@ class TestBackward:
     def test_raising_rule_still_clears_tape(self):
         x = t64([1.0, 2.0], requires_grad=True)
         with recording():
-            loss = tsum(mul(gelu(x), x))
+            loss = tsum(mul(mul(x, x), x))
 
             def broken(g):
                 raise RuntimeError("rule failed")
@@ -834,11 +930,12 @@ class TestPerOpGradients:
     def test_nonlinearities(self, rng):
         x0 = rng.standard_normal((2, 5))
         ones = Tensor(np.ones((2, 1, 1)))
+        w1, b1, w2, b2 = (t64(rng.standard_normal(shape)) for shape in ((5, 8), (8,), (8, 5), (5,)))
         cases = [
             # softmax(t) . x0 per row: attention with q = 1, k = t and v = x0
             (lambda t: tsum(attention(ones, reshape(t, (2, 5, 1)), Tensor(x0.reshape(2, 5, 1)), 1)[0]),
              x0),
-            (lambda t: tsum(gelu(t)), x0),
+            (lambda t: tsum(feed_forward(t, w1, b1, w2, b2)), x0),
         ]
         for i, (f, base) in enumerate(cases):
             assert finite_diff_check(f, t64(base)) < self.TOL, i

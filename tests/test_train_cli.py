@@ -349,6 +349,38 @@ class TestCliUsage:
         assert captured.err == f"secap: {tmp_path / 'file'}: not a directory\n"
         assert sorted(os.listdir(tmp_path)) == before and (tmp_path / "file").read_bytes() == b"kept"
 
+    def test_out_the_file_system_refuses_is_io_before_any_step(self, tmp_path, capsys, monkeypatch):
+        manifest = _tiny_manifest(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        monkeypatch.setattr(importlib.import_module("secap.train"), "load_images",
+                            lambda *a, **kw: pytest.fail("training started"))
+        rc = cli.main(["train", "--manifest", manifest, "--out", str(tmp_path / "o" / ("x" * 300)),
+                       "--epochs", "2", "--p", "2", "--k", "1", "--patch", "16"] + MICRO_FLAGS)
+        assert rc == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == "" and "File name too long" in captured.err
+        assert sorted(os.listdir(tmp_path)) == before  # the `o` it made is gone
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_run_failing_before_a_checkpoint_removes_only_the_directories_it_made(
+            self, tmp_path, capsys, monkeypatch, existing):
+        manifest = _tiny_manifest(tmp_path)
+        if existing:
+            (tmp_path / "a").mkdir()
+        before = sorted(os.listdir(tmp_path))
+
+        def unreadable(*args, **kwargs):
+            assert (tmp_path / "a" / "b").is_dir()  # made before the first step
+            raise OSError("unreadable image")
+
+        monkeypatch.setattr(importlib.import_module("secap.train"), "load_images", unreadable)
+        rc = cli.main(["train", "--manifest", manifest, "--out", str(tmp_path / "a" / "b"),
+                       "--epochs", "1", "--p", "2", "--k", "1", "--patch", "16"] + MICRO_FLAGS)
+        assert rc == cli.EXIT_IO
+        assert capsys.readouterr().err == "secap: unreadable image\n"
+        assert sorted(os.listdir(tmp_path)) == before
+        assert not existing or os.listdir(tmp_path / "a") == []
+
     def test_one_identity_per_batch_is_usage_before_any_step(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "train", lambda *a, **kw: pytest.fail("train() started"))
         rc = cli.main(["train", "--manifest", _tiny_manifest(tmp_path), "--out", str(tmp_path / "out"),
