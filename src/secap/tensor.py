@@ -11,7 +11,10 @@ Backward does only the work the loss needs: a rule returns None for an input
 that does not require a gradient (images, constants), each entry is popped as
 the walk reaches it, and an op output's gradient is dropped once its entry
 has run. Gradients therefore land on leaves only, the tensors no recorded op
-produced (parameters and checked inputs); intermediates never get .grad.
+produced (parameters and checked inputs); intermediates never get .grad. A
+leaf's gradient is complete once the walk has run the leaf's earliest entry:
+backward sets .grad there and hands the leaf to the scope's `on_leaf`, so an
+optimizer can update each parameter and drop its gradient during the walk.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -54,6 +57,7 @@ class Tape:
     def __init__(self):
         self.entries: list[TapeEntry] = []
         self.recording = False
+        self.on_leaf: Optional[Callable[[Tensor], None]] = None
 
 
 _TAPE = Tape()
@@ -65,16 +69,20 @@ def tape() -> Tape:
 
 
 @contextlib.contextmanager
-def recording():
+def recording(on_leaf: Optional[Callable[[Tensor], None]] = None):
     """Record differentiable ops inside the block; on exit, normal or by
-    raising, recording is off and the tape is empty. Blocks do not nest."""
+    raising, recording is off and the tape is empty. Blocks do not nest.
+    backward() inside the block calls on_leaf(leaf) once per leaf, as soon as
+    the leaf's .grad is complete (e.g. `recording(on_leaf=opt.update)`)."""
     if _TAPE.recording:
         raise ContractError("recording() is already active; scopes do not nest")
     _TAPE.recording = True
+    _TAPE.on_leaf = on_leaf
     try:
         yield
     finally:
         _TAPE.recording = False
+        _TAPE.on_leaf = None
         _TAPE.entries.clear()
 
 
@@ -493,15 +501,34 @@ def backward(loss: Tensor) -> None:
     A leaf is a tensor that requires a gradient and that no recorded op
     produced. Op outputs never get .grad: each entry is popped as the walk
     reaches it, and its output's gradient is dropped once the rule has run, so
-    activations and intermediate gradients are freed during the walk. Consumes
-    the tape, also when a rule raises: a second call without newly recorded
-    ops raises.
+    activations and intermediate gradients are freed during the walk. A leaf is
+    finished when the walk has run its earliest entry, since no entry before it
+    can add to its gradient: .grad is set then, and the scope's on_leaf gets
+    the leaf. Consumes the tape, also when a rule raises: a second call without
+    newly recorded ops raises, and the leaves finished before the raise keep
+    what they got.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     entries = _TAPE.entries
     if not entries:
         raise ContractError("tape is empty: no op was recorded inside recording(), or backward consumed it")
+    on_leaf = _TAPE.on_leaf
+
+    def finish(tensor_: Tensor, g: np.ndarray) -> None:
+        if tensor_.requires_grad:
+            g = g.astype(tensor_.data.dtype, copy=False)
+            tensor_.grad = g if tensor_.grad is None else tensor_.grad + g
+            if on_leaf is not None:
+                on_leaf(tensor_)
+
+    # id -> index of the earliest entry that reads it; an op output maps to -1,
+    # as its entries come after the one that made it
+    earliest: dict[int, int] = {}
+    for index, entry in enumerate(entries):
+        for inp in entry.inputs:
+            earliest.setdefault(id(inp), index)
+        earliest[id(entry.output)] = -1
 
     # id -> (tensor, gradient so far); entries come in topological order, so
     # an output's gradient is complete when the walk reaches its entry
@@ -510,18 +537,18 @@ def backward(loss: Tensor) -> None:
         while entries:
             entry = entries.pop()
             held = acc.pop(id(entry.output), None)
-            if held is None:
-                continue  # not reachable from the loss
-            for inp, g in zip(entry.inputs, entry.backward_rule(held[1])):
-                if g is None:
-                    continue
-                prev = acc.get(id(inp))
-                acc[id(inp)] = (inp, g if prev is None else prev[1] + g)
+            if held is not None:  # else not reachable from the loss
+                for inp, g in zip(entry.inputs, entry.backward_rule(held[1])):
+                    if g is None:
+                        continue
+                    prev = acc.get(id(inp))
+                    acc[id(inp)] = (inp, g if prev is None else prev[1] + g)
+            for inp in entry.inputs:  # the leaves this entry is the earliest reader of
+                if earliest[id(inp)] == len(entries) and id(inp) in acc:
+                    finish(*acc.pop(id(inp)))
     finally:
         _TAPE.entries.clear()
 
-    # what is left was produced by no recorded op: the leaves
+    # a leaf no entry reads: the loss itself
     for tensor_, g in acc.values():
-        if tensor_.requires_grad:
-            g = g.astype(tensor_.data.dtype, copy=False)
-            tensor_.grad = g if tensor_.grad is None else tensor_.grad + g
+        finish(tensor_, g)

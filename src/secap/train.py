@@ -181,7 +181,11 @@ def train(
                                        for i, (r, image) in enumerate(zip(batch, images))])
                 id_labels = [label_map[r.identity] for r in batch]
                 view_labels = [DEFAULT_VIEW_MAP[r.view] for r in batch]  # the aerial/ground side
-                with recording():
+                lr = cosine_lr(step, total_steps, cfg.lr_max, cfg.lr_min, cfg.warmup_steps)
+                opt.lr = lr
+                # backward updates each parameter once its gradient is complete; step() checks
+                # that every parameter got one (a rule that raises leaves earlier updates applied)
+                with recording(on_leaf=opt.update):
                     total, parts = model.compute_losses(images, id_labels, view_labels, cfg.weights)
                     value = total.data.item()
                     if not np.isfinite(value):
@@ -189,8 +193,6 @@ def train(
                         raise NumericError(f"non-finite loss {value} at epoch {epoch} step {s}; "
                                            f"non-finite parts: {', '.join(bad) or 'none'}")
                     backward(total)
-                lr = cosine_lr(step, total_steps, cfg.lr_max, cfg.lr_min, cfg.warmup_steps)
-                opt.lr = lr
                 opt.step()
                 step += 1
                 sums["loss_total"] += value

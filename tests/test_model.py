@@ -12,8 +12,9 @@ from secap.errors import ConfigurationError
 from secap.gradcheck import check_parameter_gradients
 from secap.losses import LossWeights
 from secap.model import ABLATIONS, ModelConfig, SeCapModel
+from secap.optim import SGD
 from secap.prm import VARIANTS
-from secap.tensor import recording, tape
+from secap.tensor import backward, recording, tape
 
 MICRO_ENC = dict(image_h=16, image_w=16, embed_dim=16, depth=1, heads=2, ffn_mult=2)
 
@@ -236,6 +237,49 @@ class TestTapeBudget:
         with recording():
             SeCapModel(micro_cfg()).compute_losses(images, ids, views, LossWeights())
             assert sum(e.output.data.nbytes for e in tape().entries) == self.EXPECTED_BYTES
+
+
+class TestOptimizerHook:
+    """Training updates each parameter from backward's on_leaf hook (SGD.update) as soon as its
+    gradient is complete; the bytes must be those of backward followed by SGD.step()."""
+
+    DESK = EncoderConfig(image_h=64, image_w=32, embed_dim=64, depth=2, heads=4)
+
+    @pytest.mark.parametrize("ablate,variant", [("none", v) for v in VARIANTS]
+                             + [(a, "attn") for a in ABLATIONS if a != "none"])
+    def test_two_hooked_desk_steps_equal_backward_then_step(self, ablate, variant, rng):
+        batches = rng.standard_normal((2, 16, 3, 64, 32)).astype(np.float32)
+        ids, views = np.repeat(np.arange(8), 2), np.tile([0, 1], 8)  # P = 8, K = 2
+        states = []
+        for hooked in (False, True):
+            model = SeCapModel(ModelConfig(encoder=self.DESK, num_ids=16, prompt_len=8,
+                                           ablate=ablate, prm_variant=variant))
+            opt = SGD(model.parameters(), lr=8e-3, momentum=0.9, weight_decay=1e-4)
+            for images in batches:
+                with recording(on_leaf=opt.update if hooked else None):
+                    total, _ = model.compute_losses(images, ids, views, LossWeights())
+                    backward(total)
+                opt.step()
+            states.append([p.data.tobytes() for p in model.parameters()]
+                          + [v.tobytes() for v in opt._velocity.values()])
+        assert states[0] == states[1]
+
+    def test_no_prm_parameters_reach_the_hook_once_after_their_earliest_entry(self, rng):
+        model = SeCapModel(micro_cfg(ablate="no-prm"))
+        images, ids, views = micro_batch(rng)
+        handed = []  # (parameter name, entries left on the tape)
+        with recording(on_leaf=lambda p: handed.append((p.name, len(tape().entries)))):
+            total, _ = model.compute_losses(images, ids, views, LossWeights())
+            earliest = {}
+            for index, entry in enumerate(tape().entries):
+                for t in entry.inputs:
+                    if getattr(t, "name", None):
+                        earliest.setdefault(t.name, index)
+            readers = [i for i, e in enumerate(tape().entries) if model.prompts in e.inputs]
+            backward(total)
+        assert readers and earliest["prm.prompts"] == readers[0]
+        assert sorted(handed) == sorted(earliest.items())
+        assert sorted(name for name, _ in handed) == sorted(p.name for p in model.parameters())
 
 
 def test_every_tensor_op_is_recorded_by_some_micro_model(rng):

@@ -751,6 +751,86 @@ class TestRecordingScope:
         assert not tape().recording
 
 
+class TestOnLeaf:
+    """backward hands each leaf to the scope's on_leaf once, right after the walk runs the
+    leaf's earliest entry, the first point at which its gradient is complete."""
+
+    def spied_tape(self, events):
+        """w is read by entries 0, 3 and 4, u by entry 2 only; every rule logs its index."""
+        w, u, c = t64([1.0, -2.0], requires_grad=True), t64([0.5, 3.0], requires_grad=True), t64([2.0, 2.0])
+        y = mul(w, c)               # 0
+        y = add(y, c)               # 1
+        y = mul(add(y, u), w)       # 2 (add) and 3 (mul)
+        y = add(y, w)               # 4 (w's third reader)
+        loss = tsum(y)              # 5
+
+        def logged(rule, index):
+            def run(g):
+                events.append(("rule", index))
+                return rule(g)
+            return run
+
+        for index, entry in enumerate(tape().entries):
+            entry.backward_rule = logged(entry.backward_rule, index)
+        return w, u, loss
+
+    def test_each_leaf_once_right_after_its_earliest_entry(self):
+        events, names = [], {}
+        # a leaf's event holds the number of entries left on the tape when it was handed over
+        with recording(on_leaf=lambda leaf: events.append((names[id(leaf)], len(tape().entries)))):
+            w, u, loss = self.spied_tape(events)
+            names.update({id(w): "w", id(u): "u"})
+            backward(loss)
+        assert events == [("rule", 5), ("rule", 4), ("rule", 3), ("rule", 2), ("u", 2),
+                          ("rule", 1), ("rule", 0), ("w", 0)]
+
+    def test_without_on_leaf_grads_match_the_hooked_walk(self, rng):
+        w0 = rng.standard_normal((3, 4)).astype(np.float32)
+        x = Tensor(rng.standard_normal((5, 3)).astype(np.float32))
+        handed = []
+        grads = []
+        for hook in (None, lambda leaf: handed.append(leaf.grad.copy())):
+            w = Parameter("w", w0)
+            w.grad = np.ones_like(w0)  # backward adds to a gradient already held
+            with recording(on_leaf=hook):
+                h = linear(x, w)  # w is read here and by the last mul
+                backward(add(tsum(mul(h, h)), tsum(mul(w, w))))
+            grads.append(w.grad)
+        assert grads[0].dtype == np.float32 and grads[0].tobytes() == grads[1].tobytes()
+        assert len(handed) == 1 and handed[0].tobytes() == grads[0].tobytes()
+
+    def test_unreachable_leaf_is_not_handed_over(self):
+        x, y = t64([1.0], requires_grad=True), t64([1.0], requires_grad=True)
+        handed = []
+        with recording(on_leaf=handed.append):
+            _orphan = mul(y, y)
+            backward(tsum(mul(x, x)))
+        assert handed == [x] and y.grad is None
+
+    def test_scope_forgets_its_hook_on_exit(self):
+        x = t64([1.0], requires_grad=True)
+        with pytest.raises(RuntimeError, match="aborted"):
+            with recording(on_leaf=lambda leaf: None):
+                assert tape().on_leaf is not None
+                raise RuntimeError("aborted")
+        assert tape().on_leaf is None
+        with recording():
+            backward(tsum(mul(x, x)))
+        np.testing.assert_array_equal(x.grad, [2.0])
+
+    def test_raising_hook_still_clears_tape(self):
+        x = t64([1.0, 2.0], requires_grad=True)
+
+        def broken(leaf):
+            raise RuntimeError("hook failed")
+
+        with recording(on_leaf=broken):
+            loss = tsum(mul(mul(x, x), t64(2.0)))
+            with pytest.raises(RuntimeError, match="hook failed"):
+                backward(loss)
+            assert tape().entries == []
+
+
 class TestParameter:
     def test_is_a_tensor_that_requires_grad(self):
         p = Parameter("w", np.zeros((2, 3)))
@@ -834,6 +914,96 @@ class TestSGD:
         p.grad = np.array([0.0])
         SGD([p], lr=0.1, momentum=0.0, weight_decay=0.5).step()
         np.testing.assert_allclose(p.data, [9.5])
+
+
+    def test_refused_step_changes_nothing(self):
+        a, b = Parameter("a", np.array([1.0, 2.0])), Parameter("b", np.array([3.0]))
+        opt = SGD([a, b], lr=0.1, momentum=0.9, weight_decay=0.01)
+        a.grad, b.grad = np.array([0.5, -0.5]), np.array([1.0])
+        opt.step()  # velocities are no longer zero
+        before = [x.tobytes() for x in (a.data, b.data, *opt._velocity.values())]
+        a.grad = np.array([2.0, 2.0])
+        with pytest.raises(ContractError, match="parameter b has no gradient"):
+            opt.step()
+        assert [x.tobytes() for x in (a.data, b.data, *opt._velocity.values())] == before
+        assert a.grad is not None
+
+    def test_step_accepts_what_update_applied_in_this_step_only(self):
+        a, b = Parameter("a", np.array([1.0])), Parameter("b", np.array([3.0]))
+        opt = SGD([a, b], lr=0.1)
+        a.grad, b.grad = np.array([1.0]), np.array([1.0])
+        opt.update(a)
+        assert a.grad is None and a.data.tolist() == [0.9]
+        opt.step()
+        assert b.grad is None and b.data.tolist() == [2.9]
+        a.grad = np.array([1.0])
+        opt.update(a)
+        with pytest.raises(ContractError, match="parameter b has no gradient"):
+            opt.step()  # a was updated in this step, b got nothing: refused, and a stays updated
+        assert b.data.tolist() == [2.9] and a.data[0] != 0.9
+
+    def test_update_refuses_a_stranger_and_a_missing_gradient(self):
+        p = self.make_param([1.0])
+        opt = SGD([p], lr=0.1)
+        with pytest.raises(ContractError, match="not registered or has no gradient"):
+            opt.update(p)
+        stranger = Parameter("x", np.ones(1))
+        stranger.grad = np.ones(1)
+        with pytest.raises(ContractError, match="not registered or has no gradient"):
+            opt.update(stranger)
+        assert stranger.data.tolist() == [1.0]
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [1, SGD.BLOCK - 1, SGD.BLOCK, SGD.BLOCK + 1, 3 * SGD.BLOCK + 7])
+    def test_update_is_bit_equal_to_the_unblocked_formula(self, rng, size, dtype, weight_decay):
+        p = Parameter("w", rng.standard_normal((size,)).astype(dtype))
+        opt = SGD([p], lr=8e-3, momentum=0.9, weight_decay=weight_decay)
+        ref_p, ref_v = p.data.copy(), np.zeros_like(p.data)
+        for _ in range(2):
+            g = rng.standard_normal(size).astype(dtype)
+            p.grad = g.copy()
+            opt.update(p)
+            if weight_decay:  # the formula the update replaced, with its temporaries
+                g = g + weight_decay * ref_p
+            ref_v *= 0.9
+            ref_v += g
+            ref_p = ref_p - 8e-3 * ref_v
+            assert p.data.dtype == dtype and p.grad is None
+            assert p.data.tobytes() == ref_p.tobytes()
+            assert opt._velocity["w"].tobytes() == ref_v.tobytes()
+
+    def test_zero_lr_update_keeps_the_bytes_across_blocks(self, rng):
+        p = Parameter("w", rng.standard_normal(3 * SGD.BLOCK + 7).astype(np.float32))
+        before = p.data.tobytes()
+        p.grad = rng.standard_normal(p.shape).astype(np.float32)
+        SGD([p], lr=0.0, weight_decay=1e-4).update(p)
+        assert p.data.tobytes() == before
+
+    def test_hooked_step_peaks_below_unhooked_by_half_the_gradients(self, rng):
+        """Updating each weight as backward finishes it frees its gradient during the walk:
+        a chain of wide weights on one row holds little tape and large gradients."""
+        ws = [Parameter(f"w{i}", rng.standard_normal((256, 256)).astype(np.float32) / 16.0)
+              for i in range(8)]
+        x = Tensor(rng.standard_normal((1, 256)).astype(np.float32))
+        opt = SGD(ws, lr=1e-3)
+
+        def step_peak(on_leaf):
+            tracemalloc.start()
+            try:
+                with recording(on_leaf=on_leaf):
+                    h = x
+                    for w in ws:
+                        h = linear(h, w)
+                    backward(tsum(h))
+                opt.step()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        step_peak(None)  # the optimizer's one scratch buffer is made here, outside the comparison
+        unhooked, hooked = step_peak(None), step_peak(opt.update)
+        assert unhooked - hooked >= 0.5 * sum(w.data.nbytes for w in ws)
 
 
 class TestCosineSchedule:

@@ -184,18 +184,29 @@ class TestTrainLoop:
         assert tape().entries == []
 
     def test_tape_empty_after_every_step(self, corpus, monkeypatch):
+        """Also the benchmark's hooks: it swaps train's `backward` for a one-argument function and
+        wraps SGD.step to time each step. The optimizer's hook lives on the recording scope, so
+        both still see every step, and the trained bytes do not change."""
         import secap.optim as optim_mod
+        train_mod = importlib.import_module("secap.train")  # `secap.train` is also the function
 
-        real_step = optim_mod.SGD.step
-        held = []
+        plain = [p.data.tobytes() for p in train(corpus, micro_train_cfg()).model.parameters()]
+        real_backward, real_step = train_mod.backward, optim_mod.SGD.step
+        losses, held = [], []
+
+        def recording_backward(loss):
+            losses.append(float(loss.data.reshape(-1)[0]))
+            return real_backward(loss)
 
         def checked_step(self):
             held.append(len(tape().entries))
             return real_step(self)
 
+        monkeypatch.setattr(train_mod, "backward", recording_backward)
         monkeypatch.setattr(optim_mod.SGD, "step", checked_step)
         result = train(corpus, micro_train_cfg())
-        assert held == [0] * result.total_steps
+        assert held == [0] * result.total_steps and len(losses) == result.total_steps
+        assert [p.data.tobytes() for p in result.model.parameters()] == plain
         assert tape().entries == []
 
     def test_raising_step_leaves_tape_empty(self, corpus, monkeypatch):
@@ -207,6 +218,35 @@ class TestTrainLoop:
         with pytest.raises(ContractError, match="loss raised"):
             train(corpus, micro_train_cfg())
         assert tape().entries == [] and not tape().recording
+
+    def test_rule_raising_mid_walk_keeps_earlier_updates_and_writes_nothing(
+            self, corpus, monkeypatch, tmp_path):
+        """backward updates each parameter as it finishes it, so a step that fails mid-walk is
+        not atomic; the run still ends with an empty tape and no checkpoint."""
+        import secap.optim as optim_mod
+        import secap.tensor as tensor_mod
+
+        real_grads, real_update = tensor_mod._affine_grads, optim_mod.SGD.update
+        calls, updated = [], []
+
+        def failing_grads(*args):  # every linear and feed-forward rule computes its gradients here
+            calls.append(None)
+            if len(calls) == 10:
+                raise RuntimeError("rule failed")
+            return real_grads(*args)
+
+        def spied_update(self, p):
+            updated.append(p.name)
+            return real_update(self, p)
+
+        monkeypatch.setattr(tensor_mod, "_affine_grads", failing_grads)
+        monkeypatch.setattr(optim_mod.SGD, "update", spied_update)
+        out = tmp_path / "run"
+        with pytest.raises(RuntimeError, match="rule failed"):
+            train(corpus, micro_train_cfg(checkpoint_every=1), out_dir=str(out))
+        assert updated  # the parameters finished before the raise were updated
+        assert tape().entries == [] and not tape().recording and tape().on_leaf is None
+        assert not out.exists()
 
     def test_too_few_identities(self, corpus, monkeypatch):
         # pk_sample refuses the first batch before any model is built
