@@ -39,7 +39,7 @@ from .evaluate import (
     extract_features,
     oracle_cmc_map,
 )
-from .gradcheck import check_parameter_gradients, finite_diff_check, randomize_for_gradcheck
+from .gradcheck import NoiseSource, check_parameter_gradients, finite_diff_check
 from .losses import LossWeights
 from .model import ModelConfig, SeCapModel
 from .optim import SGD, cosine_lr

@@ -33,9 +33,9 @@ from .errors import (
     ProtocolError,
 )
 from .evaluate import cmc_map, distance_matrix, extract_features, protocol_features
-from .gradcheck import check_parameter_gradients, randomize_for_gradcheck
+from .gradcheck import check_model_gradients
 from .losses import LossWeights
-from .model import ABLATIONS, ModelConfig, SeCapModel
+from .model import ABLATIONS, ModelConfig
 from .prm import VARIANTS as PRM_VARIANTS
 from .storage import save_rten
 from .train import TrainConfig, model_from_checkpoint, train
@@ -178,22 +178,7 @@ def cmd_grad_check(args) -> int:
     if args.coords < 0 or not 0.0 < args.tol < np.inf:
         raise ConfigurationError(f"need --coords >= 0 and a finite --tol > 0, got {args.coords} and {args.tol}")
     cfg = _config(ModelConfig, args, encoder=_config(EncoderConfig, args))
-    model = SeCapModel(cfg).astype(np.float64)
-    params = model.parameters()
-    randomize_for_gradcheck(params, seed=cfg.seed)
-    rng = np.random.default_rng([cfg.seed, 999])
-    images = rng.uniform(0.0, 1.0, size=(4, *cfg.encoder.image_shape))
-    id_labels = np.array([0, 0, 1, 1])
-    view_labels = np.array([0, 1, 0, 1])
-    weights = LossWeights()
-
-    def loss_fn():
-        total, _ = model.compute_losses(images, id_labels, view_labels, weights)
-        return total
-
-    worst, worst_name, _ = check_parameter_gradients(
-        params, loss_fn, coords_per_param=args.coords, seed=cfg.seed
-    )
+    worst, worst_name = check_model_gradients(cfg, args.coords)
     print(f"max relative error {worst:.3e} at {worst_name} (tolerance {args.tol:.1e})")
     if worst < args.tol:
         print("grad-check: PASS")

@@ -18,6 +18,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .encoder import check_field_types
 from .errors import ConfigurationError, ContractError, ParseError, ProtocolError
 from .storage import load_image, save_rten
 
@@ -468,6 +469,7 @@ class SynthConfig:
     num_distractors: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.num_ids < 1 or self.images_per_id_per_view < 1 or self.cams_per_view < 1:
             raise ConfigurationError("all counts must be >= 1")
         if not 1 <= self.num_views <= 3:

@@ -1,7 +1,8 @@
-"""Central-difference verification of analytic gradients.
+"""Central-difference verification of analytic gradients, and the grad-check recipe.
 
 All checks run in float64: central differences with eps = 1e-5 lose too
-many bits in float32 to separate real bugs from roundoff.
+many bits in float32 to separate real bugs from roundoff, so a checked
+model takes its parameters from NoiseSource, which draws them in float64.
 """
 
 from __future__ import annotations
@@ -12,33 +13,37 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ContractError
+from .losses import LossWeights
+from .model import ModelConfig, SeCapModel
 from .tensor import Parameter, Tensor, backward, recording
 
 
-def randomize_for_gradcheck(params: Sequence[Parameter], seed: int = 0) -> None:
-    """Move parameters to a generic well-conditioned point before checking.
+class NoiseSource:
+    """Grad-check's parameter source: each parameter is drawn once, in float64, from one default_rng(seed)
+    stream in the order the layers ask; a name in `dropped` draws nothing and stands in as None. Backward
+    rules do not depend on the evaluation point, so checks run at ~1/sqrt(fan_in) scales: at the tiny
+    production init scale deep paths carry gradients near 1e-12, where central differences are roundoff."""
 
-    At the tiny production init scale, deep multiplicative paths carry
-    gradients around 1e-12 where central differences are pure roundoff, so a
-    relative comparison is meaningless there. Backward rules do not depend on
-    the evaluation point; checks run at ~1/sqrt(fan_in) scales instead.
-    """
-    rng = np.random.default_rng(seed)
-    for p in params:
-        shape = p.shape
-        noise = rng.standard_normal(shape)
-        name = p.name.rsplit(".", 1)[-1]
-        if name == "gamma":
-            p.assign(1.0 + 0.1 * noise)
-        elif name in ("bias", "beta"):
-            p.assign(0.1 * noise)
+    def __init__(self, seed: int = 0, dropped: Sequence[str] = ()):
+        self.rng, self.dropped = np.random.default_rng(seed), dropped
+
+    def __call__(self, name: str, shape: tuple) -> Optional[Parameter]:
+        if name in self.dropped:
+            return None
+        noise = self.rng.standard_normal(shape)
+        kind = name.rsplit(".", 1)[-1]
+        if kind == "gamma":
+            data = 1.0 + 0.1 * noise
+        elif kind in ("bias", "beta"):
+            data = 0.1 * noise
         elif len(shape) == 2:
             # unit-gain matrices: smaller shrinks deep-path gradients into the
             # central-difference noise floor, larger saturates the norm-free
             # refinement path's softmaxes into locally flat (unfalsifiable) spots
-            p.assign(noise / np.sqrt(shape[0]))
+            data = noise / np.sqrt(shape[0])
         else:
-            p.assign(0.25 * noise)
+            data = 0.25 * noise
+        return Parameter(name, data, copy=False)
 
 
 def _analytic_gradients(loss_fn: Callable[[], Tensor],
@@ -138,3 +143,19 @@ def check_parameter_gradients(params: Sequence[Parameter],
         if err > worst:
             worst, worst_name = err, p.name
     return worst, worst_name, per_param
+
+
+def check_model_gradients(cfg: ModelConfig, coords_per_param: int) -> tuple[float, str]:
+    """The grad-check recipe: `cfg`'s model drawn from NoiseSource(cfg.seed), four images drawn from
+    [seed, 999] (identities 0011, views 0101), the default loss weights, and `coords_per_param`
+    probes per parameter. Returns the worst error and its parameter's name."""
+    model = SeCapModel(cfg, NoiseSource(cfg.seed, cfg.dropped_parameters))
+    images = np.random.default_rng([cfg.seed, 999]).uniform(0.0, 1.0, size=(4, *cfg.encoder.image_shape))
+    id_labels, view_labels = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+
+    def loss_fn():
+        total, _ = model.compute_losses(images, id_labels, view_labels, LossWeights())
+        return total
+
+    worst, worst_name, _ = check_parameter_gradients(model.parameters(), loss_fn, coords_per_param, seed=cfg.seed)
+    return worst, worst_name

@@ -24,8 +24,7 @@ from .losses import (
     Heads, LossParts, LossWeights, ce_loss, orthogonality_loss, soft_triplet_loss, total_loss,
 )
 from .nn import Module, expand_rows, param
-from .prm import PRM, VARIANTS
-from .storage import TableSource
+from .prm import ATTN_DROPPED_PARAMETERS, PRM, VARIANTS
 from .tensor import Tensor, reshape
 
 ABLATIONS = ("none", "no-prm", "no-vdt", "no-lfrm", "baseline")
@@ -68,6 +67,11 @@ class ModelConfig:
     def uses_prm(self) -> bool:
         return self.uses_lfrm and self.ablate != "no-prm"
 
+    @property
+    def dropped_parameters(self) -> tuple[str, ...]:
+        """Names the layers ask a source for and the model drops; a table or noise source skips them."""
+        return ATTN_DROPPED_PARAMETERS if self.uses_prm and self.prm_variant == "attn" else ()
+
 
 @dataclass
 class ModelOutput:
@@ -77,8 +81,9 @@ class ModelOutput:
 
 
 class SeCapModel(Module):
-    def __init__(self, cfg: ModelConfig, source: Optional[TableSource] = None):
-        """Build `cfg`'s layers: component i draws from stream [seed, i], or all take from `source`."""
+    def __init__(self, cfg: ModelConfig, source=None):
+        """Build `cfg`'s layers: component i draws from stream [seed, i], or all take from `source`
+        (a checkpoint's TableSource, or grad-check's NoiseSource)."""
         self.cfg = cfg
         e, d = cfg.encoder, cfg.encoder.embed_dim
         sources = [np.random.default_rng([cfg.seed, i]) for i in range(5)] if source is None else [source] * 5

@@ -5,7 +5,8 @@ model). Module.parameters() derives the registry from the layer's attributes
 in assignment order, so the order __init__ builds a layer in is the order of
 the optimizer and checkpoint layouts; no layer lists its parameters by hand.
 Each layer names each parameter once, through `param`, from one source: a
-seeded Generator when training, a checkpoint's TableSource when loading.
+seeded Generator when training, a checkpoint's TableSource when loading (both
+float32), or grad-check's float64 NoiseSource (gradcheck.py).
 """
 
 from __future__ import annotations
@@ -68,13 +69,6 @@ class Module:
         for member in self._members():
             if isinstance(member, Module):
                 member.zero_output_projections()
-
-    def astype(self, dtype) -> "Module":
-        """Convert every parameter to `dtype` in place (layers are built in
-        float32); returns this layer."""
-        for p in self.parameters():
-            p.data = p.data.astype(dtype)
-        return self
 
 
 class Linear(Module):

@@ -277,17 +277,6 @@ def load_ppm(path) -> np.ndarray:
     return np.ascontiguousarray(hwc.transpose(2, 0, 1))
 
 
-def save_ppm(path, image: np.ndarray) -> None:
-    """Write a (3, H, W) float array in [0, 1] as binary P6, maxval 255."""
-    if image.ndim != 3 or image.shape[0] != 3:
-        raise CheckpointError(f"expected (3, H, W) image, got {image.shape}")
-    u8 = np.clip(np.rint(np.asarray(image, dtype=np.float64) * 255.0), 0, 255).astype(np.uint8)
-    _, h, w = image.shape
-    with open(path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n255\n" % (w, h))
-        fh.write(np.ascontiguousarray(u8.transpose(1, 2, 0)).tobytes())
-
-
 def load_image(path) -> np.ndarray:
     """Load one image by extension: .rten float tensor or binary P6 PPM."""
     s = str(path)

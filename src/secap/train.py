@@ -25,7 +25,6 @@ from .errors import CheckpointError, ConfigurationError, ContractError, NumericE
 from .losses import LossParts, LossWeights, orthogonality_loss
 from .model import ModelConfig, SeCapModel
 from .optim import SGD, cosine_lr
-from .prm import ATTN_DROPPED_PARAMETERS
 from .storage import CKPT_METADATA_OFFSET, TableSource, load_checkpoint, save_checkpoint
 from .tensor import backward, recording
 
@@ -125,7 +124,7 @@ def model_from_checkpoint(path) -> Tuple[SeCapModel, TrainConfig]:
         raise CheckpointError(f"{path}: malformed metadata (byte offset {CKPT_METADATA_OFFSET}): "
                               f"{type(exc).__name__} {exc}") from None
     # each layer asks the table for its parameters by name and shape: a geometry it does not hold is refused
-    source = TableSource(table, ATTN_DROPPED_PARAMETERS if cfg.uses_prm and cfg.prm_variant == "attn" else ())
+    source = TableSource(table, cfg.dropped_parameters)
     try:
         model = SeCapModel(cfg, source)
         source.close()

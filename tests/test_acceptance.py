@@ -27,9 +27,9 @@ from secap.data import (
 from secap.encoder import Encoder, EncoderConfig
 from secap.errors import ProtocolError
 from secap.evaluate import FeatureSet, cmc_map, distance_matrix, extract_features, oracle_cmc_map
-from secap.gradcheck import check_parameter_gradients, randomize_for_gradcheck
+from secap.gradcheck import NoiseSource, check_model_gradients
 from secap.lfrm import LFRM
-from secap.losses import LossWeights, ce_loss, orthogonality_loss, soft_triplet_loss
+from secap.losses import ce_loss, orthogonality_loss, soft_triplet_loss
 from secap.model import ModelConfig, SeCapModel
 from secap.nn import Linear, trunc_normal
 from secap.optim import cosine_lr
@@ -105,21 +105,7 @@ def test_criterion_1_gradient_check_all_variants(capsys):
                 num_ids=2, num_views=2, prompt_len=PROMPT_LEN,
                 prm_variant=variant, seed=0,
             )
-            model = SeCapModel(cfg).astype(np.float64)
-            params = model.parameters()
-            randomize_for_gradcheck(params, seed=0)
-            rng = np.random.default_rng([0, 999])
-            images = rng.uniform(0.0, 1.0, size=(4, 3, 64, 32))
-            id_labels = np.array([0, 0, 1, 1])
-            view_labels = np.array([0, 1, 0, 1])
-
-            def loss_fn():
-                total, _ = model.compute_losses(images, id_labels, view_labels, LossWeights())
-                return total
-
-            worst, name, _ = check_parameter_gradients(
-                params, loss_fn, coords_per_param=2, seed=0
-            )
+            worst, name = check_model_gradients(cfg, coords_per_param=2)
             if worst > worst_overall:
                 worst_overall, worst_where = worst, f"{variant} olp={olp} {name}"
     elapsed = time.monotonic() - t0
@@ -221,7 +207,7 @@ def test_criterion_3_metric_matches_oracle(capsys):
 
 def test_criterion_4_loss_unit_values(capsys):
     rng = np.random.default_rng(4)
-    clf = Linear("clf", 16, 2, rng).astype(np.float64)
+    clf = Linear("clf", 16, 2, NoiseSource(0))
     clf.zero_()
     ce = ce_loss(Tensor(rng.standard_normal((4, 16))), np.array([0, 1, 0, 1]), clf)
     ce_err = abs(ce.data.item() - math.log(2.0))

@@ -778,6 +778,10 @@ class TestGenerateSynthetic:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             SynthConfig(num_ids=0)
+        # a float or bool count is refused before it can write a corpus or reach an image name
+        for wrong_type in (dict(image_h=16.5), dict(cams_per_view=1.5), dict(num_ids=True)):
+            with pytest.raises(ConfigurationError, match="must be of type"):
+                SynthConfig(**wrong_type)
         with pytest.raises(ConfigurationError):
             SynthConfig(num_views=5)
 

@@ -3,7 +3,7 @@ import pytest
 
 from secap.encoder import Encoder, EncoderConfig, decouple_step, tokenize
 from secap.errors import ConfigurationError, ContractError, DimensionError
-from secap.gradcheck import check_parameter_gradients, finite_diff_check
+from secap.gradcheck import NoiseSource, check_parameter_gradients, finite_diff_check
 from secap.tensor import Tensor, add, mul, recording, tape, tsum
 
 TOY = dict(image_h=64, image_w=32, embed_dim=64, depth=2, heads=4)
@@ -221,7 +221,7 @@ class TestEncode:
 
     def test_patch_permutation_covariance_without_positions(self, rng):
         cfg = toy_cfg(depth=1)
-        enc = Encoder(cfg, rng).astype(np.float64)
+        enc = Encoder(cfg, NoiseSource(0))
         enc.pos.assign(np.zeros_like(enc.pos.data))
         img = rng.standard_normal((1, 3, 64, 32))
         perm = rng.permutation(8)
@@ -242,7 +242,7 @@ class TestEncoderGradients:
     def test_parameter_gradients_match_central_differences(self, rng):
         cfg = EncoderConfig(image_h=16, image_w=16, embed_dim=16, depth=1, heads=2,
                             ffn_mult=2)
-        enc = Encoder(cfg, np.random.default_rng(7)).astype(np.float64)
+        enc = Encoder(cfg, NoiseSource(7))
         images = rng.standard_normal((2, 3, 16, 16))
 
         def loss_fn():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from secap.errors import ConfigurationError, ContractError, DimensionError
-from secap.gradcheck import check_parameter_gradients, finite_diff_check
+from secap.gradcheck import NoiseSource, check_parameter_gradients, finite_diff_check
 from secap.losses import (
     Heads, LossParts, LossWeights, ce_loss, orthogonality_loss,
     pairwise_euclidean, soft_triplet_loss, total_loss,
@@ -14,16 +14,16 @@ from secap.nn import Linear
 from secap.tensor import Parameter, Tensor, backward, mul, recording, tape, tsum
 
 
-def zero_classifier(d, classes, rng):
-    clf = Linear("clf", d, classes, rng).astype(np.float64)
+def zero_classifier(d, classes):
+    clf = Linear("clf", d, classes, NoiseSource(0))
     clf.zero_()
     return clf
 
 
-def logit_classifier(log_probs, rng):
+def logit_classifier(log_probs):
     """Identity-consuming classifier whose logits are fixed per class."""
     d = 1
-    clf = Linear("clf", d, len(log_probs), rng).astype(np.float64)
+    clf = Linear("clf", d, len(log_probs), NoiseSource(0))
     clf.weight.assign(np.zeros((d, len(log_probs))))
     clf.bias.assign(np.asarray(log_probs, dtype=np.float64))
     return clf
@@ -45,23 +45,23 @@ def brute_force_soft_triplet(features: np.ndarray, labels: np.ndarray) -> float:
 class TestIdentityCE:
     def test_uniform_two_classes(self, rng):
         feats = Tensor(rng.standard_normal((4, 8)))
-        loss = ce_loss(feats, np.array([0, 1, 0, 1]), zero_classifier(8, 2, rng))
+        loss = ce_loss(feats, np.array([0, 1, 0, 1]), zero_classifier(8, 2))
         assert abs(loss.item() - math.log(2)) < 1e-6
 
-    def test_confident_correct_prediction(self, rng):
-        clf = logit_classifier([1000.0, 0.0], rng)
+    def test_confident_correct_prediction(self):
+        clf = logit_classifier([1000.0, 0.0])
         feats = Tensor(np.ones((3, 1)))
         loss = ce_loss(feats, np.zeros(3, dtype=int), clf)
         assert loss.item() < 1e-6
 
-    def test_hand_probabilities(self, rng):
-        clf = logit_classifier(np.log([0.25, 0.75]), rng)
+    def test_hand_probabilities(self):
+        clf = logit_classifier(np.log([0.25, 0.75]))
         loss = ce_loss(Tensor(np.ones((1, 1))), np.array([1]), clf)
         assert abs(loss.item() - (-math.log(0.75))) < 1e-6
 
-    def test_label_out_of_range(self, rng):
+    def test_label_out_of_range(self):
         with pytest.raises(ContractError):
-            ce_loss(Tensor(np.ones((1, 4))), np.array([5]), zero_classifier(4, 2, rng))
+            ce_loss(Tensor(np.ones((1, 4))), np.array([5]), zero_classifier(4, 2))
 
     # labels at both ends of the class range, one class twice
     LABELS = np.array([0, 4, 2, 4, 0])
@@ -74,14 +74,12 @@ class TestIdentityCE:
                 "linear", "ce_loss"]
 
     def test_feature_gradient_matches_central_differences(self, rng):
-        clf = Linear("clf", 3, 5, rng).astype(np.float64)
+        clf = Linear("clf", 3, 5, NoiseSource(0))
         feats = Tensor(rng.standard_normal((5, 3)) * 2.0)
         assert finite_diff_check(lambda t: ce_loss(t, self.LABELS, clf), feats) < 1e-7
 
     def test_classifier_gradients_match_central_differences(self, rng):
-        clf = Linear("clf", 3, 5, rng).astype(np.float64)
-        clf.weight.assign(rng.standard_normal((3, 5)))
-        clf.bias.assign(rng.standard_normal(5))
+        clf = Linear("clf", 3, 5, NoiseSource(0))
         feats = Tensor(rng.standard_normal((5, 3)))
         worst, name, _ = check_parameter_gradients(
             clf.parameters(), lambda: ce_loss(feats, self.LABELS, clf), coords_per_param=0)
@@ -89,18 +87,18 @@ class TestIdentityCE:
 
 
 class TestViewCE:
-    def test_uniform_two_views(self, rng):
+    def test_uniform_two_views(self):
         loss = ce_loss(Tensor(np.ones((2, 4))), np.array([0, 1]),
-                       zero_classifier(4, 2, rng))
+                       zero_classifier(4, 2))
         assert abs(loss.item() - math.log(2)) < 1e-6
 
-    def test_uniform_three_views(self, rng):
+    def test_uniform_three_views(self):
         loss = ce_loss(Tensor(np.ones((3, 4))), np.array([0, 1, 2]),
-                       zero_classifier(4, 3, rng))
+                       zero_classifier(4, 3))
         assert abs(loss.item() - math.log(3)) < 1e-6
 
-    def test_perfect_prediction(self, rng):
-        clf = logit_classifier([0.0, 1000.0], rng)
+    def test_perfect_prediction(self):
+        clf = logit_classifier([0.0, 1000.0])
         loss = ce_loss(Tensor(np.ones((2, 1))), np.array([1, 1]), clf)
         assert loss.item() < 1e-6
 

@@ -68,7 +68,7 @@ class TestModule:
         assert not hasattr(secap.nn, "collect_parameters")
 
     def test_no_layer_constructor_takes_a_dtype(self):
-        """Layers and tensors take no dtype; Module.astype is the one precision switch."""
+        """Layers and tensors take no dtype; the parameter source is the one precision switch."""
         src = Path(secap.nn.__file__).parent
         takers = []
         for path in src.glob("*.py"):
@@ -78,22 +78,6 @@ class TestModule:
                                if isinstance(item, ast.FunctionDef) and item.name == "__init__"
                                and "dtype" in [a.arg for a in item.args.args + item.args.kwonlyargs]]
         assert takers == []
-
-    def test_astype_converts_each_parameter_once_and_returns_the_layer(self, rng):
-        class Tied(Module):
-            def __init__(self):
-                self.first = Linear("first", 3, 2, rng)
-                self.second = Linear("second", 3, 2, rng)
-                self.second.weight = self.first.weight
-
-        layer = Tied()
-        before = {p.name: p.data.copy() for p in layer.parameters()}
-        assert all(p.dtype == np.float32 for p in layer.parameters())
-        assert layer.astype(np.float64) is layer
-        for p in layer.parameters():
-            assert p.dtype == np.float64
-            assert p.data.tobytes() == before[p.name].astype(np.float64).tobytes()
-        assert layer.second.weight is layer.first.weight
 
 
 class TestLinearLayer:

@@ -3,22 +3,21 @@ import pytest
 
 from secap.encoder import EncoderConfig
 from secap.errors import ConfigurationError
-from secap.gradcheck import finite_diff_check
+from secap.gradcheck import NoiseSource, finite_diff_check
 from secap.losses import LossWeights
 from secap.model import ABLATIONS, ModelConfig, SeCapModel
-from secap.nn import MultiHeadAttention, expand_rows, trunc_normal
+from secap.nn import MultiHeadAttention, expand_rows, param, trunc_normal
 from secap.prm import ATTN_DROPPED_PARAMETERS, PRM, VARIANTS
-from secap.tensor import Parameter, Tensor, add, backward, concat, mul, narrow, recording, reshape, tsum
+from secap.tensor import Tensor, add, backward, concat, mul, narrow, recording, reshape, tsum
 
 L, D, HEADS = 8, 16, 2
 
 
-def make_prompts(length=L, seed=5):
-    return Parameter("prm.prompts", trunc_normal(np.random.default_rng(seed), (length, D)))
-
-
-def make_prm(variant, rng, dtype=np.float32, seed=5):
-    return PRM(make_prompts(L, seed), variant, D, HEADS, 2, rng).astype(dtype)
+def make_prm(variant, source, length=L, heads=HEADS):
+    """A PRM over `length` prompts drawn from default_rng(5) beside a Generator, or drawn first
+    from `source` itself when it is a NoiseSource, so that a float64 PRM is float64 throughout."""
+    prompts_source = np.random.default_rng(5) if isinstance(source, np.random.Generator) else source
+    return PRM(param(prompts_source, "prm.prompts", (length, D)), variant, D, heads, 2, source)
 
 
 def model_prompts(seed, prompt_len=L):
@@ -68,7 +67,7 @@ class TestCalibration:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_output_depends_on_input_feature(self, variant, rng):
-        prm = make_prm(variant, rng, dtype=np.float64)
+        prm = make_prm(variant, NoiseSource(0))
         x = rng.standard_normal((2, D))
         base = prm(Tensor(x)).data
         moved = prm(Tensor(x + 0.1)).data
@@ -82,7 +81,7 @@ class TestCalibration:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_prompt_gradient_matches_central_differences(self, variant, rng):
-        prm = make_prm(variant, rng, dtype=np.float64)
+        prm = make_prm(variant, NoiseSource(0))
         x_inv = Tensor(rng.standard_normal((2, D)))
 
         # finite_diff_check perturbs the Parameter's own buffer in place
@@ -128,7 +127,7 @@ class TestCatMatchesFullSequence:
     @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
     @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
     def test_output(self, b, length, heads, dtype, rtol, rng):
-        prm = PRM(make_prompts(length), "cat", D, heads, 2, rng).astype(dtype)
+        prm = make_prm("cat", rng if dtype == np.float32 else NoiseSource(0), length, heads)
         x_inv = Tensor(rng.standard_normal((b, D)).astype(dtype))
         out = prm(x_inv)
         assert out.shape == (b, length, D) and out.dtype == dtype
@@ -136,7 +135,7 @@ class TestCatMatchesFullSequence:
 
     @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
     def test_gradients(self, b, length, heads, rng):
-        prm = PRM(make_prompts(length), "cat", D, heads, 2, rng).astype(np.float64)
+        prm = make_prm("cat", NoiseSource(0), length, heads)
         x_inv = Tensor(rng.standard_normal((b, D)), requires_grad=True)
         probe = Tensor(rng.standard_normal((b, length, D)))
         with recording():
@@ -145,14 +144,14 @@ class TestCatMatchesFullSequence:
         assert relative_error(new, old) <= 1e-12
 
 
-def full_attention_pair(prm, heads, rng):
-    """The two attentions PRM `attn` stands for: each around the route's own
-    value and output projections, with freshly drawn query and key projections."""
+def full_attention_pair(prm, heads, source):
+    """The two attentions PRM `attn` stands for: each around the route's own value and
+    output projections, with query and key projections freshly drawn from `source`."""
     d = prm.prompts.shape[1]
     ca_wv, ca_wo, sa_wv, sa_wo = prm.chain
     pair = []
     for name, wv, wo in (("ca", ca_wv, ca_wo), ("sa", sa_wv, sa_wo)):
-        mha = MultiHeadAttention(f"prm.{name}", d, heads, rng).astype(prm.prompts.dtype)
+        mha = MultiHeadAttention(f"prm.{name}", d, heads, source)
         mha.wv, mha.wo = wv, wo
         pair.append(mha)
     return pair
@@ -171,8 +170,9 @@ class TestAttnMatchesFullBank:
     @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
     @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
     def test_output(self, b, length, heads, dtype, rtol, rng):
-        prm = PRM(make_prompts(length), "attn", D, heads, 2, rng).astype(dtype)
-        ca, sa = full_attention_pair(prm, heads, rng)
+        source = rng if dtype == np.float32 else NoiseSource(0)
+        prm = make_prm("attn", source, length, heads)
+        ca, sa = full_attention_pair(prm, heads, source)
         x_inv = Tensor(rng.standard_normal((b, D)).astype(dtype))
         out = prm(x_inv)
         assert out.shape == (b, length, D) and out.dtype == dtype
@@ -180,8 +180,9 @@ class TestAttnMatchesFullBank:
 
     @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
     def test_gradients(self, b, length, heads, rng):
-        prm = PRM(make_prompts(length), "attn", D, heads, 2, rng).astype(np.float64)
-        ca, sa = full_attention_pair(prm, heads, rng)
+        source = NoiseSource(0)
+        prm = make_prm("attn", source, length, heads)
+        ca, sa = full_attention_pair(prm, heads, source)
         x_inv = Tensor(rng.standard_normal((b, D)), requires_grad=True)
         probe = Tensor(rng.standard_normal((b, length, D)))
         with recording():
@@ -201,8 +202,9 @@ class TestAttnCollapse:
     @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
     @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
     def test_output_is_bank_plus_one_vector_per_image(self, b, length, heads, dtype, rtol, rng):
-        prm = PRM(make_prompts(length), "attn", D, heads, 2, rng).astype(dtype)
-        ca, sa = full_attention_pair(prm, heads, rng)
+        source = rng if dtype == np.float32 else NoiseSource(0)
+        prm = make_prm("attn", source, length, heads)
+        ca, sa = full_attention_pair(prm, heads, source)
         x_inv = Tensor(rng.standard_normal((b, D)).astype(dtype))
         g = prm.ffn(sa.wo(sa.wv(ca.wo(ca.wv(x_inv))))).data
         oracle = prm.prompts.data[None, :, :] + g[:, None, :]
@@ -212,8 +214,9 @@ class TestAttnCollapse:
 
     @pytest.mark.parametrize("b,length,heads", ORACLE_SHAPES)
     def test_query_and_key_projections_get_no_gradient(self, b, length, heads, rng):
-        prm = PRM(make_prompts(length), "attn", D, heads, 2, rng).astype(np.float64)
-        ca, sa = full_attention_pair(prm, heads, rng)
+        source = NoiseSource(0)
+        prm = make_prm("attn", source, length, heads)
+        ca, sa = full_attention_pair(prm, heads, source)
         x_inv = Tensor(rng.standard_normal((b, D)), requires_grad=True)
         probe = Tensor(rng.standard_normal((b, length, D)))
         with recording():

@@ -18,7 +18,6 @@ from secap.storage import (
     load_ppm,
     load_rten,
     save_checkpoint,
-    save_ppm,
     save_rten,
 )
 from secap.tensor import Parameter
@@ -38,6 +37,13 @@ def rten_bytes(tmp_path, arr):
     p = tmp_path / "saved.rten"
     save_rten(p, arr)
     return p.read_bytes()
+
+
+def save_ppm(path, image):
+    """Write a (3, H, W) float image in [0, 1] as binary P6 with maxval 255."""
+    u8 = np.clip(np.rint(image.astype(np.float64) * 255.0), 0, 255).astype(np.uint8)
+    _, h, w = image.shape
+    path.write_bytes(b"P6\n%d %d\n255\n" % (w, h) + np.ascontiguousarray(u8.transpose(1, 2, 0)).tobytes())
 
 
 def checkpoint_bytes(tmp_path, params, metadata):

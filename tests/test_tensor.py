@@ -14,7 +14,7 @@ import scipy.special
 import secap.tensor
 from secap.encoder import decouple_step
 from secap.errors import ConfigurationError, ContractError, DimensionError, NumericError
-from secap.gradcheck import check_parameter_gradients, finite_diff_check
+from secap.gradcheck import NoiseSource, check_parameter_gradients, finite_diff_check
 from secap.losses import ce_loss, orthogonality_loss
 from secap.nn import Linear
 from secap.optim import SGD, cosine_lr
@@ -1033,7 +1033,7 @@ class TestFiniteDiff:
 
     def test_softmax_cross_entropy(self, rng):
         features = t64(rng.standard_normal((4, 6)))
-        classifier = Linear("clf", 6, 5, rng).astype(np.float64)
+        classifier = Linear("clf", 6, 5, NoiseSource(0))
         labels = rng.integers(0, 5, 4)
         assert finite_diff_check(lambda t: ce_loss(t, labels, classifier), features) < 1e-6
 

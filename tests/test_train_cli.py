@@ -1384,7 +1384,7 @@ class TestCliConfigSchema:
         monkeypatch.setattr(cli, "_config", lambda cls, args, **given: built.append(cls) or real(cls, args, **given))
         monkeypatch.setattr(cli, "generate_synthetic", lambda cfg, out: None)
         monkeypatch.setattr(cli, "train", lambda manifest, cfg, **kw: None)
-        monkeypatch.setattr(cli, "check_parameter_gradients", lambda *a, **kw: (0.0, "none", None))
+        monkeypatch.setattr(cli, "check_model_gradients", lambda cfg, coords: (0.0, "none"))
         required = {"gen-data": ["--out", str(tmp_path / "c")], "grad-check": [],
                     "train": ["--manifest", _tiny_manifest(tmp_path), "--out", str(tmp_path / "out")]}
         assert cli.main([command] + required[command]) == cli.EXIT_OK
@@ -1422,14 +1422,7 @@ class TestCliConfigSchema:
     @pytest.mark.parametrize("flags, stride", [([], 16), (["--olp"], 12)])
     def test_grad_check_model(self, capsys, monkeypatch, flags, stride):
         seen = []
-        real = cli.SeCapModel
-
-        def capturing(cfg, **kw):
-            seen.append(cfg)
-            return real(cfg, **kw)
-
-        monkeypatch.setattr(cli, "SeCapModel", capturing)
-        monkeypatch.setattr(cli, "check_parameter_gradients", lambda *a, **kw: (0.0, "none", None))
+        monkeypatch.setattr(cli, "check_model_gradients", lambda cfg, coords: seen.append(cfg) or (0.0, "none"))
         assert cli.main(["grad-check"] + flags) == cli.EXIT_OK
         capsys.readouterr()
         encoder = EncoderConfig(**DESK_ENCODER, olp_enabled=bool(flags))
@@ -1442,7 +1435,7 @@ class TestCliGradCheck:
         rc = cli.main(["grad-check", "--coords", "1", "--seed", "0"])
         out = capsys.readouterr().out
         assert rc == cli.EXIT_OK
-        assert "max relative error" in out
+        assert out.splitlines()[0] == "max relative error 8.633e-08 at lfrm.two_way.1.sa.wk.weight (tolerance 1.0e-04)"
         assert "grad-check: PASS" in out
 
     @pytest.mark.parametrize("flags", [
@@ -1450,8 +1443,7 @@ class TestCliGradCheck:
     ], ids=["tol-nan", "tol-inf", "tol-zero", "tol-negative", "coords-negative"])
     def test_bad_flag_is_usage_before_any_probe(self, capsys, monkeypatch, flags):
         probed = []
-        monkeypatch.setattr(cli, "check_parameter_gradients",
-                            lambda *a, **kw: probed.append(kw) or (0.0, "none", None))
+        monkeypatch.setattr(cli, "check_model_gradients", lambda cfg, coords: probed.append(cfg) or (0.0, "none"))
         assert cli.main(["grad-check", "--seed", "0"] + flags) == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert "configuration error" in captured.err and "grad-check" not in captured.out
