@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .encoder import check_field_types
 from .errors import ConfigurationError, ContractError, ParseError, ProtocolError
+from .losses import pairwise_euclidean
 from .storage import load_image, save_rten
 
 MANIFEST_HEADER = "#secap-manifest v1"
@@ -371,12 +371,14 @@ def _rank_pool(descriptors: np.ndarray) -> List[int]:
     (size, then earliest member). Within it, images rank by total distance to
     the rest of the component (the component medoid leads); outsiders follow,
     nearest to the medoid first. Index order breaks every tie, and the
-    incoming pool is path-sorted, so the ranking is deterministic.
+    incoming pool is path-sorted, so the ranking is deterministic. Distances
+    come from losses.pairwise_euclidean, so eval needs no scipy.
     """
     n = len(descriptors)
-    if n == 1:
-        return [0]
-    dist = cdist(descriptors, descriptors)
+    # Gram rows of equal descriptors can differ in the last bit, so each takes its first copy's row
+    first: Dict[bytes, int] = {}
+    copy_of = [first.setdefault(row.tobytes(), i) for i, row in enumerate(descriptors)]
+    dist = pairwise_euclidean(descriptors)[0][np.ix_(copy_of, copy_of)]
     k = min(3, n - 1)
     others = dist.copy()
     np.fill_diagonal(others, np.inf)  # an image is not its own neighbour

@@ -15,7 +15,6 @@ import math
 from typing import Iterator
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .tensor import Parameter, Tensor, attention, feed_forward, layer_norm, linear, mul
 
@@ -24,7 +23,9 @@ INIT_STD = 0.02
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.ndarray:
     """Normal(0, std) truncated to two standard deviations, by inverse-CDF
-    sampling in float64 and rounded once to float32."""
+    sampling in float64 and rounded once to float32. scipy is imported here so
+    that a process drawing no parameters (eval, say) never loads it."""
+    from scipy.special import ndtr, ndtri
     return (std * ndtri(rng.uniform(ndtr(-2.0), ndtr(2.0), size=shape))).astype(np.float32)
 
 

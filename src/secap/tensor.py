@@ -25,7 +25,6 @@ import os
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from .errors import ContractError, DimensionError, NumericError
 
@@ -459,15 +458,17 @@ def _gelu_f32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """linear(gelu(linear(x, w1, b1)), w2, b2) as one tape entry, with the exact GELU x * Phi(x):
     the chain's numpy ops in its order, so its bits. float32 takes Phi from the blocked rational
-    erf above; float64 (gradient checks) keeps scipy's erf. The rule keeps fc1's output h and Phi
-    but not GELU's output, which backward rebuilds bit for bit as h * Phi for fc2's weight
-    gradient: the recompute trade of Chen et al. 2016 at the price of one multiply.
+    erf above; float64 (gradient checks) keeps scipy's erf, imported in its branch so that float32
+    processes never load scipy. The rule keeps fc1's output h and Phi but not GELU's output, which
+    backward rebuilds bit for bit as h * Phi for fc2's weight gradient: the recompute trade of
+    Chen et al. 2016 at the price of one multiply.
     """
     x2, h = _affine("feed_forward", x.data, w1, b1)
     if h.dtype == np.float32:
         a, phi = _gelu_f32(h)
     else:
-        phi = 0.5 * (1.0 + _erf(h / math.sqrt(2.0)))
+        from scipy.special import erf
+        phi = 0.5 * (1.0 + erf(h / math.sqrt(2.0)))
         a = h * phi
     _, out = _affine("feed_forward", a, w2, b2)
 

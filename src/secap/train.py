@@ -106,6 +106,7 @@ def model_from_checkpoint(path) -> Tuple[SeCapModel, TrainConfig]:
     meta, table = load_checkpoint(path)
     if meta.get("format") != CHECKPOINT_VERSION_TAG:
         raise CheckpointError(f"{path}: metadata is not a model checkpoint")
+    malformed = f"{path}: malformed metadata (byte offset {CKPT_METADATA_OFFSET}): "
     try:
         e, m = meta["encoder"], meta["model"]
         enc = EncoderConfig(**{f.name: e[f.name] for f in dataclasses.fields(EncoderConfig)})
@@ -121,8 +122,7 @@ def model_from_checkpoint(path) -> Tuple[SeCapModel, TrainConfig]:
         if enc.depth != len(blocks):  # bounds the depth by the table's size, whatever the blocks are named
             raise ValueError(f"encoder depth {enc.depth} but {len(blocks)} encoder blocks in the table")
     except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: malformed metadata (byte offset {CKPT_METADATA_OFFSET}): "
-                              f"{type(exc).__name__} {exc}") from None
+        raise CheckpointError(f"{malformed}{type(exc).__name__} {exc}") from None
     # each layer asks the table for its parameters by name and shape: a geometry it does not hold is refused
     source = TableSource(table, cfg.dropped_parameters)
     try:
@@ -130,6 +130,13 @@ def model_from_checkpoint(path) -> Tuple[SeCapModel, TrainConfig]:
         source.close()
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
+    # as checkpoint_metadata writes them; the labels are checked once the table has confirmed num_ids
+    epoch, ids = meta.get("epoch"), meta.get("label_ids")
+    if not (type(epoch) is int and epoch >= 0):
+        raise CheckpointError(f"{malformed}'epoch' must be an int >= 0, got {epoch!r}")
+    if not (isinstance(ids, list) and len(ids) == cfg.num_ids and all(type(i) is int for i in ids)
+            and all(a < b for a, b in zip([-1] + ids, ids))):
+        raise CheckpointError(f"{malformed}'label_ids' must be {cfg.num_ids} strictly increasing ints >= 0")
     return model, run
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import secap.data
 from secap.data import (
@@ -595,6 +596,37 @@ def brute_force_medoid(images):
     return best
 
 
+def cdist_rank_pool(descriptors):
+    """secap.data._rank_pool on scipy's cdist distances, as it ranked before it took the Gram-matrix
+    distances of losses.pairwise_euclidean: the reference whose orders it must keep. cdist gives
+    exact duplicates a distance of exactly 0 and equal rows, so they tie and break by index."""
+    n = len(descriptors)
+    if n == 1:
+        return [0]
+    dist = cdist(descriptors, descriptors)
+    k = min(3, n - 1)
+    others = dist.copy()
+    np.fill_diagonal(others, np.inf)  # an image is not its own neighbour
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.arange(n)[:, None], np.argsort(others, axis=1, kind="stable")[:, :k]] = True
+    adj |= adj.T
+    # label each image with the lowest index it is connected to; then the
+    # largest component with the lowest label is the one with the earliest member
+    labels = np.arange(n)
+    while True:
+        spread = np.where(adj, labels, labels[:, None]).min(axis=1)
+        if np.array_equal(spread, labels):
+            break
+        labels = spread
+    main = np.flatnonzero(labels == np.argmax(np.bincount(labels))).tolist()
+    sums = dist[np.ix_(main, main)].sum(axis=1)
+    ranked = [main[i] for i in np.argsort(sums, kind="stable")]
+    medoid = ranked[0]
+    rest = sorted(set(range(n)) - set(main))
+    rest.sort(key=lambda j: (dist[medoid, j], j))
+    return ranked + rest
+
+
 class TestSelectQueries:
     def test_single_image_selected(self, tmp_path, rng):
         m = write_pool(tmp_path, [rng.uniform(size=(3, 16, 16))])
@@ -652,13 +684,18 @@ class TestSelectQueries:
         SynthConfig(num_ids=5, images_per_id_per_view=6, num_views=3, image_h=16, image_w=16, seed=7),
     ], ids=["64x32", "64x32-three-views", "16x16-three-views"])
     def test_full_ranking_matches_arctan2_descriptor(self, tmp_path, cfg):
+        # the reference pipeline: arctan2 bins, then cdist distances
         m, _ = generate_synthetic(cfg, tmp_path)
+        rng = np.random.default_rng(cfg.seed)
         expected = []
         for _, recs in sorted(m.by_identity().items()):
             for side in (0, 1):
                 pool = [r for r in recs if DEFAULT_VIEW_MAP[r.view] == side]
                 desc = np.stack([per_image_hog(img, orientation=arctan2_bins) for img in load_images(m, pool)])
-                expected += [pool[i] for i in secap.data._rank_pool(desc)]
+                expected += [pool[i] for i in cdist_rank_pool(desc)]
+                for _ in range(3):  # rows drawn with replacement: a pool full of exact duplicates
+                    resampled = desc[rng.integers(0, len(desc), size=len(desc))]
+                    assert secap.data._rank_pool(resampled) == cdist_rank_pool(resampled)
         largest_pool = cfg.images_per_id_per_view * (cfg.num_views - 1)
         assert select_queries(m, per_view=largest_pool) == expected
 

@@ -8,6 +8,7 @@ import json
 import os
 import re
 import struct
+import subprocess
 import sys
 import tracemalloc
 
@@ -788,6 +789,31 @@ class TestOlderAttnCheckpoint:
         err = capsys.readouterr().err
         assert "need at least 2 identities to split, manifest has 0" in err and "configuration error" not in err
 
+    def test_eval_export_and_gen_data_import_no_scipy(self, tmp_path):
+        """scipy serves only parameter draws and the float64 GELU, which import it where they call it."""
+        code = ("import contextlib, io, json, sys\n"
+                "from secap import cli\n"
+                "runs = []\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    out = io.StringIO()\n"
+                "    with contextlib.redirect_stdout(out):\n"
+                "        runs.append([cli.main(argv), out.getvalue()])\n"
+                "print(json.dumps([runs, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n")
+        argvs = [self.eval_argv(self.CKPT),
+                 ["export-features", "--checkpoint", self.CKPT, "--manifest", self.MANIFEST,
+                  "--out", str(tmp_path / "features")],
+                 ["gen-data", "--out", str(tmp_path / "corpus"), "--ids", "2", "--per-view", "1",
+                  "--image-h", "16", "--image-w", "16"]]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        runs, scipy_modules = json.loads(proc.stdout)
+        assert [rc for rc, _ in runs] == [cli.EXIT_OK] * 3
+        with open(os.path.join(GOLDEN_ATTN, "report.jsonl"), encoding="utf-8") as fh:
+            assert runs[0][1] == fh.read()
+        assert scipy_modules == []
+
 
 GOLDEN_VARIANTS = os.path.join(os.path.dirname(__file__), "data", "variants-7526371")
 
@@ -847,7 +873,8 @@ class TestGoldenAddCheckpointWithEncoderKeys:
 
 METADATA_FIELDS = [("encoder", f.name) for f in dataclasses.fields(EncoderConfig)] + [
     ("model", f.name) for f in dataclasses.fields(ModelConfig) if f.name != "encoder"] + [
-    ("train", key) for key in CHECKPOINT_TRAIN_KEYS] + [("weights", key) for key in ("alpha", "beta", "lambda")]
+    ("train", key) for key in CHECKPOINT_TRAIN_KEYS] + [("weights", key) for key in ("alpha", "beta", "lambda")] + [
+    (None, "epoch"), (None, "label_ids")]  # top-level keys
 METADATA_VALUES = [None, "x", 0.5, True, [2], {"a": 2}, 0, -1, 10**12]
 # the traced peak of loading a micro checkpoint (about 0.2 MB), whatever geometry its metadata names;
 # allocating the shapes that 10**6, 2**20 or 10**8 in that metadata ask for would take 1 GB or more
@@ -873,7 +900,8 @@ def test_metadata_field_values_load_or_are_refused(attn_and_baseline_checkpoints
     params, meta = attn_and_baseline_checkpoints[ablate]
     section, key = field
     ckpt = tmp_path / "value.ckpt"
-    save_checkpoint(str(ckpt), params, {**meta, section: {**meta[section], key: value}})
+    changed = {key: value} if section is None else {section: {**meta[section], key: value}}
+    save_checkpoint(str(ckpt), params, {**meta, **changed})
 
     def no_draw(*args, **kwargs):
         pytest.fail(f"{key}={value!r} draws a parameter on load")
@@ -883,12 +911,15 @@ def test_metadata_field_values_load_or_are_refused(attn_and_baseline_checkpoints
     tracemalloc.start()
     try:
         model_from_checkpoint(str(ckpt))
+        loaded = True
     except CheckpointError:
-        pass
+        loaded = False
     finally:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
     assert peak < LOAD_PEAK_BOUND, f"{key}={value!r} peaked at {peak} bytes"
+    if section is None:  # the writer's epoch is an int >= 0, and no value here lists the model's 2 label ids
+        assert loaded == (key == "epoch" and type(value) is int and value >= 0), f"{key}={value!r}"
 
 
 def test_add_checkpoint_without_a_query_projection_is_io(tmp_path, capsys):
@@ -1056,6 +1087,27 @@ class TestCliErrors:
         assert cli.main(TestGoldenVariantCheckpoints.eval_argv(ckpt)) == cli.EXIT_IO
         err = capsys.readouterr().err
         assert f"malformed metadata (byte offset {CKPT_METADATA_OFFSET}): " in err and message in err
+
+    @pytest.mark.parametrize("command", ["eval", "export-features"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("label_ids", "abc", "'label_ids' must be 6 strictly increasing ints >= 0"),
+        ("label_ids", [1, 2], "'label_ids' must be 6 strictly increasing ints >= 0"),
+        ("label_ids", [0, 1, 2, 6, 5, 7], "'label_ids' must be 6 strictly increasing ints >= 0"),
+        ("label_ids", None, "'label_ids' must be 6 strictly increasing ints >= 0"),
+        ("epoch", "x", "'epoch' must be an int >= 0, got 'x'"),
+        ("epoch", -1, "'epoch' must be an int >= 0, got -1"),
+    ], ids=["string-labels", "too-few-labels", "unsorted-labels", "null-labels", "string-epoch", "negative-epoch"])
+    def test_malformed_top_level_metadata_is_io(self, tmp_path, capsys, command, key, value, message):
+        meta, table = load_checkpoint(os.path.join(GOLDEN_VARIANTS, "add.ckpt"))
+        ckpt = str(tmp_path / "bad-top-level.ckpt")
+        save_checkpoint(ckpt, [Parameter(n, a) for n, a in table.items()], {**meta, key: value})
+        argv = TestGoldenVariantCheckpoints.eval_argv(ckpt)[:5]
+        if command == "export-features":
+            argv = ["export-features", *argv[1:], "--out", str(tmp_path / "features")]
+        assert cli.main(argv) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert f"malformed metadata (byte offset {CKPT_METADATA_OFFSET}): " in captured.err
+        assert message in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("name, value, dtype", [
         ("encoder.proj.weight", np.nan, np.float32), ("heads.view.weight", np.nan, np.float32),
