@@ -37,7 +37,7 @@ from .gradcheck import check_model_gradients
 from .losses import LossWeights
 from .model import ABLATIONS, ModelConfig
 from .prm import VARIANTS as PRM_VARIANTS
-from .storage import save_rten
+from .storage import replacing, save_rten
 from .train import TrainConfig, model_from_checkpoint, train
 
 EXIT_OK = 0
@@ -192,7 +192,7 @@ def cmd_export_features(args) -> int:
     manifest = read_manifest(args.manifest)
     fs = extract_features(model, manifest)
     save_rten(args.out + ".rten", fs.features)
-    with open(args.out + ".tsv", "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(args.out + ".tsv", "w", encoding="utf-8", newline="\n") as fh:
         for i in range(len(fs)):
             fh.write(f"{fs.ids[i]}\t{fs.cameras[i]}\t{fs.views[i]}\n")
     print(args.out + ".rten")

@@ -20,7 +20,7 @@ import numpy as np
 from .encoder import check_field_types
 from .errors import ConfigurationError, ContractError, ParseError, ProtocolError
 from .losses import pairwise_euclidean
-from .storage import load_image, save_rten
+from .storage import load_image, replacing, save_rten
 
 MANIFEST_HEADER = "#secap-manifest v1"
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1  # integer fields land in int64 arrays
@@ -115,7 +115,7 @@ def write_manifest(manifest: Manifest, path) -> None:
     lines = [MANIFEST_HEADER]
     for r in manifest.records:
         lines.append(f"{r.path}\t{r.identity}\t{r.camera}\t{r.view}\t{r.frame}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -92,7 +92,8 @@ class EncoderOutput:
 
 
 def tokenize(images: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
-    """Cut B x C x H x W images into row-major raster patches, flattened per patch."""
+    """Cut B x C x H x W images into row-major raster patches, flattened per patch, as one
+    new array: never a view of `images`, which Encoder.embed adopts uncopied."""
     images = np.asarray(images)
     if images.ndim != 4:
         raise DimensionError(f"expected B x C x H x W images, got shape {images.shape}")
@@ -103,9 +104,9 @@ def tokenize(images: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
     windows = np.lib.stride_tricks.sliding_window_view(
         images, (cfg.patch, cfg.patch), axis=(2, 3))[:, :, ::cfg.stride, ::cfg.stride]
     nh, nw = cfg.grid
-    # (B, C, nh, nw, ph, pw) -> (B, nh, nw, C, ph, pw) -> (B, P, C*ph*pw)
-    patches = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, nh * nw, c * cfg.patch * cfg.patch)
-    return np.ascontiguousarray(patches)
+    # (B, C, nh, nw, ph, pw) -> (B, nh, nw, C, ph, pw), copied once -> (B, P, C*ph*pw), a view
+    patches = np.array(windows.transpose(0, 2, 3, 1, 4, 5), order="C")
+    return patches.reshape(b, nh * nw, c * cfg.patch * cfg.patch)
 
 
 class EncoderBlock(Module):
@@ -150,9 +151,10 @@ class Encoder(Module):
         self.blocks = [EncoderBlock(f"encoder.blocks.{i}", cfg, source) for i in range(cfg.depth)]
 
     def embed(self, tokens: np.ndarray) -> Tensor:
-        """Project raster patches and prepend the learned special tokens."""
+        """Project raster patches, adopted uncopied as tokenize returns them, and prepend the
+        learned special tokens."""
         b = tokens.shape[0]
-        patch_emb = self.proj(Tensor(tokens.astype(self.proj.weight.dtype, copy=False)))
+        patch_emb = self.proj(Tensor(tokens.astype(self.proj.weight.dtype, copy=False), copy=False))
         parts = [expand_rows(self.cls_token, b)]
         if self.view_token is not None:
             parts.append(expand_rows(self.view_token, b))

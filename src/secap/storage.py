@@ -6,6 +6,7 @@ little-endian regardless of host order so files transfer between machines.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -39,6 +40,25 @@ def _dtype_code(arr: np.ndarray) -> int:
     return code
 
 
+@contextlib.contextmanager
+def replacing(path, mode: str = "wb", **open_kw):
+    """A file, opened with `mode`, that becomes `path` only once the block ends normally: it is
+    written under a temporary name beside `path` and os.replace'd over it after the last byte.
+    On any exception, KeyboardInterrupt included, the temporary is removed and `path` keeps
+    what it held. No fsync: a crash of the host may still lose the new file's bytes."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"  # same directory, so the rename is atomic
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # open()'s permissions
+    try:
+        with open(fd, mode, **open_kw) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # .rten raw tensor files
 
@@ -54,7 +74,7 @@ def save_rten(path, arr: np.ndarray) -> None:
     """Write one array: magic, version, then its array record."""
     arr = np.asarray(arr)  # ascontiguousarray would promote rank-0 to rank-1
     _dtype_code(arr)  # a refused array leaves no file
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(RTEN_MAGIC + struct.pack("<B", RTEN_VERSION))
         _write_array(fh, arr)
 
@@ -124,14 +144,14 @@ def load_rten(path) -> np.ndarray:
 
 def save_checkpoint(path, params: Sequence[Parameter], metadata: Mapping) -> None:
     """Write a checkpoint record by record; names and dtypes are checked first, so a refused save
-    leaves no file."""
+    leaves no file, and a failed one leaves any earlier file at `path` as it was."""
     names = [p.name for p in params]
     if len(set(names)) != len(names):
         raise CheckpointError("duplicate parameter names in checkpoint")
     for p in params:
         _dtype_code(p.data)
     meta = json.dumps(dict(metadata), sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(CKPT_MAGIC + struct.pack("<HQ", CKPT_VERSION, len(meta)) + meta + struct.pack("<Q", len(params)))
         for p in params:
             name = p.name.encode("utf-8")

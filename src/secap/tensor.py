@@ -15,6 +15,11 @@ produced (parameters and checked inputs); intermediates never get .grad. A
 leaf's gradient is complete once the walk has run the leaf's earliest entry:
 backward sets .grad there and hands the leaf to the scope's `on_leaf`, so an
 optimizer can update each parameter and drop its gradient during the walk.
+
+A rule keeps only the arrays its formula reads that the tape does not
+already hold: layer_norm rebuilds x-hat from its input, feed_forward GELU's
+output from fc1's output and Phi, each with the forward's own ops, so the
+gradients keep their bits.
 """
 
 from __future__ import annotations
@@ -389,16 +394,20 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize each last-dim slice to zero mean / unit variance, then affine."""
+    """Normalize each last-dim slice to zero mean / unit variance, then affine. The rule keeps
+    the input array, the row means and inverse stds, and rebuilds x-hat with the forward's ops."""
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match feature dim {d}")
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    x_data = x.data  # the array itself: Parameter.assign rebinds .data
+    mean = x_data.mean(axis=-1, keepdims=True)
+    xc = x_data - mean
     inv_std = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
     xhat = xc * inv_std
 
     def rule(g):
+        xhat = (x_data - mean) * inv_std  # the forward's x-hat, whose array died with the forward
         gx = None
         if x.requires_grad:
             gh = g * gamma.data

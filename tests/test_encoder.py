@@ -93,6 +93,13 @@ class TestTokenize:
         second = tokens[0, 1].reshape(3, 16, 16)
         np.testing.assert_array_equal(first[:, 12:, :], second[:, :4, :])
 
+    @pytest.mark.parametrize("h,w", [(16, 16), (64, 32)], ids=["one-patch", "many-patches"])
+    def test_tokens_never_view_the_images(self, rng, h, w):
+        cfg = toy_cfg(image_h=h, image_w=w)
+        img = toy_images(rng, cfg=cfg)
+        tokens = tokenize(img, cfg)
+        assert not np.shares_memory(tokens, img) and tokens.flags.c_contiguous
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             tokenize(np.zeros((1, 3, 32, 32), dtype=np.float32), toy_cfg())

@@ -1,6 +1,7 @@
 """Raw tensor files, checkpoints, and the PPM reader."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -17,6 +18,7 @@ from secap.storage import (
     load_image,
     load_ppm,
     load_rten,
+    replacing,
     save_checkpoint,
     save_rten,
 )
@@ -259,6 +261,53 @@ class TestCheckpoint:
         save_checkpoint(p, params, {})
         _, table = load_checkpoint(p)
         assert table["w"].dtype == np.float64
+
+
+class TestReplacing:
+    """Every writer goes through `replacing`: a failed write leaves the earlier file as it was,
+    and no temporary beside it."""
+
+    def test_failed_checkpoint_save_at_each_record_keeps_the_earlier_file(self, tmp_path, rng,
+                                                                         disk_full_at_record):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(path, _params(rng), {"epoch": 1})
+        earlier = path.read_bytes()
+        newer = _params(rng)
+        for failing in range(len(newer)):
+            calls = disk_full_at_record(failing)
+            with pytest.raises(OSError, match="No space left"):
+                save_checkpoint(path, newer, {"epoch": 2})
+            assert len(calls) == failing + 1
+            assert path.read_bytes() == earlier and os.listdir(tmp_path) == ["a.ckpt"]
+
+    def test_failed_rten_save_keeps_the_earlier_file(self, tmp_path, rng, disk_full_at_record):
+        path = tmp_path / "a.rten"
+        save_rten(path, rng.standard_normal((2, 3)))
+        earlier = path.read_bytes()
+        disk_full_at_record(0)
+        with pytest.raises(OSError, match="No space left"):
+            save_rten(path, rng.standard_normal((2, 3)))
+        assert path.read_bytes() == earlier and os.listdir(tmp_path) == ["a.rten"]
+
+    def test_interrupt_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "a.tsv"
+        path.write_text("kept\n")
+        with pytest.raises(KeyboardInterrupt):
+            with replacing(path, "w", encoding="utf-8") as fh:
+                fh.write("half")
+                raise KeyboardInterrupt
+        assert path.read_text() == "kept\n" and os.listdir(tmp_path) == ["a.tsv"]
+
+    def test_success_replaces_with_open_permissions(self, tmp_path):
+        path = tmp_path / "a.bin"
+        path.write_bytes(b"old")
+        with open(tmp_path / "plain.bin", "wb"):
+            pass
+        with replacing(path) as fh:
+            fh.write(b"new")
+        assert path.read_bytes() == b"new"
+        assert sorted(os.listdir(tmp_path)) == ["a.bin", "plain.bin"]
+        assert path.stat().st_mode == (tmp_path / "plain.bin").stat().st_mode
 
 
 class TestPpm:

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import os
 import re
@@ -443,6 +444,79 @@ class TestLayerNorm:
         with recording():
             layer_norm(x, gamma, beta)
             assert len(tape().entries) == 1
+
+    @staticmethod
+    def held_xhat(x, gamma, beta):
+        """The op as it was when its rule kept the forward's x-hat: the oracle for the rule that
+        rebuilds it, which must give the same bits."""
+        d = x.shape[-1]
+        xc = x.data - x.data.mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat = xc * inv_std
+
+        def rule(g):
+            gx = None
+            if x.requires_grad:
+                gh = g * gamma.data
+                gx = inv_std * (gh - gh.mean(axis=-1, keepdims=True)
+                                - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+            g_gamma = secap.tensor._column_sums((g * xhat).reshape(-1, d)) if gamma.requires_grad else None
+            g_beta = secap.tensor._column_sums(g.reshape(-1, d)) if beta.requires_grad else None
+            return gx, g_gamma, g_beta
+
+        return record(xhat * gamma.data + beta.data, (x, gamma, beta), rule)
+
+    @pytest.mark.parametrize("needs", [n for n in itertools.product((False, True), repeat=3) if any(n)],
+                             ids=lambda n: "-".join(k for k, on in zip(("x", "gamma", "beta"), n) if on))
+    @pytest.mark.parametrize("shape", [(5, 24), (2, 3, 24)], ids=["rank2", "rank3"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rebuilt_xhat_gives_the_held_xhat_bits(self, rng, dtype, shape, needs):
+        x0 = (rng.standard_normal(shape) * 2.0 + 1.0).astype(dtype)
+        g0 = (1.0 + 0.3 * rng.standard_normal(shape[-1])).astype(dtype)
+        b0 = rng.standard_normal(shape[-1]).astype(dtype)
+        readout = Tensor(rng.standard_normal(shape).astype(dtype))
+        results = []
+        for fn in (layer_norm, self.held_xhat):
+            leaves = [Tensor(a, requires_grad=n) for a, n in zip((x0, g0, b0), needs)]
+            with recording():
+                y = fn(*leaves)
+                backward(tsum(mul(y, readout)))
+            results.append([y.data] + [t.grad for t in leaves])
+        for rebuilt, held in zip(*results):
+            assert (rebuilt is None) == (held is None)
+            if held is not None:
+                assert rebuilt.dtype == dtype and rebuilt.tobytes() == held.tobytes()
+
+    def test_parameter_input_updated_from_the_hook_equals_backward_then_step(self, rng):
+        """x is read by layer_norm and, later on the tape, by a mul: its in-place update waits
+        for layer_norm's rule, so the rule rebuilds x-hat from the values the forward saw."""
+        x0, g0, b0 = rng.standard_normal((3, 6, 8)), rng.standard_normal(8), rng.standard_normal(8)
+        scale, readout = t64(rng.standard_normal((3, 6, 8))), t64(rng.standard_normal((3, 6, 8)))
+        states = []
+        for hooked in (False, True):
+            params = [Parameter(name, a) for name, a in (("x", x0), ("gamma", g0), ("beta", b0))]
+            opt = SGD(params, lr=0.1, momentum=0.9, weight_decay=1e-4)
+            for _ in range(2):
+                with recording(on_leaf=opt.update if hooked else None):
+                    y = add(layer_norm(*params), mul(params[0], scale))
+                    backward(tsum(mul(y, readout)))
+                opt.step()
+            states.append([p.data.tobytes() for p in params])
+        assert states[0] == states[1]
+
+    def test_rebinding_the_input_after_the_forward_keeps_the_gradient(self, rng):
+        x0, g0, b0 = rng.standard_normal((4, 8)), rng.standard_normal(8), rng.standard_normal(8)
+        readout = t64(rng.standard_normal((4, 8)))
+        grads = []
+        for rebind in (False, True):
+            x, gamma, beta = (Parameter(name, a) for name, a in (("x", x0), ("gamma", g0), ("beta", b0)))
+            with recording():
+                loss = tsum(mul(layer_norm(x, gamma, beta), readout))
+                if rebind:
+                    x.assign(rng.standard_normal((4, 8)))
+                backward(loss)
+            grads.append([t.grad.tobytes() for t in (x, gamma, beta)])
+        assert grads[0] == grads[1]
 
 
 def gelu_through_ffn(x):

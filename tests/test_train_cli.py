@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import errno
 import glob
 import importlib
 import json
@@ -451,6 +452,54 @@ class TestCliGenData:
         assert names == sorted(os.listdir(tmp_path / "b"))
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestCliFailedWrites:
+    """A write that fails, here on a full disk, exits 2 and leaves the file it would have replaced
+    as it was, with no temporary beside it."""
+
+    TRAIN = ["--epochs", "1", "--p", "2", "--k", "1", "--patch", "16"] + MICRO_FLAGS
+
+    def test_failed_checkpoint_save_keeps_the_earlier_checkpoint(self, tmp_path, capsys, disk_full_at_record):
+        manifest = _tiny_manifest(tmp_path / "corpus")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--manifest", manifest, "--out", str(out), "--seed", "1"] + self.TRAIN) == 0
+        earlier = (out / "checkpoint-0001.ckpt").read_bytes()
+        calls = disk_full_at_record(5)
+        rc = cli.main(["train", "--manifest", manifest, "--out", str(out), "--seed", "2"] + self.TRAIN)
+        assert rc == cli.EXIT_IO and len(calls) == 6
+        assert "No space left on device" in capsys.readouterr().err
+        assert os.listdir(out) == ["checkpoint-0001.ckpt"]
+        assert (out / "checkpoint-0001.ckpt").read_bytes() == earlier
+
+    def test_run_failing_in_its_first_save_removes_the_directories_it_made(self, tmp_path, capsys,
+                                                                          disk_full_at_record):
+        manifest = _tiny_manifest(tmp_path / "corpus")
+        disk_full_at_record(5)
+        rc = cli.main(["train", "--manifest", manifest, "--out", str(tmp_path / "a" / "b")] + self.TRAIN)
+        assert rc == cli.EXIT_IO and "No space left on device" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["corpus"]
+
+    def test_failed_manifest_write_keeps_the_earlier_manifest(self, tmp_path, capsys, monkeypatch):
+        args = ["gen-data", "--out", str(tmp_path), "--ids", "2", "--per-view", "1", "--image-h", "16",
+                "--image-w", "16"]
+        assert cli.main(args) == 0
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        real_open = open
+
+        def text_on_a_full_disk(file, mode="r", **kwargs):  # images (binary) still write
+            fh = real_open(file, mode, **kwargs)
+            if "b" not in mode:
+                def write(text):
+                    fh.buffer.write(text[: len(text) // 2].encode())
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                fh.write = write
+            return fh
+
+        monkeypatch.setattr(secap.storage, "open", text_on_a_full_disk, raising=False)
+        assert cli.main(args) == cli.EXIT_IO
+        assert "No space left on device" in capsys.readouterr().err
+        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
 
 
 @pytest.fixture(scope="class")
